@@ -11,13 +11,11 @@ from .classifier import (
     train,
 )
 from .core import (
-    BinaryDatapoint,
     BinaryDataset,
     EmptyDatasetError,
     Pool,
     PoolExhaustionError,
     Sample,
-    StarDatapoint,
     StarDataset,
     StratificationError,
     binarise_dataset,
@@ -56,8 +54,10 @@ from .quantifiers import (
     BENCHMARK_METHODS,
     CC,
     DyS,
+    HDy,
     MLPE,
     METHOD_NAMES,
+    METHODS,
     PACC,
     PCC,
     PosteriorHistogram,

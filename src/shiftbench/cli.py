@@ -118,6 +118,11 @@ def _load_dataset(path: str):
         return reviews_to_dataset(reviews)
     rows = [json.loads(line) for line in open(path, encoding="utf-8") if line.strip()]
     x = np.array([r["features"] for r in rows], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if len(bad):
+        with open(path, encoding="utf-8") as fh:
+            line_numbers = [i for i, line in enumerate(fh, 1) if line.strip()]
+        raise ValueError(f"{path}: line {line_numbers[bad[0]]}: non-finite feature value")
     category = np.array([r.get("category", "A") for r in rows])
     if "stars" in probe:
         return StarDataset(x, np.array([r["stars"] for r in rows]), category)
@@ -129,6 +134,8 @@ def cmd_run(args) -> int:
         raw = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read config: {exc}")
+    if not isinstance(raw, dict):
+        return _fail("config must be a JSON object")
     dataset_path = raw.pop("dataset", None)
     if dataset_path is None:
         return _fail("config must name a 'dataset' file")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -76,33 +76,6 @@ def is_text_payload(x: Any) -> bool:
 
 
 @dataclass(frozen=True)
-class StarDatapoint:
-    """One item of a star-rated dataset (1..5 stars, category A or B)."""
-
-    features: np.ndarray
-    stars: int
-    category: str
-
-    def __post_init__(self):
-        if self.stars not in (1, 2, 3, 4, 5):
-            raise ValueError(f"stars must be in 1..5, got {self.stars}")
-        if self.category not in CATEGORIES:
-            raise ValueError(f"category must be one of {CATEGORIES}")
-
-
-@dataclass(frozen=True)
-class BinaryDatapoint:
-    """One labelled item; label 1 is the positive class."""
-
-    features: np.ndarray
-    label: int
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-
-
-@dataclass(frozen=True)
 class StarDataset:
     """Star-labelled items: payload + stars in 1..5 + category tags."""
 
@@ -126,16 +99,6 @@ class StarDataset:
 
     def __len__(self) -> int:
         return _payload_len(self.x)
-
-    @classmethod
-    def from_datapoints(cls, points: Sequence[StarDatapoint]) -> "StarDataset":
-        if not points:
-            raise EmptyDatasetError("cannot build a dataset from zero datapoints")
-        return cls(
-            x=np.stack([np.asarray(p.features, dtype=float) for p in points]),
-            stars=np.array([p.stars for p in points]),
-            category=np.array([p.category for p in points]),
-        )
 
     def take(self, indices: np.ndarray) -> "StarDataset":
         indices = np.asarray(indices)
@@ -173,15 +136,6 @@ class BinaryDataset:
     @property
     def prevalence(self) -> float:
         return float(self.labels.sum() / len(self))
-
-    @classmethod
-    def from_datapoints(cls, points: Sequence[BinaryDatapoint]) -> "BinaryDataset":
-        if not points:
-            raise EmptyDatasetError("cannot build a dataset from zero datapoints")
-        return cls(
-            x=np.stack([np.asarray(p.features, dtype=float) for p in points]),
-            labels=np.array([p.label for p in points]),
-        )
 
     def take(self, indices: np.ndarray) -> "BinaryDataset":
         indices = np.asarray(indices)

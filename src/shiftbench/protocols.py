@@ -16,6 +16,19 @@ Degree conventions: prior uses (p_U - p_L) rounded to one decimal; global
 covariate uses (alpha_L - alpha_U); local covariate uses (p_U - p_L) rounded
 to two decimals; concept uses the integer (c_L - c_U).
 
+Each protocol is data: a cell plan, a generator walked lazily per
+repetition.  It yields a cell -- one training draw and the seed coordinates
+of the fit on it -- followed by the tests scored against that fit.  A test
+carries its config string, shift degree and nominal prevalence, plus a
+deferred draw whose spec holds the pool, sizes and seed coordinates that fix
+the sample.  One executor, ``_repetition_worker``, walks the plan of one
+repetition.  At each cell it fits every method on the training draw, with
+one classifier per distinct set of classifier hyperparameters (one in the
+default config).  At each test it draws the sample, scores it once per
+classifier, hands the posteriors to every method's ``aggregate``, and emits
+one record per method.  A dry run walks the same plan and emits stub
+estimates at the nominal prevalence, without fitting or drawing.
+
 Repetitions are independent: every draw's seed is derived from the master
 seed and the draw's structural coordinates, so runs are bit-reproducible for
 any worker count.
@@ -27,11 +40,12 @@ import dataclasses
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .classifier import grid_search
+from .classifier import grid_search, predict_proba
 from .core import (
     BinaryDataset,
     Pool,
@@ -47,7 +61,7 @@ from .core import (
 )
 from .datagen import fit_vocabulary, vectorise
 from .evaluation import ExperimentRecord
-from .quantifiers import BENCHMARK_METHODS, MLPE, fit_evidence, quantifier_factory
+from .quantifiers import BENCHMARK_METHODS, Quantifier, fit_evidence, quantifier_factory
 from .seeds import derive_seed
 
 PRIOR = "prior"
@@ -183,10 +197,6 @@ def exact_ceil(fraction_value: float, n: int) -> int:
     return -((-frac.numerator) // frac.denominator)
 
 
-def _fmt(v: float) -> str:
-    return format(v, "g")
-
-
 def _round_degree(value: float, decimals: int) -> float:
     return round(value, decimals) + 0.0  # normalise -0.0
 
@@ -226,105 +236,6 @@ def _featurise_train(x):
     return x, lambda xs: xs
 
 
-def _fit_methods(cfg: ProtocolConfig, train: Sample, fit_seed: int):
-    """Fit every configured method on one training draw.
-
-    Methods sharing classifier hyperparameters share one trained classifier
-    and one set of out-of-fold posteriors.  Returns (quantifiers by name,
-    featuriser for test samples).
-    """
-    x, featurise = _featurise_train(train.x)
-    labels = train.labels
-
-    method_params: dict[str, dict] = {}
-    if cfg.grid_search:
-        pool = Pool(BinaryDataset(x, labels))
-        for name in cfg.methods:
-            chosen = grid_search(
-                pool,
-                lambda params, _n=name: quantifier_factory(
-                    _n, folds=cfg.folds, bins=cfg.bins, seed=fit_seed, **params
-                ),
-                seed=derive_seed(fit_seed, "grid", name),
-                sample_size=cfg.test_size,
-            )
-            method_params[name] = chosen
-    else:
-        for name in cfg.methods:
-            method_params[name] = {"C": cfg.C, "class_weight": cfg.class_weight}
-
-    unfitted = {
-        name: quantifier_factory(
-            name, folds=cfg.folds, bins=cfg.bins, seed=fit_seed, **method_params[name]
-        )
-        for name in cfg.methods
-    }
-    by_key: dict[tuple, list[str]] = {}
-    for name, q in unfitted.items():
-        if not isinstance(q, MLPE):
-            by_key.setdefault((q.C, q.class_weight), []).append(name)
-    evidences = {
-        key: fit_evidence(
-            x,
-            labels,
-            C=key[0],
-            class_weight=key[1],
-            folds=cfg.folds,
-            seed=fit_seed,
-            need_oof=any(unfitted[n].needs_oof for n in names),
-        )
-        for key, names in by_key.items()
-    }
-    quantifiers = {}
-    for name, q in unfitted.items():
-        if isinstance(q, MLPE):
-            quantifiers[name] = q.fit(x, labels)
-        else:
-            quantifiers[name] = q.fit_evidence(evidences[(q.C, q.class_weight)])
-    return quantifiers, featurise
-
-
-def _emit(
-    cfg: ProtocolConfig,
-    records: list[ExperimentRecord],
-    rep: int,
-    config: str,
-    degree: float,
-    quantifiers,
-    featurise,
-    sample: Sample | None,
-    nominal_prevalence: float,
-):
-    """Append one record per method for one test sample (or a dry-run stub)."""
-    if sample is None:
-        for name in cfg.methods:
-            records.append(
-                ExperimentRecord(
-                    protocol=cfg.protocol,
-                    method=name,
-                    repetition=rep,
-                    config=config,
-                    degree=degree,
-                    true_prevalence=nominal_prevalence,
-                    estimate=STUB_ESTIMATE,
-                )
-            )
-        return
-    x = featurise(sample.x)
-    for name in cfg.methods:
-        records.append(
-            ExperimentRecord(
-                protocol=cfg.protocol,
-                method=name,
-                repetition=rep,
-                config=config,
-                degree=degree,
-                true_prevalence=sample.true_prevalence,
-                estimate=quantifiers[name].quantify(x),
-            )
-        )
-
-
 # ---------------------------------------------------------------------------
 # pool preparation
 # ---------------------------------------------------------------------------
@@ -339,32 +250,21 @@ def _ensure_binary(dataset, cut_point: float) -> BinaryDataset:
 
 
 @dataclass(frozen=True)
-class _SplitPools:
-    train: Pool
-    test: Pool
+class _StarHalf:
+    """One half of the star-balanced dataset, with its item indices by star."""
 
-
-@dataclass(frozen=True)
-class _CategoryPools:
-    train_a: Pool
-    test_a: Pool
-    train_b: Pool
-    test_b: Pool
-
-
-@dataclass(frozen=True)
-class _StarPools:
     dataset: StarDataset
-    train_indices: np.ndarray
-    test_indices: np.ndarray
+    by_star: dict[int, np.ndarray]
 
 
-def _prepare_pools(cfg: ProtocolConfig, dataset):
+def _prepare_pools(cfg: ProtocolConfig, dataset) -> dict:
+    """The pools that draws name: train/test for prior, train_a/test_a/
+    train_b/test_b for the covariate protocols, star-balanced train/test
+    halves for concept."""
     seed = derive_seed(cfg.master_seed, cfg.protocol, "split")
     if cfg.protocol == PRIOR:
         binary = _ensure_binary(dataset, cfg.cut_point)
-        train, test = split_stratified(binary, cfg.split_fraction, seed)
-        return _SplitPools(train, test)
+        return dict(zip(("train", "test"), split_stratified(binary, cfg.split_fraction, seed)))
     if cfg.protocol in (GLOBAL_COVARIATE, LOCAL_COVARIATE):
         binary = _ensure_binary(dataset, cfg.cut_point)
         if binary.category is None:
@@ -374,23 +274,17 @@ def _prepare_pools(cfg: ProtocolConfig, dataset):
             subset = binary.take(np.flatnonzero(binary.category == cat))
             if len(subset) == 0:
                 raise ValueError(f"no datapoints in category {cat}")
-            pools[cat] = split_stratified(
-                subset, cfg.split_fraction, derive_seed(seed, cat)
-            )
-        return _CategoryPools(
-            train_a=pools["A"][0],
-            test_a=pools["A"][1],
-            train_b=pools["B"][0],
-            test_b=pools["B"][1],
-        )
+            split = split_stratified(subset, cfg.split_fraction, derive_seed(seed, cat))
+            pools.update(zip((f"train_{cat.lower()}", f"test_{cat.lower()}"), split))
+        return pools
     if cfg.protocol == CONCEPT:
         if not isinstance(dataset, StarDataset):
             raise TypeError("the concept protocol needs star-labelled data")
         balanced = _balance_stars(dataset, derive_seed(seed, "balance"))
-        first, second = stratified_split_indices(
+        halves = stratified_split_indices(
             balanced.stars, cfg.split_fraction, derive_seed(seed, "halves")
         )
-        return _StarPools(dataset=balanced, train_indices=first, test_indices=second)
+        return {name: _make_half(balanced, idx) for name, idx in zip(("train", "test"), halves)}
     raise ValueError(f"unknown protocol {cfg.protocol!r}")
 
 
@@ -408,133 +302,53 @@ def _balance_stars(dataset: StarDataset, seed: int) -> StarDataset:
     return dataset.take(chosen)
 
 
-def _index_by_star(subset: StarDataset) -> dict[int, np.ndarray]:
-    return {s: np.flatnonzero(subset.stars == s) for s in (1, 2, 3, 4, 5)}
-
-
-# keep the split halves alongside their index maps
-@dataclass(frozen=True)
-class _StarHalf:
-    dataset: StarDataset
-    by_star: dict[int, np.ndarray]
+def _make_half(dataset: StarDataset, indices: np.ndarray) -> _StarHalf:
+    subset = dataset.take(indices)
+    return _StarHalf(subset, {s: np.flatnonzero(subset.stars == s) for s in (1, 2, 3, 4, 5)})
 
 
 # ---------------------------------------------------------------------------
-# repetition runners (dry runs share the exact same loop structure)
+# draws: each takes its spec, then the master seed and the pools by keyword;
+# seeds derive from the master seed and the spec's seed coordinates
 # ---------------------------------------------------------------------------
 
 
-def _prior_repetition(cfg, pools, rep, dry) -> list[ExperimentRecord]:
-    records: list[ExperimentRecord] = []
-    for i_pl, p_l in enumerate(cfg.prior_train_prevalences):
-        quantifiers = featurise = None
-        if not dry:
-            train = _draw(
-                pools.train,
-                p_l,
-                cfg.train_size,
-                derive_seed(cfg.master_seed, PRIOR, rep, "train", i_pl),
-                f"prior rep={rep} pL={_fmt(p_l)}",
-            )
-            quantifiers, featurise = _fit_methods(
-                cfg, train, derive_seed(cfg.master_seed, PRIOR, rep, "fit", i_pl)
-            )
-        for r in range(cfg.samples_per_config):
-            for i_pu, p_u in enumerate(cfg.prior_test_prevalences):
-                sample = None
-                if not dry:
-                    sample = _draw(
-                        pools.test,
-                        p_u,
-                        cfg.test_size,
-                        derive_seed(cfg.master_seed, PRIOR, rep, "test", i_pl, r, i_pu),
-                        f"prior rep={rep} pL={_fmt(p_l)} pU={_fmt(p_u)} round={r}",
-                    )
-                _emit(
-                    cfg,
-                    records,
-                    rep,
-                    f"pL={_fmt(p_l)};pU={_fmt(p_u)};r={r}",
-                    _round_degree(p_u - p_l, 1),
-                    quantifiers,
-                    featurise,
-                    sample,
-                    p_u,
-                )
-    return records
+def _draw_each(parts, master_seed: int, pools) -> list[Sample]:
+    """Draw each (pool name, prevalence, size, seed coordinates, context) part."""
+    return [
+        _draw(pools[pool], prevalence, size, derive_seed(master_seed, *coords), ctx)
+        for pool, prevalence, size, coords, ctx in parts
+    ]
 
 
-def _covariate_pair(cfg, pool_a, pool_b, prevalence, alpha, total, seed, ctx):
+def _draw_parts(*parts, master_seed: int, pools) -> Sample:
+    """Draw each part and merge them."""
+    samples = _draw_each(parts, master_seed, pools)
+    return samples[0] if len(samples) == 1 else merge_samples(samples)
+
+
+def _local_shift_draw(base, drawn_base: list, positives, master_seed, pools) -> Sample:
+    """The round's base mixture plus the added positives of category A.
+
+    The shift tests of one round share ``drawn_base``; the first fills it, so
+    the base parts are drawn once per round."""
+    if not drawn_base:
+        drawn_base += _draw_each(base, master_seed, pools)
+    return merge_samples(drawn_base + _draw_each(positives, master_seed, pools))
+
+
+def _covariate_pair(side, prevalence, alpha, total, coords, ctx, master_seed, pools) -> Sample:
     """Draw size ceil(alpha*total) from A and the complement from B, both at
     the same class prevalence."""
+    seed = derive_seed(master_seed, *coords)
     n_a = exact_ceil(alpha, total)
     n_b = total - n_a
     parts = []
     if n_a:
-        parts.append(_draw(pool_a, prevalence, n_a, derive_seed(seed, "A"), ctx))
+        parts.append(_draw(pools[f"{side}_a"], prevalence, n_a, derive_seed(seed, "A"), ctx))
     if n_b:
-        parts.append(_draw(pool_b, prevalence, n_b, derive_seed(seed, "B"), ctx))
+        parts.append(_draw(pools[f"{side}_b"], prevalence, n_b, derive_seed(seed, "B"), ctx))
     return merge_samples(parts)
-
-
-def _global_covariate_repetition(cfg, pools, rep, dry) -> list[ExperimentRecord]:
-    records: list[ExperimentRecord] = []
-    for i_pl, p_l in enumerate(cfg.covariate_class_prevalences):
-        for i_al, a_l in enumerate(cfg.covariate_mixtures):
-            quantifiers = featurise = None
-            if not dry:
-                train = _covariate_pair(
-                    cfg,
-                    pools.train_a,
-                    pools.train_b,
-                    p_l,
-                    a_l,
-                    cfg.train_size,
-                    derive_seed(cfg.master_seed, GLOBAL_COVARIATE, rep, "train", i_pl, i_al),
-                    f"global_covariate rep={rep} pL={_fmt(p_l)} aL={_fmt(a_l)}",
-                )
-                quantifiers, featurise = _fit_methods(
-                    cfg,
-                    train,
-                    derive_seed(cfg.master_seed, GLOBAL_COVARIATE, rep, "fit", i_pl, i_al),
-                )
-            for r in range(cfg.samples_per_config):
-                for i_pu, p_u in enumerate(cfg.covariate_class_prevalences):
-                    for i_au, a_u in enumerate(cfg.covariate_mixtures):
-                        sample = None
-                        if not dry:
-                            sample = _covariate_pair(
-                                cfg,
-                                pools.test_a,
-                                pools.test_b,
-                                p_u,
-                                a_u,
-                                cfg.test_size,
-                                derive_seed(
-                                    cfg.master_seed,
-                                    GLOBAL_COVARIATE,
-                                    rep,
-                                    "test",
-                                    i_pl,
-                                    i_al,
-                                    r,
-                                    i_pu,
-                                    i_au,
-                                ),
-                                f"global_covariate rep={rep} pU={_fmt(p_u)} aU={_fmt(a_u)} round={r}",
-                            )
-                        _emit(
-                            cfg,
-                            records,
-                            rep,
-                            f"pL={_fmt(p_l)};aL={_fmt(a_l)};pU={_fmt(p_u)};aU={_fmt(a_u)};r={r}",
-                            _round_degree(a_l - a_u, 1),
-                            quantifiers,
-                            featurise,
-                            sample,
-                            p_u,
-                        )
-    return records
 
 
 def _local_positive_count(cfg, p_u: float) -> int:
@@ -552,116 +366,9 @@ def _local_positive_count(cfg, p_u: float) -> int:
     return max(0, round_half_up(pos))
 
 
-def _local_covariate_repetition(cfg, pools, rep, dry) -> list[ExperimentRecord]:
-    records: list[ExperimentRecord] = []
-    half = cfg.train_size // 2
-    p_train = 0.5
-    quantifiers = featurise = None
-    if not dry:
-        train = merge_samples(
-            [
-                _draw(
-                    pools.train_a,
-                    2.0 / 3.0,
-                    half,
-                    derive_seed(cfg.master_seed, LOCAL_COVARIATE, rep, "trainA"),
-                    f"local_covariate rep={rep} train A",
-                ),
-                _draw(
-                    pools.train_b,
-                    1.0 / 3.0,
-                    half,
-                    derive_seed(cfg.master_seed, LOCAL_COVARIATE, rep, "trainB"),
-                    f"local_covariate rep={rep} train B",
-                ),
-            ]
-        )
-        quantifiers, featurise = _fit_methods(
-            cfg, train, derive_seed(cfg.master_seed, LOCAL_COVARIATE, rep, "fit")
-        )
-    neg_a_size = round_half_up(cfg.test_size / 6.0)
-    base_b_size = cfg.test_size // 2
-    for r in range(cfg.samples_per_config):
-        base = None
-        if not dry:
-            base = [
-                _draw(
-                    pools.test_a,
-                    0.0,
-                    neg_a_size,
-                    derive_seed(cfg.master_seed, LOCAL_COVARIATE, rep, "baseA", r),
-                    f"local_covariate rep={rep} round={r} base A",
-                ),
-                _draw(
-                    pools.test_b,
-                    1.0 / 3.0,
-                    base_b_size,
-                    derive_seed(cfg.master_seed, LOCAL_COVARIATE, rep, "baseB", r),
-                    f"local_covariate rep={rep} round={r} base B",
-                ),
-            ]
-        for i_pu, p_u in enumerate(cfg.local_test_prevalences):
-            pos_a = _local_positive_count(cfg, p_u)
-            degree = _round_degree(p_u - p_train, 2)
-            sample = None
-            if not dry:
-                parts = list(base)
-                if pos_a:
-                    parts.append(
-                        _draw(
-                            pools.test_a,
-                            1.0,
-                            pos_a,
-                            derive_seed(
-                                cfg.master_seed, LOCAL_COVARIATE, rep, "posA", r, i_pu
-                            ),
-                            f"local_covariate rep={rep} round={r} pU={_fmt(p_u)}",
-                        )
-                    )
-                sample = merge_samples(parts)
-            _emit(
-                cfg,
-                records,
-                rep,
-                f"pU={_fmt(p_u)};arm=shift;r={r}",
-                degree,
-                quantifiers,
-                featurise,
-                sample,
-                p_u,
-            )
-            # control arm: same size and nominal prevalence, but drawn with the
-            # training class-conditionals (positives 2/3 A, negatives 2/3 B)
-            size = neg_a_size + base_b_size + pos_a
-            for d in range(cfg.local_control_draws):
-                control = None
-                if not dry:
-                    control = _control_draw(
-                        cfg,
-                        pools,
-                        p_u,
-                        size,
-                        derive_seed(
-                            cfg.master_seed, LOCAL_COVARIATE, rep, "control", r, i_pu, d
-                        ),
-                        f"local_covariate rep={rep} round={r} pU={_fmt(p_u)} control={d}",
-                    )
-                _emit(
-                    cfg,
-                    records,
-                    rep,
-                    f"pU={_fmt(p_u)};arm=control;r={r};d={d}",
-                    degree,
-                    quantifiers,
-                    featurise,
-                    control,
-                    p_u,
-                )
-    return records
-
-
-def _control_draw(cfg, pools, p_u, size, seed, ctx) -> Sample:
+def _control_draw(p_u, size, coords, ctx, master_seed, pools) -> Sample:
     """A class-conditional-preserving draw at the requested prevalence."""
+    seed = derive_seed(master_seed, *coords)
     n_pos = round_half_up(p_u * size)
     n_neg = size - n_pos
     pos_a = round_half_up(2.0 * n_pos / 3.0)
@@ -670,10 +377,10 @@ def _control_draw(cfg, pools, p_u, size, seed, ctx) -> Sample:
     neg_b = n_neg - neg_a
     parts = []
     for pool, prevalence, count, tag in (
-        (pools.test_a, 1.0, pos_a, "posA"),
-        (pools.test_b, 1.0, pos_b, "posB"),
-        (pools.test_a, 0.0, neg_a, "negA"),
-        (pools.test_b, 0.0, neg_b, "negB"),
+        (pools["test_a"], 1.0, pos_a, "posA"),
+        (pools["test_b"], 1.0, pos_b, "posB"),
+        (pools["test_a"], 0.0, neg_a, "negA"),
+        (pools["test_b"], 0.0, neg_b, "negB"),
     ):
         if count:
             parts.append(_draw(pool, prevalence, count, derive_seed(seed, tag), ctx))
@@ -686,7 +393,7 @@ def _star_allocation(size: int, stars: Sequence[int]) -> dict[int, int]:
     return {s: base + (1 if i < rem else 0) for i, s in enumerate(sorted(stars))}
 
 
-def _draw_stars(half: "_StarHalf", allocation: dict[int, int], seed: int, ctx: str) -> StarDataset:
+def _draw_stars(half: _StarHalf, allocation: dict[int, int], seed: int, ctx: str) -> StarDataset:
     rng = np.random.default_rng(seed)
     chosen = []
     for s in sorted(allocation):
@@ -712,84 +419,276 @@ def _forced_allocation(size: int, prevalence: float, cut: float) -> dict[int, in
     return alloc
 
 
-def _concept_repetition(cfg, pools, rep, dry) -> list[ExperimentRecord]:
-    records: list[ExperimentRecord] = []
-    train_half = test_half = None
-    if not dry:
-        train_half = _make_half(pools.dataset, pools.train_indices)
-        test_half = _make_half(pools.dataset, pools.test_indices)
-    forced = cfg.concept_force_prevalence
-    for i_cl, c_l in enumerate(cfg.concept_cut_points):
-        quantifiers = featurise = None
-        if not dry:
-            alloc = (
-                _forced_allocation(cfg.train_size, forced[0], c_l)
-                if forced
-                else _star_allocation(cfg.train_size, (1, 2, 3, 4, 5))
-            )
-            stars = _draw_stars(
-                train_half,
-                alloc,
-                derive_seed(cfg.master_seed, CONCEPT, rep, "train", i_cl),
-                f"concept rep={rep} cL={_fmt(c_l)}",
-            )
-            binary = binarise_dataset(stars, c_l)
-            train = Sample(binary.x, binary.labels)
-            quantifiers, featurise = _fit_methods(
-                cfg, train, derive_seed(cfg.master_seed, CONCEPT, rep, "fit", i_cl)
-            )
-        for r in range(cfg.samples_per_config):
-            for i_cu, c_u in enumerate(cfg.concept_cut_points):
-                sample = None
-                nominal = forced[1] if forced else _uniform_star_prevalence(c_u)
-                if not dry:
-                    alloc = (
-                        _forced_allocation(cfg.test_size, forced[1], c_u)
-                        if forced
-                        else _star_allocation(cfg.test_size, (1, 2, 3, 4, 5))
-                    )
-                    stars = _draw_stars(
-                        test_half,
-                        alloc,
-                        derive_seed(cfg.master_seed, CONCEPT, rep, "test", i_cl, r, i_cu),
-                        f"concept rep={rep} cL={_fmt(c_l)} cU={_fmt(c_u)} round={r}",
-                    )
-                    binary = binarise_dataset(stars, c_u)
-                    sample = Sample(binary.x, binary.labels)
-                _emit(
-                    cfg,
-                    records,
-                    rep,
-                    f"cL={_fmt(c_l)};cU={_fmt(c_u)};r={r}",
-                    _round_degree(c_l - c_u, 0),
-                    quantifiers,
-                    featurise,
-                    sample,
-                    nominal,
-                )
-    return records
+def _concept_draw(half, size, prevalence, cut, coords, ctx, master_seed, pools) -> Sample:
+    """Star-rated items from one half, binarised at ``cut``: uniform over the
+    stars, or at a forced positive ``prevalence``."""
+    alloc = (
+        _star_allocation(size, (1, 2, 3, 4, 5))
+        if prevalence is None
+        else _forced_allocation(size, prevalence, cut)
+    )
+    stars = _draw_stars(pools[half], alloc, derive_seed(master_seed, *coords), ctx)
+    binary = binarise_dataset(stars, cut)
+    return Sample(binary.x, binary.labels)
 
 
 def _uniform_star_prevalence(cut: float) -> float:
     return len([s for s in (1, 2, 3, 4, 5) if s > cut]) / 5.0
 
 
-def _make_half(dataset: StarDataset, indices: np.ndarray) -> _StarHalf:
-    subset = dataset.take(indices)
-    return _StarHalf(dataset=subset, by_star=_index_by_star(subset))
+# ---------------------------------------------------------------------------
+# cell plans: each protocol as a generator that yields each cell's training
+# draw, then the test samples scored against it
+# ---------------------------------------------------------------------------
 
 
-_REPETITION_RUNNERS: dict[str, Callable] = {
-    PRIOR: _prior_repetition,
-    GLOBAL_COVARIATE: _global_covariate_repetition,
-    LOCAL_COVARIATE: _local_covariate_repetition,
-    CONCEPT: _concept_repetition,
+class _Cell(NamedTuple):
+    """One training draw and the seed coordinates of the fit on it; the tests
+    that follow it in the plan are scored against that fit."""
+
+    train: Callable[..., Sample]
+    fit_coords: tuple
+
+
+class _Test(NamedTuple):
+    """One test sample: ``draw(master_seed=..., pools=...)`` draws it; the rest
+    labels its records."""
+
+    draw: Callable[..., Sample]
+    config: str
+    degree: float
+    nominal_prevalence: float
+
+
+def _grid(values: Sequence[float]) -> list[tuple[int, float, str]]:
+    """(index, value, value as written in config strings) for each grid point."""
+    return [(i, v, format(v, "g")) for i, v in enumerate(values)]
+
+
+def _prior_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
+    test_grid = _grid(cfg.prior_test_prevalences)
+    for i_pl, p_l, f_pl in _grid(cfg.prior_train_prevalences):
+        ctx = f"prior rep={rep} pL={f_pl}"
+        yield _Cell(
+            partial(_draw_parts, ("train", p_l, cfg.train_size, (PRIOR, rep, "train", i_pl), ctx)),
+            (PRIOR, rep, "fit", i_pl),
+        )
+        degrees = [_round_degree(p_u - p_l, 1) for _, p_u, _ in test_grid]
+        for r in range(cfg.samples_per_config):
+            for i_pu, p_u, f_pu in test_grid:
+                yield _Test(
+                    partial(_draw_parts, ("test", p_u, cfg.test_size,
+                                          (PRIOR, rep, "test", i_pl, r, i_pu),
+                                          f"{ctx} pU={f_pu} round={r}")),
+                    f"pL={f_pl};pU={f_pu};r={r}",
+                    degrees[i_pu],
+                    p_u,
+                )
+
+
+def _global_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
+    proto = GLOBAL_COVARIATE
+    prevalences, mixtures = _grid(cfg.covariate_class_prevalences), _grid(cfg.covariate_mixtures)
+    for i_pl, p_l, f_pl in prevalences:
+        for i_al, a_l, f_al in mixtures:
+            yield _Cell(
+                partial(_covariate_pair, "train", p_l, a_l, cfg.train_size,
+                        (proto, rep, "train", i_pl, i_al),
+                        f"{proto} rep={rep} pL={f_pl} aL={f_al}"),
+                (proto, rep, "fit", i_pl, i_al),
+            )
+            degrees = [_round_degree(a_l - a_u, 1) for _, a_u, _ in mixtures]
+            for r in range(cfg.samples_per_config):
+                for i_pu, p_u, f_pu in prevalences:
+                    for i_au, a_u, f_au in mixtures:
+                        yield _Test(
+                            partial(_covariate_pair, "test", p_u, a_u, cfg.test_size,
+                                    (proto, rep, "test", i_pl, i_al, r, i_pu, i_au),
+                                    f"{proto} rep={rep} pU={f_pu} aU={f_au} round={r}"),
+                            f"pL={f_pl};aL={f_al};pU={f_pu};aU={f_au};r={r}",
+                            degrees[i_au],
+                            p_u,
+                        )
+
+
+def _local_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
+    """One training draw at prevalence 1/2 (positives 2/3 A, negatives 2/3 B),
+    then per round the shift arm at each p_U, each followed by its control
+    draws.  The shift samples of one round share one base mixture, drawn once."""
+    proto = LOCAL_COVARIATE
+    half = cfg.train_size // 2
+    p_train = 0.5
+    yield _Cell(
+        partial(
+            _draw_parts,
+            ("train_a", 2.0 / 3.0, half, (proto, rep, "trainA"), f"{proto} rep={rep} train A"),
+            ("train_b", 1.0 / 3.0, half, (proto, rep, "trainB"), f"{proto} rep={rep} train B"),
+        ),
+        (proto, rep, "fit"),
+    )
+    neg_a_size = round_half_up(cfg.test_size / 6.0)
+    base_b_size = cfg.test_size // 2
+    for r in range(cfg.samples_per_config):
+        ctx = f"{proto} rep={rep} round={r}"
+        base = (
+            ("test_a", 0.0, neg_a_size, (proto, rep, "baseA", r), f"{ctx} base A"),
+            ("test_b", 1.0 / 3.0, base_b_size, (proto, rep, "baseB", r), f"{ctx} base B"),
+        )
+        drawn_base: list[Sample] = []
+        for i_pu, p_u, f_pu in _grid(cfg.local_test_prevalences):
+            pos_a = _local_positive_count(cfg, p_u)
+            degree = _round_degree(p_u - p_train, 2)
+            positives = (
+                (("test_a", 1.0, pos_a, (proto, rep, "posA", r, i_pu), f"{ctx} pU={f_pu}"),)
+                if pos_a
+                else ()
+            )
+            yield _Test(
+                partial(_local_shift_draw, base, drawn_base, positives),
+                f"pU={f_pu};arm=shift;r={r}",
+                degree,
+                p_u,
+            )
+            # control arm: same size and nominal prevalence, but drawn with the
+            # training class-conditionals (positives 2/3 A, negatives 2/3 B)
+            size = neg_a_size + base_b_size + pos_a
+            for d in range(cfg.local_control_draws):
+                yield _Test(
+                    partial(_control_draw, p_u, size, (proto, rep, "control", r, i_pu, d),
+                            f"{ctx} pU={f_pu} control={d}"),
+                    f"pU={f_pu};arm=control;r={r};d={d}",
+                    degree,
+                    p_u,
+                )
+
+
+def _concept_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
+    p_l, p_u = cfg.concept_force_prevalence or (None, None)
+    cuts = _grid(cfg.concept_cut_points)
+    for i_cl, c_l, f_cl in cuts:
+        ctx = f"concept rep={rep} cL={f_cl}"
+        yield _Cell(
+            partial(_concept_draw, "train", cfg.train_size, p_l, c_l,
+                    (CONCEPT, rep, "train", i_cl), ctx),
+            (CONCEPT, rep, "fit", i_cl),
+        )
+        degrees = [_round_degree(c_l - c_u, 0) for _, c_u, _ in cuts]
+        for r in range(cfg.samples_per_config):
+            for i_cu, c_u, f_cu in cuts:
+                yield _Test(
+                    partial(_concept_draw, "test", cfg.test_size, p_u, c_u,
+                            (CONCEPT, rep, "test", i_cl, r, i_cu),
+                            f"{ctx} cU={f_cu} round={r}"),
+                    f"cL={f_cl};cU={f_cu};r={r}",
+                    degrees[i_cu],
+                    _uniform_star_prevalence(c_u) if p_u is None else p_u,
+                )
+
+
+_PLANS: dict[str, Callable[[ProtocolConfig, int], Iterator[_Cell | _Test]]] = {
+    PRIOR: _prior_plan,
+    GLOBAL_COVARIATE: _global_covariate_plan,
+    LOCAL_COVARIATE: _local_covariate_plan,
+    CONCEPT: _concept_plan,
 }
 
 
-def _repetition_worker(args):
+# ---------------------------------------------------------------------------
+# the executor
+# ---------------------------------------------------------------------------
+
+
+def _fit(cfg: ProtocolConfig, train: Sample, fit_seed: int):
+    """Fit every configured method on one training draw.
+
+    Methods sharing classifier hyperparameters share one trained classifier
+    and one set of out-of-fold posteriors.  Returns the estimator of a test
+    sample: its raw features -> estimate by method name.  It scores the
+    sample once per distinct classifier and hands those posteriors to every
+    method that shares it.
+    """
+    x, featurise = _featurise_train(train.x)
+    labels = train.labels
+    pool = Pool(BinaryDataset(x, labels)) if cfg.grid_search else None
+    groups: dict[tuple, dict[str, Quantifier]] = {}
+    for name in cfg.methods:
+        params = {"C": cfg.C, "class_weight": cfg.class_weight}
+        if cfg.grid_search:
+            params = grid_search(
+                pool,
+                lambda p, _n=name: quantifier_factory(
+                    _n, folds=cfg.folds, bins=cfg.bins, seed=fit_seed, **p
+                ),
+                seed=derive_seed(fit_seed, "grid", name),
+                sample_size=cfg.test_size,
+            )
+        q = quantifier_factory(name, folds=cfg.folds, bins=cfg.bins, seed=fit_seed, **params)
+        groups.setdefault((q.C, q.class_weight), {})[name] = q
+    fitted = []
+    for (C, class_weight), quantifiers in groups.items():
+        evidence = fit_evidence(
+            x,
+            labels,
+            C=C,
+            class_weight=class_weight,
+            folds=cfg.folds,
+            seed=fit_seed,
+            need_oof=any(q.needs_oof for q in quantifiers.values()),
+            need_classifier=any(q.needs_classifier for q in quantifiers.values()),
+        )
+        fitted.append(
+            (evidence.clf, {n: q.fit_evidence(evidence) for n, q in quantifiers.items()})
+        )
+
+    def estimate(raw_x) -> dict[str, float]:
+        x = featurise(raw_x)
+        estimates = {}
+        for clf, quantifiers in fitted:
+            posteriors = None if clf is None else predict_proba(clf, x)
+            for name, q in quantifiers.items():
+                estimates[name] = q.aggregate(posteriors)
+        return estimates
+
+    return estimate
+
+
+def _repetition_worker(args) -> list[ExperimentRecord]:
+    """Walk the plan of one repetition: fit at each cell; draw, score and
+    emit at each test.
+
+    A dry run walks the same plan without fitting or drawing and emits
+    stub estimates at each test's nominal prevalence.
+    """
     cfg, pools, rep, dry = args
-    return _REPETITION_RUNNERS[cfg.protocol](cfg, pools, rep, dry)
+    stubs = dict.fromkeys(cfg.methods, STUB_ESTIMATE)
+    records: list[ExperimentRecord] = []
+    for step in _PLANS[cfg.protocol](cfg, rep):
+        if isinstance(step, _Cell):
+            if not dry:
+                estimate = _fit(
+                    cfg,
+                    step.train(master_seed=cfg.master_seed, pools=pools),
+                    derive_seed(cfg.master_seed, *step.fit_coords),
+                )
+            continue
+        if dry:
+            true_prevalence, estimates = step.nominal_prevalence, stubs
+        else:
+            sample = step.draw(master_seed=cfg.master_seed, pools=pools)
+            true_prevalence, estimates = sample.true_prevalence, estimate(sample.x)
+        records += [
+            ExperimentRecord(
+                protocol=cfg.protocol,
+                method=name,
+                repetition=rep,
+                config=step.config,
+                degree=step.degree,
+                true_prevalence=true_prevalence,
+                estimate=estimates[name],
+            )
+            for name in cfg.methods
+        ]
+    return records
 
 
 def run_protocol(
@@ -800,9 +699,9 @@ def run_protocol(
 ) -> list[ExperimentRecord]:
     """Run one protocol end to end and return its record stream.
 
-    ``dry_run`` walks the full loop structure without touching data, fitting
-    or sampling, emitting stub estimates; it is how record-count identities
-    are checked cheaply.  With ``jobs`` > 1 repetitions run in separate
+    ``dry_run`` walks the full cell plan without touching data, fitting or
+    sampling, emitting stub estimates; it is how record-count identities are
+    checked cheaply.  With ``jobs`` > 1 repetitions run in separate
     processes; the stream is merged in repetition order, so the output is
     identical for any worker count.
     """

@@ -1,4 +1,4 @@
-"""Binary prevalence estimators behind a uniform fit/quantify interface.
+"""Binary prevalence estimators behind a uniform fit/quantify/aggregate interface.
 
 Methods
 -------
@@ -13,14 +13,20 @@ DyS    minimises a histogram divergence between a two-class mixture of
 HDy    DyS with the Hellinger distance
 SLD    expectation-maximisation rescaling of posteriors and prior
 
-Every ``quantify`` is a pure function of (fitted state, sample features) and
-returns a value in [0, 1].  Fitted quantifiers are immutable in practice and
-safe to share across concurrent tasks.
+Every method aggregates the posteriors of one L2 logistic classifier (MLPE
+ignores them).  ``fit`` trains that classifier and whatever out-of-fold
+evidence the method needs; ``aggregate(posteriors)`` turns one sample's
+posteriors into an estimate in [0, 1]; ``quantify(x)`` is
+``aggregate(predict_proba(clf_, x))``.  ``aggregate`` is pure: it reads the
+fitted state and never writes it, so fitted quantifiers are immutable and
+safe to share across concurrent tasks, and a harness can score a sample once
+and hand the same posteriors to every method.  ``METHODS`` maps each method
+name to its class.
 """
 
 from __future__ import annotations
 
-import logging
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,14 +36,11 @@ from .classifier import (
     ClassRates,
     SoftClassifier,
     oof_posteriors_kfold,
-    predict_hard,
     predict_proba,
     rates_from_posteriors,
     train,
 )
 from .core import EmptyDatasetError
-
-logger = logging.getLogger(__name__)
 
 #: tpr/fpr gaps below this are treated as degenerate and skip the adjustment.
 DEGENERATE_RATE_GAP = 1e-9
@@ -47,8 +50,6 @@ EM_MAX_ITER = 1000
 
 TERNARY_TOL = 1e-6
 GRID_STEP = 1e-4
-
-METHOD_NAMES = ("MLPE", "CC", "ACC", "PCC", "PACC", "SMM", "DyS", "HDy", "SLD")
 
 #: The six methods compared throughout the benchmark tables.
 BENCHMARK_METHODS = ("CC", "ACC", "PCC", "PACC", "DyS", "SLD")
@@ -265,11 +266,12 @@ def expectation_maximisation_prevalence(
 class TrainedEvidence:
     """A trained classifier plus the cross-validated evidence methods draw on.
 
-    ``oof_posteriors`` holds one out-of-fold posterior per training item and
-    is only materialised when some method needs it.
+    ``clf`` is None when no method needs a classifier; ``oof_posteriors``
+    holds one out-of-fold posterior per training item and is only
+    materialised when some method needs it.
     """
 
-    clf: SoftClassifier
+    clf: SoftClassifier | None
     labels: np.ndarray
     train_prevalence: float
     oof_posteriors: np.ndarray | None
@@ -283,10 +285,11 @@ def fit_evidence(
     folds: int = 10,
     seed: int = 0,
     need_oof: bool = True,
+    need_classifier: bool = True,
 ) -> TrainedEvidence:
     """Train the classifier (and, if needed, its k-fold out-of-fold posteriors)."""
     labels = np.asarray(labels, dtype=int)
-    clf = train(x, labels, C=C, class_weight=class_weight)
+    clf = train(x, labels, C=C, class_weight=class_weight) if need_classifier else None
     oof = (
         oof_posteriors_kfold(x, labels, folds, C, class_weight, seed)
         if need_oof
@@ -306,9 +309,14 @@ def fit_evidence(
 
 
 class Quantifier:
-    """Base interface: fit on labelled data, then quantify feature batches."""
+    """Base interface: fit on labelled data, then quantify feature batches.
+
+    Subclasses implement ``_prepare`` (fitted state from evidence) and
+    ``aggregate`` (an estimate from one sample's posteriors).
+    """
 
     method: str = "?"
+    needs_classifier: bool = True
     needs_oof: bool = False
 
     def __init__(
@@ -333,6 +341,7 @@ class Quantifier:
             folds=self.folds,
             seed=self.seed,
             need_oof=self.needs_oof,
+            need_classifier=self.needs_classifier,
         )
         return self.fit_evidence(evidence)
 
@@ -345,9 +354,16 @@ class Quantifier:
         return self
 
     def _prepare(self, evidence: TrainedEvidence):
-        raise NotImplementedError
+        self.clf_ = evidence.clf
 
     def quantify(self, x) -> float:
+        """The estimate for feature batch ``x``: ``aggregate`` of its posteriors."""
+        self._require_fitted()
+        self._check_sample(x)
+        return self.aggregate(predict_proba(self.clf_, x) if self.needs_classifier else None)
+
+    def aggregate(self, posteriors: np.ndarray) -> float:
+        """The estimate for one sample from its posteriors under ``clf_``."""
         raise NotImplementedError
 
     def _require_fitted(self):
@@ -364,19 +380,12 @@ class MLPE(Quantifier):
     """Returns the training prevalence for every sample, ignoring features."""
 
     method = "MLPE"
-
-    def fit(self, x, labels) -> "MLPE":
-        labels = np.asarray(labels)
-        self.prevalence_ = float(labels.sum() / len(labels))
-        self._fitted = True
-        return self
+    needs_classifier = False
 
     def _prepare(self, evidence: TrainedEvidence):
         self.prevalence_ = evidence.train_prevalence
 
-    def quantify(self, x) -> float:
-        self._require_fitted()
-        self._check_sample(x)
+    def aggregate(self, posteriors) -> float:
         return self.prevalence_
 
 
@@ -385,13 +394,8 @@ class CC(Quantifier):
 
     method = "CC"
 
-    def _prepare(self, evidence: TrainedEvidence):
-        self.clf_ = evidence.clf
-
-    def quantify(self, x) -> float:
-        self._require_fitted()
-        self._check_sample(x)
-        return classify_and_count(predict_hard(self.clf_, x))
+    def aggregate(self, posteriors) -> float:
+        return classify_and_count(np.asarray(posteriors) >= 0.5)
 
 
 class ACC(Quantifier):
@@ -401,15 +405,13 @@ class ACC(Quantifier):
     needs_oof = True
 
     def _prepare(self, evidence: TrainedEvidence):
-        self.clf_ = evidence.clf
+        super()._prepare(evidence)
         self.rates_ = rates_from_posteriors(
             evidence.oof_posteriors, evidence.labels, "hard"
         )
 
-    def quantify(self, x) -> float:
-        self._require_fitted()
-        self._check_sample(x)
-        cc = classify_and_count(predict_hard(self.clf_, x))
+    def aggregate(self, posteriors) -> float:
+        cc = classify_and_count(np.asarray(posteriors) >= 0.5)
         return adjust_prevalence(cc, self.rates_)
 
 
@@ -418,13 +420,8 @@ class PCC(Quantifier):
 
     method = "PCC"
 
-    def _prepare(self, evidence: TrainedEvidence):
-        self.clf_ = evidence.clf
-
-    def quantify(self, x) -> float:
-        self._require_fitted()
-        self._check_sample(x)
-        return probabilistic_classify_and_count(predict_proba(self.clf_, x))
+    def aggregate(self, posteriors) -> float:
+        return probabilistic_classify_and_count(posteriors)
 
 
 class PACC(Quantifier):
@@ -434,15 +431,13 @@ class PACC(Quantifier):
     needs_oof = True
 
     def _prepare(self, evidence: TrainedEvidence):
-        self.clf_ = evidence.clf
+        super()._prepare(evidence)
         self.rates_ = rates_from_posteriors(
             evidence.oof_posteriors, evidence.labels, "soft"
         )
 
-    def quantify(self, x) -> float:
-        self._require_fitted()
-        self._check_sample(x)
-        pcc = probabilistic_classify_and_count(predict_proba(self.clf_, x))
+    def aggregate(self, posteriors) -> float:
+        pcc = probabilistic_classify_and_count(posteriors)
         return adjust_prevalence(pcc, self.rates_)
 
 
@@ -453,17 +448,16 @@ class SMM(Quantifier):
     needs_oof = True
 
     def _prepare(self, evidence: TrainedEvidence):
-        self.clf_ = evidence.clf
+        super()._prepare(evidence)
         oof, labels = evidence.oof_posteriors, evidence.labels
         self.positive_mean_ = float(oof[labels == 1].mean())
         self.negative_mean_ = float(oof[labels == 0].mean())
 
-    def quantify(self, x) -> float:
-        self._require_fitted()
-        self._check_sample(x)
-        test_mean = float(predict_proba(self.clf_, x).mean())
+    def aggregate(self, posteriors) -> float:
         return mean_matching_prevalence(
-            test_mean, self.positive_mean_, self.negative_mean_
+            probabilistic_classify_and_count(posteriors),
+            self.positive_mean_,
+            self.negative_mean_,
         )
 
 
@@ -471,27 +465,31 @@ class DyS(Quantifier):
     """Histogram-mixture matching over posterior scores."""
 
     method = "DyS"
+    needs_oof = True
+    distance = "topsoe"
 
-    def __init__(self, bins: int = 10, distance: str = "topsoe", **kwargs):
+    def __init__(self, bins: int = 10, **kwargs):
         super().__init__(**kwargs)
         if bins < 2:
             raise ValueError(f"bins must be >= 2, got {bins}")
         self.bins = bins
-        self.distance = distance
-
-    needs_oof = True
 
     def _prepare(self, evidence: TrainedEvidence):
-        self.clf_ = evidence.clf
+        super()._prepare(evidence)
         oof, labels = evidence.oof_posteriors, evidence.labels
         self.hist_pos_ = PosteriorHistogram.from_scores(oof[labels == 1], self.bins)
         self.hist_neg_ = PosteriorHistogram.from_scores(oof[labels == 0], self.bins)
 
-    def quantify(self, x) -> float:
-        self._require_fitted()
-        self._check_sample(x)
-        h_test = PosteriorHistogram.from_scores(predict_proba(self.clf_, x), self.bins)
+    def aggregate(self, posteriors) -> float:
+        h_test = PosteriorHistogram.from_scores(posteriors, self.bins)
         return mixture_fit_alpha(self.hist_pos_, self.hist_neg_, h_test, self.distance)
+
+
+class HDy(DyS):
+    """DyS with the Hellinger distance."""
+
+    method = "HDy"
+    distance = "hellinger"
 
 
 class SLD(Quantifier):
@@ -504,28 +502,30 @@ class SLD(Quantifier):
             raise ValueError(
                 "training prevalence must lie strictly in (0, 1) to rescale posteriors"
             )
-        self.clf_ = evidence.clf
+        super()._prepare(evidence)
         self.train_prevalence_ = evidence.train_prevalence
-        self.cap_hits_ = 0
 
-    def quantify(self, x) -> float:
-        self._require_fitted()
-        self._check_sample(x)
-        posteriors = predict_proba(self.clf_, x)
-        p, converged, iterations = expectation_maximisation_prevalence(
+    def aggregate(self, posteriors) -> float:
+        p, converged, _ = expectation_maximisation_prevalence(
             posteriors, self.train_prevalence_
         )
         if not converged:
-            self.cap_hits_ += 1
-            # one visible warning per fitted instance, the rest at debug level
-            log = logger.warning if self.cap_hits_ == 1 else logger.debug
-            log(
-                "EM hit the %d-iteration cap (train prevalence %.3f, %d cap hits)",
-                iterations,
-                self.train_prevalence_,
-                self.cap_hits_,
+            # a fixed message, so the default warning filter shows it once per process
+            warnings.warn(
+                f"SLD: EM stopped at the {EM_MAX_ITER}-iteration cap without converging",
+                RuntimeWarning,
             )
         return p
+
+
+#: Method name -> quantifier class, in table order.
+METHODS: dict[str, type[Quantifier]] = {
+    cls.method: cls for cls in (MLPE, CC, ACC, PCC, PACC, SMM, DyS, HDy, SLD)
+}
+
+METHOD_NAMES = tuple(METHODS)
+
+_METHODS_BY_KEY = {name.upper(): cls for name, cls in METHODS.items()}
 
 
 def quantifier_factory(
@@ -534,30 +534,16 @@ def quantifier_factory(
     class_weight: str | None = None,
     folds: int = 10,
     bins: int = 10,
-    distance: str = "topsoe",
     seed: int = 0,
 ) -> Quantifier:
-    """Build an unfitted quantifier by method name (case-insensitive)."""
+    """Build an unfitted quantifier by method name (case-insensitive).
+
+    ``bins`` applies to the histogram methods (DyS, HDy).
+    """
+    cls = _METHODS_BY_KEY.get(method.upper())
+    if cls is None:
+        raise ValueError(f"unknown quantification method {method!r}; known: {METHOD_NAMES}")
     common = dict(C=C, class_weight=class_weight, folds=folds, seed=seed)
-    key = method.upper()
-    if key == "MLPE":
-        return MLPE(**common)
-    if key == "CC":
-        return CC(**common)
-    if key == "ACC":
-        return ACC(**common)
-    if key == "PCC":
-        return PCC(**common)
-    if key == "PACC":
-        return PACC(**common)
-    if key == "SMM":
-        return SMM(**common)
-    if key == "DYS":
-        return DyS(bins=bins, distance=distance, **common)
-    if key == "HDY":
-        q = DyS(bins=bins, distance="hellinger", **common)
-        q.method = "HDy"
-        return q
-    if key == "SLD":
-        return SLD(**common)
-    raise ValueError(f"unknown quantification method {method!r}; known: {METHOD_NAMES}")
+    if issubclass(cls, DyS):
+        return cls(bins=bins, **common)
+    return cls(**common)

@@ -118,6 +118,27 @@ class TestRun:
         assert main(["run", "prior", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_object_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert main(["run", "prior", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+    def test_non_finite_feature_exits_2_naming_first_bad_line(
+        self, tmp_path, run_config, dataset, capsys
+    ):
+        lines = dataset.read_text().splitlines(keepends=True)
+        for index, value in ((2, float("nan")), (9, float("inf"))):
+            row = json.loads(lines[index])
+            row["features"][1] = value
+            lines[index] = json.dumps(row) + "\n"
+        dataset.write_text("".join(lines))
+        out = tmp_path / "o"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 2
+        assert "line 3: non-finite feature value" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     def test_unknown_protocol_exits_2(self, tmp_path, run_config):
         with pytest.raises(SystemExit) as exc:
             main(["run", "bogus", "--config", str(run_config),
