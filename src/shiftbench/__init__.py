@@ -4,7 +4,6 @@ from .classifier import (
     ClassRates,
     DEFAULT_GRID,
     SoftClassifier,
-    estimate_rates_kfold,
     grid_search,
     predict_hard,
     predict_proba,

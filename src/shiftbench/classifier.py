@@ -22,6 +22,7 @@ import numpy as np
 from scipy import optimize
 
 from .core import Pool, Sample, round_half_up, sample_at_prevalence, split_stratified
+from .evaluation import absolute_error
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -120,6 +121,9 @@ def train(x, labels: np.ndarray, C: float = 1.0, class_weight: str | None = None
         jac=True,
         options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": 1e-14},
     )
+    if not result.success:
+        # a fixed message, so the default warning filter shows it once per process
+        warnings.warn("train: L-BFGS stopped without converging", RuntimeWarning)
     params = result.x
     return SoftClassifier(
         weights=params[:-1], bias=float(params[-1]), C=C, class_weight=class_weight
@@ -188,20 +192,6 @@ def rates_from_posteriors(
     if mode == "soft":
         return ClassRates(float(pos.mean()), float(neg.mean()))
     raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
-
-
-def estimate_rates_kfold(
-    x,
-    labels: np.ndarray,
-    k: int,
-    C: float,
-    class_weight: str | None,
-    mode: str,
-    seed: int,
-) -> ClassRates:
-    """k-fold cross-validated tpr/fpr on the training set."""
-    oof = oof_posteriors_kfold(x, labels, k, C, class_weight, seed)
-    return rates_from_posteriors(oof, labels, mode)
 
 
 def _feasible_sample_size(pool: Pool, prevalence: float, requested: int) -> int:
@@ -284,7 +274,7 @@ def grid_search(
     for params in grid:
         q = make_quantifier(dict(params))
         q.fit(fit_pool.dataset.x, fit_pool.dataset.labels)
-        errors = [abs(q.quantify(s.x) - s.true_prevalence) for s in samples]
+        errors = [absolute_error(s.true_prevalence, q.quantify(s.x)) for s in samples]
         mae = float(np.mean(errors))
         logger.debug("grid point %s -> validation MAE %.5f", params, mae)
         if mae < best_mae:

@@ -62,14 +62,6 @@ def _as_payload(x: Any) -> Any:
     return arr.astype(float)
 
 
-def _payload_len(x: Any) -> int:
-    return x.shape[0] if hasattr(x, "shape") else len(x)
-
-
-def _payload_take(x: Any, indices: np.ndarray) -> Any:
-    return x[indices]
-
-
 def is_text_payload(x: Any) -> bool:
     """True when the payload holds raw documents rather than feature vectors."""
     return isinstance(x, np.ndarray) and x.dtype == object
@@ -89,7 +81,7 @@ class StarDataset:
         object.__setattr__(self, "x", _as_payload(self.x))
         object.__setattr__(self, "stars", stars)
         object.__setattr__(self, "category", category)
-        n = _payload_len(self.x)
+        n = self.x.shape[0]
         if len(stars) != n or len(category) != n:
             raise ValueError("x, stars and category must have equal length")
         if n and (stars.min() < 1 or stars.max() > 5):
@@ -98,13 +90,11 @@ class StarDataset:
             raise ValueError(f"categories must be in {CATEGORIES}")
 
     def __len__(self) -> int:
-        return _payload_len(self.x)
+        return self.x.shape[0]
 
     def take(self, indices: np.ndarray) -> "StarDataset":
         indices = np.asarray(indices)
-        return StarDataset(
-            _payload_take(self.x, indices), self.stars[indices], self.category[indices]
-        )
+        return StarDataset(self.x[indices], self.stars[indices], self.category[indices])
 
 
 @dataclass(frozen=True)
@@ -119,7 +109,7 @@ class BinaryDataset:
         labels = np.asarray(self.labels, dtype=int)
         object.__setattr__(self, "x", _as_payload(self.x))
         object.__setattr__(self, "labels", labels)
-        n = _payload_len(self.x)
+        n = self.x.shape[0]
         if len(labels) != n:
             raise ValueError("x and labels must have equal length")
         if n and not np.isin(labels, (0, 1)).all():
@@ -131,7 +121,7 @@ class BinaryDataset:
                 raise ValueError("category must match dataset length")
 
     def __len__(self) -> int:
-        return _payload_len(self.x)
+        return self.x.shape[0]
 
     @property
     def prevalence(self) -> float:
@@ -140,7 +130,7 @@ class BinaryDataset:
     def take(self, indices: np.ndarray) -> "BinaryDataset":
         indices = np.asarray(indices)
         category = None if self.category is None else self.category[indices]
-        return BinaryDataset(_payload_take(self.x, indices), self.labels[indices], category)
+        return BinaryDataset(self.x[indices], self.labels[indices], category)
 
 
 @dataclass(frozen=True)
@@ -218,9 +208,7 @@ def binarise_dataset(data: StarDataset, cut_point: float) -> BinaryDataset:
         )
     indices = np.flatnonzero(keep)
     labels = (stars[indices] > cut_point).astype(int)
-    return BinaryDataset(
-        _payload_take(data.x, indices), labels, data.category[indices]
-    )
+    return BinaryDataset(data.x[indices], labels, data.category[indices])
 
 
 def stratified_split_indices(
@@ -286,7 +274,7 @@ def sample_at_prevalence(pool: Pool, prevalence: float, size: int, seed: int) ->
     ).astype(int)
     rng.shuffle(chosen)
     ds = pool.dataset
-    return Sample(_payload_take(ds.x, chosen), ds.labels[chosen])
+    return Sample(ds.x[chosen], ds.labels[chosen])
 
 
 def sample_uniform(pool: Pool, size: int, seed: int) -> Sample:
@@ -298,4 +286,4 @@ def sample_uniform(pool: Pool, size: int, seed: int) -> Sample:
     rng = np.random.default_rng(seed)
     chosen = rng.choice(len(pool), size, replace=False)
     ds = pool.dataset
-    return Sample(_payload_take(ds.x, chosen), ds.labels[chosen])
+    return Sample(ds.x[chosen], ds.labels[chosen])

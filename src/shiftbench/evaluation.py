@@ -35,9 +35,7 @@ class ExperimentRecord:
     ae: float = field(init=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.estimate <= 1.0:
-            raise ValueError(f"estimate must lie in [0, 1], got {self.estimate}")
-        object.__setattr__(self, "ae", abs(self.true_prevalence - self.estimate))
+        object.__setattr__(self, "ae", absolute_error(self.true_prevalence, self.estimate))
 
     def csv_row(self) -> list[str]:
         return [
@@ -76,17 +74,20 @@ def read_records_csv(path: str | Path) -> list[ExperimentRecord]:
         if header != list(CSV_HEADER):
             raise ValueError(f"{path}: unexpected records header {header}")
         for row in reader:
-            records.append(
-                ExperimentRecord(
-                    protocol=row[0],
-                    method=row[1],
-                    repetition=int(row[2]),
-                    config=row[3],
-                    degree=float(row[4]),
-                    true_prevalence=float(row[5]),
-                    estimate=float(row[6]),
+            try:
+                records.append(
+                    ExperimentRecord(
+                        protocol=row[0],
+                        method=row[1],
+                        repetition=int(row[2]),
+                        config=row[3],
+                        degree=float(row[4]),
+                        true_prevalence=float(row[5]),
+                        estimate=float(row[6]),
+                    )
                 )
-            )
+            except (IndexError, ValueError) as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return records
 
 

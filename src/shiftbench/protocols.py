@@ -139,13 +139,7 @@ class ProtocolConfig:
         return dataclasses.replace(self, repetitions=2, samples_per_config=5)
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["concept_force_prevalence"] = (
-            list(self.concept_force_prevalence)
-            if self.concept_force_prevalence
-            else None
-        )
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolConfig":
@@ -157,8 +151,6 @@ class ProtocolConfig:
         for key, value in kwargs.items():
             if isinstance(value, list):
                 kwargs[key] = tuple(value)
-        if kwargs.get("concept_force_prevalence") is not None:
-            kwargs["concept_force_prevalence"] = tuple(kwargs["concept_force_prevalence"])
         return cls(**kwargs)
 
 
@@ -202,7 +194,6 @@ def _round_degree(value: float, decimals: int) -> float:
 
 
 def merge_samples(parts: Sequence[Sample]) -> Sample:
-    parts = [p for p in parts if p is not None]
     if not parts:
         raise ValueError("no sample parts to merge")
     xs = [p.x for p in parts]

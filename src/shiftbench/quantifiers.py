@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -133,46 +132,39 @@ def hellinger_distance(h1, h2) -> float:
     return float(_hellinger_rows(a[None, :], b)[0])
 
 
-_DISTANCES: dict[str, tuple[Callable, Callable]] = {
-    "topsoe": (topsoe_distance, _topsoe_rows),
-    "hellinger": (hellinger_distance, _hellinger_rows),
-}
+_DISTANCES = {"topsoe": _topsoe_rows, "hellinger": _hellinger_rows}
 
 
 def mixture_fit_alpha(h_pos, h_neg, h_test, distance: str = "topsoe") -> float:
     """The mixture weight alpha minimising dist(alpha*H+ + (1-alpha)*H-, H_test).
 
-    Ternary search narrows [0, 1] down to 1e-6; a 1e-4-step grid scan guards
-    against non-unimodal objectives and the better of the two answers wins.
+    Ternary search narrows [0, 1] down to 1e-6, scoring both probes of a step
+    in one batched call.  Its answer and a 1e-4-step grid, which guards
+    against non-unimodal objectives, are then scored in one call; the lowest
+    distance wins, the ternary answer on a tie.
     """
     if distance not in _DISTANCES:
         raise ValueError(f"unknown distance {distance!r}; use one of {sorted(_DISTANCES)}")
     pos, neg, test = _masses(h_pos), _masses(h_neg), _masses(h_test)
     _check_pair(pos, neg)
     _check_pair(pos, test)
-    scalar, rows = _DISTANCES[distance]
-
-    def objective(alpha: float) -> float:
-        return scalar(alpha * pos + (1.0 - alpha) * neg, test)
+    rows = _DISTANCES[distance]
 
     lo, hi = 0.0, 1.0
     while hi - lo > TERNARY_TOL:
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        if objective(m1) <= objective(m2):
+        probes = np.array([[m1], [m2]])
+        d1, d2 = rows(probes * pos + (1.0 - probes) * neg, test)
+        if d1 <= d2:
             hi = m2
         else:
             lo = m1
-    alpha_ternary = (lo + hi) / 2.0
 
-    alphas = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
-    mixtures = alphas[:, None] * pos[None, :] + (1.0 - alphas)[:, None] * neg[None, :]
-    grid_values = rows(mixtures, test)
-    alpha_grid = float(alphas[int(np.argmin(grid_values))])
-
-    if objective(alpha_ternary) <= float(grid_values.min()):
-        return float(alpha_ternary)
-    return alpha_grid
+    # the ternary answer first, so that it wins a tie with the grid
+    alphas = np.concatenate(([(lo + hi) / 2.0], np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)))
+    values = rows(alphas[:, None] * pos + (1.0 - alphas)[:, None] * neg, test)
+    return float(alphas[int(np.argmin(values))])
 
 
 # ---------------------------------------------------------------------------

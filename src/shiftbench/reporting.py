@@ -3,70 +3,64 @@
 from __future__ import annotations
 
 import io
+from collections import defaultdict
 from typing import Sequence
 
 import numpy as np
 
-from .evaluation import (
-    ExperimentRecord,
-    SignificanceMark,
-    mae_by_degree,
-    mark_significance,
-)
+from .evaluation import ExperimentRecord, SignificanceMark, mark_significance
 from .quantifiers import METHOD_NAMES
 
-_MARK_SUFFIX = {
-    SignificanceMark.BEST: "",
-    SignificanceMark.DAGGER: "†",
-    SignificanceMark.DDAGGER: "‡",
-    SignificanceMark.NONE: "",
-}
+_MARK_SUFFIX = {SignificanceMark.DAGGER: "†", SignificanceMark.DDAGGER: "‡"}
 
 
-def _method_columns(records: Sequence[ExperimentRecord]) -> list[str]:
-    present = {r.method for r in records}
-    ordered = [m for m in METHOD_NAMES if m in present]
-    return ordered + sorted(present - set(ordered))
+def _grouped(records: Sequence[ExperimentRecord]) -> tuple[list[str], dict]:
+    """Method columns, and degree -> method -> records, each in record order.
 
-
-def _aligned_ae_vectors(
-    records: Sequence[ExperimentRecord],
-) -> dict[str, np.ndarray]:
-    """Per-method AE vectors aligned by (repetition, configuration)."""
-    table: dict[str, dict[tuple, float]] = {}
-    for rec in records:
-        table.setdefault(rec.method, {})[(rec.repetition, rec.config)] = rec.ae
-    keys = sorted({k for rows in table.values() for k in rows})
-    vectors = {}
-    for method, rows in table.items():
-        if len(rows) != len(keys):
-            missing = set(keys) - set(rows)
-            raise ValueError(
-                f"misaligned records: method {method} lacks {len(missing)} sample(s)"
-            )
-        vectors[method] = np.array([rows[k] for k in keys])
-    return vectors
-
-
-def degree_table(
-    records: Sequence[ExperimentRecord],
-) -> list[tuple[float, dict[str, float], dict[str, SignificanceMark]]]:
-    """Rows of (degree, MAE by method, marks by method), degrees ascending.
-
-    With a single method no significance testing applies and marks are empty.
+    Every report renders from this one grouping; ``_samples`` keys a group's
+    AEs by sample only while that group is rendered, which keeps memory low.
     """
     if not records:
         raise ValueError("no records to report")
-    mae = mae_by_degree(records)
-    by_degree: dict[float, list[ExperimentRecord]] = {}
+    groups: dict[float, dict[str, list[ExperimentRecord]]] = defaultdict(lambda: defaultdict(list))
     for rec in records:
-        by_degree.setdefault(rec.degree, []).append(rec)
+        groups[rec.degree][rec.method].append(rec)
+    present = {m for by_method in groups.values() for m in by_method}
+    methods = [m for m in METHOD_NAMES if m in present] + sorted(present - set(METHOD_NAMES))
+    return methods, groups
+
+
+def _samples(group: list[ExperimentRecord]) -> dict[tuple[int, str], float]:
+    """(repetition, config) -> AE of one (degree, method) group; a repeat raises."""
+    aes = {(rec.repetition, rec.config): rec.ae for rec in group}
+    if len(aes) < len(group):
+        raise ValueError(
+            f"duplicate record: method {group[0].method} repeats a (repetition, config) "
+            f"at degree {group[0].degree:g}"
+        )
+    return aes
+
+
+def _degree_rows(groups: dict) -> list[tuple[float, dict, dict]]:
+    """Rows of (degree, MAE by method, marks by method), degrees ascending.
+
+    Marks compare AE vectors aligned by (repetition, configuration); with a
+    single method no significance testing applies and marks are empty.
+    """
     rows = []
-    for degree in sorted(mae):
+    for degree in sorted(groups):
+        by_method = {m: _samples(group) for m, group in groups[degree].items()}
+        mae = {m: float(np.mean(list(aes.values()))) for m, aes in by_method.items()}
         marks: dict[str, SignificanceMark] = {}
-        if len(mae[degree]) >= 2:
-            marks = mark_significance(_aligned_ae_vectors(by_degree[degree]))
-        rows.append((degree, mae[degree], marks))
+        if len(by_method) >= 2:
+            keys = sorted({k for aes in by_method.values() for k in aes})
+            lacking = {m: n for m, aes in by_method.items() if (n := len(keys) - len(aes))}
+            if lacking:
+                raise ValueError(f"misaligned records: samples lacking by method {lacking}")
+            marks = mark_significance(
+                {m: np.array([aes[k] for k in keys]) for m, aes in by_method.items()}
+            )
+        rows.append((degree, mae, marks))
     return rows
 
 
@@ -77,12 +71,11 @@ def _fmt_mae(value: float) -> str:
 
 def render_markdown(records: Sequence[ExperimentRecord]) -> str:
     """MAE-by-degree markdown table; best per row in bold, daggers appended."""
-    methods = _method_columns(records)
-    rows = degree_table(records)
+    methods, groups = _grouped(records)
     out = io.StringIO()
     out.write("| degree | " + " | ".join(methods) + " |\n")
     out.write("|---:|" + "---:|" * len(methods) + "\n")
-    for degree, mae, marks in rows:
+    for degree, mae, marks in _degree_rows(groups):
         cells = []
         for m in methods:
             if m not in mae:
@@ -101,10 +94,11 @@ def render_markdown(records: Sequence[ExperimentRecord]) -> str:
 
 def render_table_csv(records: Sequence[ExperimentRecord]) -> str:
     """Machine-readable table: degree,method,mae,mark."""
+    methods, groups = _grouped(records)
     out = io.StringIO()
     out.write("degree,method,mae,mark\n")
-    for degree, mae, marks in degree_table(records):
-        for m in _method_columns(records):
+    for degree, mae, marks in _degree_rows(groups):
+        for m in methods:
             if m not in mae:
                 continue
             mark = marks.get(m)
@@ -140,19 +134,14 @@ def boxplot_stats(values: Sequence[float]) -> dict:
 
 def render_plotdata(records: Sequence[ExperimentRecord]) -> str:
     """Per-(degree, method) boxplot numbers: whisker ends, quartiles, outliers."""
-    if not records:
-        raise ValueError("no records to report")
-    groups: dict[tuple[float, str], list[float]] = {}
-    for rec in records:
-        groups.setdefault((rec.degree, rec.method), []).append(rec.ae)
-    methods = _method_columns(records)
+    methods, groups = _grouped(records)
     out = io.StringIO()
     out.write("degree,method,min,q1,median,q3,max,outliers\n")
-    for degree in sorted({d for d, _ in groups}):
+    for degree in sorted(groups):
         for m in methods:
-            if (degree, m) not in groups:
+            if m not in groups[degree]:
                 continue
-            s = boxplot_stats(groups[(degree, m)])
+            s = boxplot_stats(list(_samples(groups[degree][m]).values()))
             outliers = ";".join(repr(x) for x in s["outliers"])
             out.write(
                 f"{format(degree, 'g')},{m},{s['min']!r},{s['q1']!r},"

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from shiftbench import classifier
 from shiftbench.classifier import (
     ClassRates,
     SoftClassifier,
     build_validation_samples,
-    estimate_rates_kfold,
     grid_search,
     item_weights,
     loss_and_grad,
@@ -91,6 +91,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(x, labels, C=0.0)
 
+    def test_iteration_cap_warns(self, monkeypatch):
+        monkeypatch.setattr(classifier, "MAX_ITER", 1)
+        x, labels = overlapping_data(n=200)
+        with pytest.warns(RuntimeWarning, match="L-BFGS stopped without converging"):
+            train(x, labels)
+
     def test_balanced_weights_formula(self):
         labels = np.array([1, 1, 0, 0, 0, 0, 0, 0, 0, 0])
         w = item_weights(labels, "balanced")
@@ -145,7 +151,8 @@ class TestKFold:
 
     def test_separable_rates(self):
         x, labels = separable_data(n=300)
-        rates = estimate_rates_kfold(x, labels, 10, 10.0, None, "hard", seed=0)
+        oof = oof_posteriors_kfold(x, labels, 10, 10.0, None, seed=0)
+        rates = rates_from_posteriors(oof, labels, "hard")
         assert rates.tpr >= 0.99 and rates.fpr <= 0.01
 
     def test_constant_positive_classifier_saturates_hard_rates(self):
@@ -156,7 +163,8 @@ class TestKFold:
 
     def test_soft_rates_strictly_inside_unit_interval(self):
         x, labels = overlapping_data(n=200, seed=6)
-        rates = estimate_rates_kfold(x, labels, 5, 1.0, None, "soft", seed=3)
+        oof = oof_posteriors_kfold(x, labels, 5, 1.0, None, seed=3)
+        rates = rates_from_posteriors(oof, labels, "soft")
         assert 0 < rates.fpr < 1 and 0 < rates.tpr < 1
 
     def test_oof_covers_every_point(self):

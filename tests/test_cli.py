@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from shiftbench.classifier import ClassRates
 from shiftbench.cli import main
 from shiftbench.evaluation import read_records_csv
+from shiftbench.quantifiers import PACC
 from shiftbench.reporting import boxplot_stats, render_markdown, render_plotdata
 
 
@@ -139,6 +141,26 @@ class TestRun:
         assert "line 3: non-finite feature value" in capsys.readouterr().err
         assert not (out / "records.csv").exists()
 
+    def test_config_hash_follows_dataset_bytes_not_path(self, tmp_path, run_config, dataset):
+        def config_hash(dataset_path, name):
+            raw = json.loads(run_config.read_text())
+            raw["dataset"] = str(dataset_path)
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(raw))
+            assert main(["run", "prior", "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+            return json.loads((tmp_path / name / "manifest.json").read_text())["config_hash"]
+
+        copy = tmp_path / "elsewhere" / "copy.jsonl"
+        copy.parent.mkdir()
+        copy.write_bytes(dataset.read_bytes())
+        original = config_hash(dataset, "original")
+        assert config_hash(copy, "copy") == original
+        text = copy.read_text()
+        at = text.rindex('"category": "A"') + len('"category": "')
+        copy.write_text(text[:at] + "B" + text[at + 1:])  # one byte changed
+        assert config_hash(copy, "changed") != original
+
     def test_unknown_protocol_exits_2(self, tmp_path, run_config):
         with pytest.raises(SystemExit) as exc:
             main(["run", "bogus", "--config", str(run_config),
@@ -152,6 +174,18 @@ class TestRun:
         cfg.write_text(json.dumps(raw))
         assert main(["run", "prior", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 3
+
+
+def drop_first_pcc_row(rows):
+    """PCC then lacks one sample that CC and SLD have."""
+    first = next(i for i, row in enumerate(rows) if row.startswith("prior,PCC,"))
+    return rows[:first] + rows[first + 1:]
+
+
+def true_prev_of_first_row_to_1_5(rows):
+    fields = rows[1].split(",")
+    fields[5] = "1.5"
+    return rows[:1] + [",".join(fields)] + rows[2:]
 
 
 class TestReport:
@@ -211,6 +245,25 @@ class TestReport:
         empty.write_text("protocol,method,repetition,config,degree,true_prev,est_prev,ae\n")
         assert main(["report", str(empty)]) == 2
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (drop_first_pcc_row, "misaligned records"),
+            (lambda rows: rows + rows[1:2], "duplicate record"),
+            (true_prev_of_first_row_to_1_5, "line 2: true prevalence out of [0, 1]: 1.5"),
+            (lambda rows: rows[:1] + [rows[1].rsplit(",", 3)[0] + "\n"] + rows[2:],
+             "line 2: list index out of range"),
+        ],
+        ids=["misaligned", "duplicate", "out-of-range", "short-row"],
+    )
+    def test_bad_records_exit_2(self, tmp_path, run_config, capsys, damage, message):
+        records = self.make_records(tmp_path, run_config)
+        rows = records.read_text().splitlines(keepends=True)
+        records.write_text("".join(damage(rows)))
+        capsys.readouterr()
+        assert main(["report", str(records)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_report_idempotent(self, tmp_path, run_config):
         records = read_records_csv(self.make_records(tmp_path, run_config))
         assert render_markdown(records) == render_markdown(records)
@@ -262,6 +315,13 @@ class TestSelftest:
         for needle in ("mean-matching", "hellinger", "gradient"):
             assert needle in out
 
-    def test_fault_injection_fails(self, capsys):
-        assert main(["selftest", "--inject-fault", "pacc-rates"]) == 1
+    def test_fault_injection_fails(self, capsys, monkeypatch):
+        prepare = PACC._prepare
+
+        def swap_rates(self, evidence):
+            prepare(self, evidence)
+            self.rates_ = ClassRates(self.rates_.fpr, self.rates_.tpr)
+
+        monkeypatch.setattr(PACC, "_prepare", swap_rates)
+        assert main(["selftest"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
