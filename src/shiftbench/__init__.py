@@ -33,6 +33,7 @@ from .datagen import (
 )
 from .evaluation import (
     ExperimentRecord,
+    RecordTable,
     SignificanceMark,
     absolute_error,
     mae_by_degree,

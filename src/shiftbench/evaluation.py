@@ -1,6 +1,8 @@
 """Error measures, aggregation by shift degree, and paired significance tests.
 
-One :class:`ExperimentRecord` is one evaluated test sample.  The Wilcoxon
+One :class:`ExperimentRecord` is one evaluated test sample; a
+:class:`RecordTable` holds many of them as columns, as read from
+``records.csv``.  The Wilcoxon
 signed-rank test pairs records of two methods by (repetition, configuration),
 uses the exact sign-flip distribution for up to 25 non-zero differences, and
 a tie- and continuity-corrected normal approximation beyond that.
@@ -9,7 +11,9 @@ a tie- and continuity-corrected normal approximation beyond that.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -66,29 +70,146 @@ def write_records_csv(records: Iterable[ExperimentRecord], path: str | Path) -> 
     return n
 
 
-def read_records_csv(path: str | Path) -> list[ExperimentRecord]:
-    records = []
+class RecordTable(Sequence[ExperimentRecord]):
+    """Records held as read-only columns, one array per field.
+
+    ``protocol``, ``method`` and ``config`` are object arrays of strings,
+    ``repetition`` is int64, and ``degree``, ``true_prev``, ``estimate`` and
+    ``ae`` are float64.  Indexing and iteration build each
+    :class:`ExperimentRecord` on demand, so code written for a list of
+    records reads a table unchanged.
+    """
+
+    COLUMNS = {"protocol": object, "method": object, "repetition": np.int64, "config": object,
+               "degree": np.float64, "true_prev": np.float64, "estimate": np.float64,
+               "ae": np.float64}
+
+    def __init__(self, **columns):
+        if set(columns) != set(self.COLUMNS):
+            raise TypeError(f"RecordTable needs exactly the columns {list(self.COLUMNS)}")
+        for name, dtype in self.COLUMNS.items():
+            # a read-only view: no copy, and the caller's own array stays writeable
+            values = np.asarray(columns[name], dtype=dtype).view()
+            values.flags.writeable = False
+            setattr(self, name, values)
+        if len({getattr(self, name).shape for name in self.COLUMNS}) != 1:
+            raise ValueError("RecordTable columns differ in length")
+
+    @classmethod
+    def from_records(cls, records: Iterable[ExperimentRecord]) -> RecordTable:
+        records = list(records)
+        return cls(
+            protocol=[r.protocol for r in records],
+            method=[r.method for r in records],
+            repetition=[r.repetition for r in records],
+            config=[r.config for r in records],
+            degree=[r.degree for r in records],
+            true_prev=[r.true_prevalence for r in records],
+            estimate=[r.estimate for r in records],
+            ae=[r.ae for r in records],
+        )
+
+    def __len__(self) -> int:
+        return len(self.ae)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RecordTable(**{name: getattr(self, name)[index] for name in self.COLUMNS})
+        return ExperimentRecord(
+            self.protocol[index], self.method[index], int(self.repetition[index]),
+            self.config[index], float(self.degree[index]), float(self.true_prev[index]),
+            float(self.estimate[index]),
+        )
+
+    def __iter__(self):
+        columns = (self.protocol, self.method, self.repetition.tolist(), self.config,
+                   self.degree.tolist(), self.true_prev.tolist(), self.estimate.tolist())
+        for row in zip(*columns):
+            yield ExperimentRecord(*row)
+
+
+_ROW_DTYPE = np.dtype(list(RecordTable.COLUMNS.items()))  # one file row, fields in file order
+
+
+def read_records_csv(path: str | Path) -> RecordTable:
+    """Records of a file written by :func:`write_records_csv`, parsed column by column.
+
+    A bad row raises ``ValueError`` naming its file line: a wrong field
+    count, a non-integer repetition or a non-numeric value, a non-finite
+    degree, a prevalence outside [0, 1], or an ``ae`` other than
+    |true_prev - est_prev| exactly.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), None)
+    if header != list(CSV_HEADER):
+        raise ValueError(f"{path}: unexpected records header {header}")
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(path, dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
+                              comments=None, skiprows=1, ndmin=1, encoding="utf-8")
+    except ValueError as exc:
+        raise _first_unparsable_row(path) or ValueError(f"{path}: {exc}") from None
+    # np.loadtxt skips blank lines; fewer rows than lines means a blank line
+    # or a quoted line break, and only the first is an error
+    if len(rows) != _count_data_lines(path) and (error := _first_unparsable_row(path)):
+        raise error
+    table = RecordTable(**{name: rows[name] for name in RecordTable.COLUMNS})
+    degree, true_prev, estimate, ae = table.degree, table.true_prev, table.estimate, table.ae
+    # each check: the rows failing it, and the message for one of them
+    checks = (
+        (~np.isfinite(degree), lambda i: f"non-finite degree: {float(degree[i])}"),
+        (~((true_prev >= 0.0) & (true_prev <= 1.0)),
+         lambda i: f"true prevalence out of [0, 1]: {float(true_prev[i])}"),
+        (~((estimate >= 0.0) & (estimate <= 1.0)),
+         lambda i: f"estimate out of [0, 1]: {float(estimate[i])}"),
+        (ae != np.abs(true_prev - estimate),
+         lambda i: f"ae {float(ae[i])!r} is not |true_prev - est_prev| = "
+                   f"{float(abs(true_prev[i] - estimate[i]))!r}"),
+    )
+    failures = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    if failures:
+        row, k = min(failures)
+        raise ValueError(f"{path}: line {_line_of_row(path, row)}: {checks[k][1](row)}")
+    return table
+
+
+def _count_data_lines(path: str | Path) -> int:
+    """Lines after the header, counting a last line without a line break."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            lines += block.count(b"\n")
+            last = block[-1:]
+    return lines - 1 + (last != b"\n")
+
+
+def _data_rows(path: str | Path):
+    """(file line, fields) of each data row, as the csv module reads them."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_HEADER):
-            raise ValueError(f"{path}: unexpected records header {header}")
+        next(reader, None)
         for row in reader:
-            try:
-                records.append(
-                    ExperimentRecord(
-                        protocol=row[0],
-                        method=row[1],
-                        repetition=int(row[2]),
-                        config=row[3],
-                        degree=float(row[4]),
-                        true_prevalence=float(row[5]),
-                        estimate=float(row[6]),
-                    )
-                )
-            except (IndexError, ValueError) as exc:
-                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    return records
+            yield reader.line_num, row
+
+
+def _first_unparsable_row(path: str | Path) -> ValueError | None:
+    """An error naming the first row with a wrong field count or an unparsable number."""
+    for line, row in _data_rows(path):
+        try:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+            int(row[2])
+            for value in row[4:]:
+                float(value)
+        except ValueError as exc:
+            return ValueError(f"{path}: line {line}: {exc}")
+    return None
+
+
+def _line_of_row(path: str | Path, index: int) -> int:
+    line, _ = next(itertools.islice(_data_rows(path), index, None))
+    return line
 
 
 def absolute_error(true_prevalence: float, estimate: float) -> float:

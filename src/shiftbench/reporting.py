@@ -3,63 +3,95 @@
 from __future__ import annotations
 
 import io
-from collections import defaultdict
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .evaluation import ExperimentRecord, SignificanceMark, mark_significance
+from .evaluation import ExperimentRecord, RecordTable, SignificanceMark, mark_significance
 from .quantifiers import METHOD_NAMES
 
 _MARK_SUFFIX = {SignificanceMark.DAGGER: "†", SignificanceMark.DDAGGER: "‡"}
 
 
-def _grouped(records: Sequence[ExperimentRecord]) -> tuple[list[str], dict]:
-    """Method columns, and degree -> method -> records, each in record order.
+class _Groups(NamedTuple):
+    """One protocol's records split into (degree, method) groups of row indices."""
 
-    Every report renders from this one grouping; ``_samples`` keys a group's
-    AEs by sample only while that group is rendered, which keeps memory low.
-    """
+    methods: list[str]  # report columns: registry order, then unknown names sorted
+    # degrees ascending; within one, methods in order of their first row and
+    # each method's row indices in record order
+    degrees: list[tuple[float, dict[str, np.ndarray]]]
+    ae: np.ndarray
+    sample: np.ndarray  # per row: rank of its (repetition, config) in tuple order
+
+
+def _ranks(values: np.ndarray) -> tuple[list, np.ndarray]:
+    """Distinct values in Python sort order, and each value's index among them."""
+    first: dict = {}
+    codes = np.fromiter((first.setdefault(v, len(first)) for v in values), np.int64,
+                        count=len(values))
+    distinct = sorted(first)
+    rank = np.empty(len(distinct), np.int64)
+    rank[[first[v] for v in distinct]] = np.arange(len(distinct))
+    return distinct, rank[codes]
+
+
+def _groups(records: Sequence[ExperimentRecord]) -> _Groups:
+    """The one grouping every report renders from; a list of records is
+    converted to a :class:`RecordTable` first."""
     if not records:
         raise ValueError("no records to report")
-    groups: dict[float, dict[str, list[ExperimentRecord]]] = defaultdict(lambda: defaultdict(list))
-    for rec in records:
-        groups[rec.degree][rec.method].append(rec)
-    present = {m for by_method in groups.values() for m in by_method}
-    methods = [m for m in METHOD_NAMES if m in present] + sorted(present - set(METHOD_NAMES))
-    return methods, groups
+    table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
+    if not (table.protocol == table.protocol[0]).all():
+        raise ValueError(f"records mix protocols: {', '.join(_ranks(table.protocol)[0])}")
+    degrees, degree_code = np.unique(table.degree, return_inverse=True)
+    methods, method_code = _ranks(table.method)
+    configs, config_code = _ranks(table.config)
+    _, repetition_code = np.unique(table.repetition, return_inverse=True)
+
+    key = degree_code * len(methods) + method_code
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+    by_degree: dict[int, dict[str, np.ndarray]] = {}
+    # (degree, first row) order puts each degree's methods in record order
+    for idx in sorted(np.split(order, starts[1:]), key=lambda idx: (degree_code[idx[0]], idx[0])):
+        by_degree.setdefault(degree_code[idx[0]], {})[methods[method_code[idx[0]]]] = idx
+    return _Groups(
+        methods=[m for m in METHOD_NAMES if m in methods]
+        + [m for m in methods if m not in METHOD_NAMES],
+        degrees=[(float(degrees[d]), group) for d, group in by_degree.items()],
+        ae=table.ae,
+        sample=repetition_code * len(configs) + config_code,
+    )
 
 
-def _samples(group: list[ExperimentRecord]) -> dict[tuple[int, str], float]:
-    """(repetition, config) -> AE of one (degree, method) group; a repeat raises."""
-    aes = {(rec.repetition, rec.config): rec.ae for rec in group}
-    if len(aes) < len(group):
+def _by_sample(g: _Groups, degree: float, method: str, idx: np.ndarray) -> np.ndarray:
+    """One group's row indices ordered by (repetition, config); a repeat raises."""
+    ordered = idx[np.argsort(g.sample[idx], kind="stable")]
+    if (np.diff(g.sample[ordered]) == 0).any():
         raise ValueError(
-            f"duplicate record: method {group[0].method} repeats a (repetition, config) "
-            f"at degree {group[0].degree:g}"
+            f"duplicate record: method {method} repeats a (repetition, config) "
+            f"at degree {degree:g}"
         )
-    return aes
+    return ordered
 
 
-def _degree_rows(groups: dict) -> list[tuple[float, dict, dict]]:
+def _degree_rows(g: _Groups) -> list[tuple[float, dict, dict]]:
     """Rows of (degree, MAE by method, marks by method), degrees ascending.
 
     Marks compare AE vectors aligned by (repetition, configuration); with a
     single method no significance testing applies and marks are empty.
     """
     rows = []
-    for degree in sorted(groups):
-        by_method = {m: _samples(group) for m, group in groups[degree].items()}
-        mae = {m: float(np.mean(list(aes.values()))) for m, aes in by_method.items()}
+    for degree, group in g.degrees:
+        aligned = {m: _by_sample(g, degree, m, idx) for m, idx in group.items()}
+        mae = {m: float(np.mean(g.ae[idx])) for m, idx in group.items()}
         marks: dict[str, SignificanceMark] = {}
-        if len(by_method) >= 2:
-            keys = sorted({k for aes in by_method.values() for k in aes})
-            lacking = {m: n for m, aes in by_method.items() if (n := len(keys) - len(aes))}
+        if len(group) >= 2:
+            n_samples = len(np.unique(g.sample[np.concatenate(list(group.values()))]))
+            lacking = {m: n for m, idx in group.items() if (n := n_samples - len(idx))}
             if lacking:
                 raise ValueError(f"misaligned records: samples lacking by method {lacking}")
-            marks = mark_significance(
-                {m: np.array([aes[k] for k in keys]) for m, aes in by_method.items()}
-            )
+            marks = mark_significance({m: g.ae[idx] for m, idx in aligned.items()})
         rows.append((degree, mae, marks))
     return rows
 
@@ -71,11 +103,12 @@ def _fmt_mae(value: float) -> str:
 
 def render_markdown(records: Sequence[ExperimentRecord]) -> str:
     """MAE-by-degree markdown table; best per row in bold, daggers appended."""
-    methods, groups = _grouped(records)
+    g = _groups(records)
+    methods = g.methods
     out = io.StringIO()
     out.write("| degree | " + " | ".join(methods) + " |\n")
     out.write("|---:|" + "---:|" * len(methods) + "\n")
-    for degree, mae, marks in _degree_rows(groups):
+    for degree, mae, marks in _degree_rows(g):
         cells = []
         for m in methods:
             if m not in mae:
@@ -94,11 +127,11 @@ def render_markdown(records: Sequence[ExperimentRecord]) -> str:
 
 def render_table_csv(records: Sequence[ExperimentRecord]) -> str:
     """Machine-readable table: degree,method,mae,mark."""
-    methods, groups = _grouped(records)
+    g = _groups(records)
     out = io.StringIO()
     out.write("degree,method,mae,mark\n")
-    for degree, mae, marks in _degree_rows(groups):
-        for m in methods:
+    for degree, mae, marks in _degree_rows(g):
+        for m in g.methods:
             if m not in mae:
                 continue
             mark = marks.get(m)
@@ -134,14 +167,14 @@ def boxplot_stats(values: Sequence[float]) -> dict:
 
 def render_plotdata(records: Sequence[ExperimentRecord]) -> str:
     """Per-(degree, method) boxplot numbers: whisker ends, quartiles, outliers."""
-    methods, groups = _grouped(records)
+    g = _groups(records)
     out = io.StringIO()
     out.write("degree,method,min,q1,median,q3,max,outliers\n")
-    for degree in sorted(groups):
-        for m in methods:
-            if m not in groups[degree]:
+    for degree, group in g.degrees:
+        for m in g.methods:
+            if m not in group:
                 continue
-            s = boxplot_stats(list(_samples(groups[degree][m]).values()))
+            s = boxplot_stats(g.ae[_by_sample(g, degree, m, group[m])])
             outliers = ";".join(repr(x) for x in s["outliers"])
             out.write(
                 f"{format(degree, 'g')},{m},{s['min']!r},{s['q1']!r},"

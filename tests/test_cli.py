@@ -1,6 +1,7 @@
 """Command-line surface: gen-data, run, report, selftest, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -252,7 +253,7 @@ class TestReport:
             (lambda rows: rows + rows[1:2], "duplicate record"),
             (true_prev_of_first_row_to_1_5, "line 2: true prevalence out of [0, 1]: 1.5"),
             (lambda rows: rows[:1] + [rows[1].rsplit(",", 3)[0] + "\n"] + rows[2:],
-             "line 2: list index out of range"),
+             "line 2: expected 8 fields, got 5"),
         ],
         ids=["misaligned", "duplicate", "out-of-range", "short-row"],
     )
@@ -263,6 +264,40 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(records)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (7, "0.9", "line 2: ae 0.9 is not |true_prev - est_prev|"),
+            (4, "nan", "line 2: non-finite degree: nan"),
+            (4, "inf", "line 2: non-finite degree: inf"),
+        ],
+        ids=["ae-mismatch", "nan-degree", "inf-degree"],
+    )
+    def test_bad_values_exit_2(self, tmp_path, run_config, capsys, field, value, message):
+        records = self.make_records(tmp_path, run_config)
+        rows = records.read_text().splitlines(keepends=True)
+        fields = rows[1].rstrip("\n").split(",")
+        assert fields[field] != value
+        fields[field] = value
+        records.write_text("".join(rows[:1] + [",".join(fields) + "\n"] + rows[2:]))
+        capsys.readouterr()
+        assert main(["report", str(records)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_blank_line_exits_2(self, tmp_path, run_config, capsys):
+        records = self.make_records(tmp_path, run_config)
+        rows = records.read_text().splitlines(keepends=True)
+        records.write_text("".join(rows[:2] + ["\n"] + rows[2:]))
+        capsys.readouterr()
+        assert main(["report", str(records)]) == 2
+        assert "line 3: expected 8 fields, got 0" in capsys.readouterr().err
+
+    def test_mixed_protocols_exit_2(self, capsys):
+        golden = Path(__file__).with_name("golden_records.csv")
+        assert main(["report", str(golden)]) == 2
+        assert ("records mix protocols: concept, global_covariate, local_covariate, prior"
+                in capsys.readouterr().err)
 
     def test_report_idempotent(self, tmp_path, run_config):
         records = read_records_csv(self.make_records(tmp_path, run_config))

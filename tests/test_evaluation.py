@@ -8,6 +8,7 @@ from scipy.stats import rankdata
 
 from shiftbench.evaluation import (
     ExperimentRecord,
+    RecordTable,
     SignificanceMark,
     absolute_error,
     mae_by_degree,
@@ -206,7 +207,23 @@ class TestRecords:
         path = tmp_path / "records.csv"
         assert write_records_csv(recs, path) == len(recs)
         loaded = read_records_csv(path)
-        assert loaded == recs
+        assert list(loaded) == recs
+
+    def test_csv_round_trip_of_quoted_configs(self, tmp_path):
+        recs = [record(config=c, rep=r)
+                for r, c in enumerate(['pL=0.5,"x"', "a\nb", ' spaced, "#" '])]
+        path = tmp_path / "records.csv"
+        write_records_csv(recs, path)
+        assert list(read_records_csv(path)) == recs
+
+    def test_table_is_a_read_only_sequence_of_records(self):
+        recs = [record(method=m, rep=r, est=e) for m, r, e in [("CC", 0, 0.1), ("SLD", 1, 0.9)]]
+        table = RecordTable.from_records(recs)
+        assert len(table) == 2 and table[1] == recs[1] and table[-1] == recs[1]
+        assert list(table[:1]) == recs[:1]
+        assert table.ae.tolist() == [r.ae for r in recs]
+        with pytest.raises(ValueError):
+            table.ae[0] = 0.0
 
     def test_csv_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bogus.csv"
