@@ -5,7 +5,6 @@ from .classifier import (
     DEFAULT_GRID,
     SoftClassifier,
     grid_search,
-    predict_hard,
     predict_proba,
     train,
 )
@@ -17,15 +16,16 @@ from .core import (
     Sample,
     StarDataset,
     StratificationError,
+    TermCounts,
     binarise_dataset,
     sample_at_prevalence,
-    sample_uniform,
     split_stratified,
 )
 from .datagen import (
     ClusterSpec,
     RawReview,
     Vocabulary,
+    count_terms,
     filter_reviews,
     fit_vocabulary,
     generate_mixture,
@@ -36,7 +36,6 @@ from .evaluation import (
     RecordTable,
     SignificanceMark,
     absolute_error,
-    mae_by_degree,
     mark_significance,
     read_records_csv,
     wilcoxon_signed_rank,

@@ -142,11 +142,6 @@ def predict_proba(clf: SoftClassifier, x) -> np.ndarray:
     return np.clip(p, _PROBA_EPS, 1.0 - _PROBA_EPS)
 
 
-def predict_hard(clf: SoftClassifier, x) -> np.ndarray:
-    """Crisp decisions: 1 iff the posterior is >= 0.5 (ties go positive)."""
-    return (predict_proba(clf, x) >= 0.5).astype(int)
-
-
 def stratified_fold_ids(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Assign each item a fold id in 0..k-1, stratified by label."""
     if k < 2:

@@ -103,30 +103,69 @@ def cmd_gen_data(args) -> int:
 def _load_dataset(path: str):
     """Sniff a JSONL dataset: reviews (text), star vectors, or binary vectors."""
     with open(path, encoding="utf-8") as fh:
-        first = ""
-        for line in fh:
-            if line.strip():
-                first = line
-                break
+        first_no, first = next(((i, line) for i, line in enumerate(fh, 1) if line.strip()), (0, ""))
     if not first:
         raise ValueError(f"{path}: empty dataset")
-    probe = json.loads(first)
+    try:
+        probe = json.loads(first)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {first_no}: {_json_problem(exc)}") from None
+    if not isinstance(probe, dict):
+        raise ValueError(f"{path}: line {first_no}: expected a JSON object")
     if "text" in probe:
         reviews = filter_reviews(load_reviews_jsonl(path))
         if not reviews:
             raise ValueError(f"{path}: every review was filtered out")
         return reviews_to_dataset(reviews)
-    rows = [json.loads(line) for line in open(path, encoding="utf-8") if line.strip()]
-    x = np.array([r["features"] for r in rows], dtype=float)
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if len(bad):
+    label = "stars" if "stars" in probe else "label"
+    try:
         with open(path, encoding="utf-8") as fh:
-            line_numbers = [i for i, line in enumerate(fh, 1) if line.strip()]
-        raise ValueError(f"{path}: line {line_numbers[bad[0]]}: non-finite feature value")
+            rows = [json.loads(line) for line in fh if line.strip()]
+        x = np.array([r["features"] for r in rows], dtype=float)
+        y = np.array([r[label] for r in rows])
+    except (ValueError, KeyError, TypeError):
+        raise ValueError(_first_bad_row(path, label)) from None
+    if not np.isfinite(x).all():
+        raise ValueError(_first_bad_row(path, label))
     category = np.array([r.get("category", "A") for r in rows])
-    if "stars" in probe:
-        return StarDataset(x, np.array([r["stars"] for r in rows]), category)
-    return BinaryDataset(x, np.array([r["label"] for r in rows]), category)
+    if label == "stars":
+        return StarDataset(x, y, category)
+    return BinaryDataset(x, y, category)
+
+
+def _json_problem(exc: json.JSONDecodeError) -> str:
+    return f"malformed JSON: {exc.msg} at column {exc.colno}"
+
+
+def _first_bad_row(path: str, label: str) -> str:
+    """'<path>: line N: <problem>' for the first row that is not a datapoint.
+
+    Rescans the file, so line numbers cost nothing on a dataset that loads."""
+    width = None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}: line {line_no}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return f"{where}: {_json_problem(exc)}"
+            for key in ("features", label):
+                if not isinstance(row, dict) or key not in row:
+                    return f"{where}: missing field {key!r}"
+            try:
+                features = np.array(row["features"], dtype=float)
+            except (TypeError, ValueError):
+                features = None
+            if features is None or features.ndim != 1:
+                return f"{where}: features must be a list of numbers"
+            if width is not None and len(features) != width:
+                return f"{where}: {len(features)} features, expected {width}"
+            width = len(features)
+            if not np.isfinite(features).all():
+                return f"{where}: non-finite feature value"
+    return f"{path}: malformed dataset"
 
 
 def _file_sha256(path: Path) -> str:

@@ -1,9 +1,10 @@
 """Core data types: star-rated and binary datasets, pools, and controlled sampling.
 
-Datasets are column-oriented: a payload ``x`` (dense matrix, sparse matrix, or
-an object array of raw texts), plus parallel label/category arrays.  All
-sampling operations are pure functions of (pool, seed) and never mutate their
-inputs, so pools can be shared freely across concurrent tasks.
+Datasets are column-oriented: a payload ``x`` (dense matrix, sparse matrix, an
+object array of raw texts, or the term counts of tokenised texts), plus
+parallel label/category arrays.  All sampling operations are pure functions
+of (pool, seed) and never mutate their inputs, so pools can be shared freely
+across concurrent tasks.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+from scipy import sparse
 
 CATEGORIES = ("A", "B")
 
@@ -51,8 +53,43 @@ def round_half_up(value: float) -> int:
     return int(math.floor(value + 0.5 + 1e-9))
 
 
+@dataclass(frozen=True)
+class TermCounts:
+    """Raw term counts of tokenised documents: one CSR row per document.
+
+    Column j counts ``terms[j]``; terms are in sorted order and each row's
+    column indices ascend, so a subset of columns keeps sorted term order.
+    Rows are taken with ``counts[indices]``; every row set taken from one
+    matrix shares its ``terms``.
+    """
+
+    counts: sparse.csr_matrix
+    terms: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.counts.shape[1] != len(self.terms):
+            raise ValueError("term counts need one column per term")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.counts.shape
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    def __getitem__(self, indices) -> "TermCounts":
+        return TermCounts(self.counts[indices], self.terms)
+
+    @staticmethod
+    def stack(parts: "list[TermCounts]") -> "TermCounts":
+        """The rows of every part, in order, over the first part's terms."""
+        if any(p.terms != parts[0].terms for p in parts):
+            raise ValueError("cannot stack term counts over different terms")
+        return TermCounts(sparse.vstack([p.counts for p in parts], format="csr"), parts[0].terms)
+
+
 def _as_payload(x: Any) -> Any:
-    if isinstance(x, np.ndarray):
+    if isinstance(x, (np.ndarray, TermCounts)):
         return x
     if hasattr(x, "tocsr"):  # scipy sparse matrix
         return x.tocsr()
@@ -276,14 +313,3 @@ def sample_at_prevalence(pool: Pool, prevalence: float, size: int, seed: int) ->
     ds = pool.dataset
     return Sample(ds.x[chosen], ds.labels[chosen])
 
-
-def sample_uniform(pool: Pool, size: int, seed: int) -> Sample:
-    """Draw ``size`` items uniformly without replacement, labels as they fall."""
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if size > len(pool):
-        raise PoolExhaustionError("any", size, len(pool))
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(pool), size, replace=False)
-    ds = pool.dataset
-    return Sample(ds.x[chosen], ds.labels[chosen])

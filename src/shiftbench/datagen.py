@@ -2,14 +2,19 @@
 
 Synthetic datasets are mixtures of axis-aligned Gaussian clusters, each
 carrying a class label (binary or 1..5 stars) and a category tag.  Review
-corpora are read from line-delimited JSON and turned into L2-normalised
-tf-idf vectors with a vocabulary fitted on training documents only.
+corpora are read from line-delimited JSON.  ``count_terms`` tokenises each
+document once into a row of raw term counts, with columns in sorted term
+order; ``fit_vocabulary`` and ``vectorise`` then work on rows of those
+counts, turning each draw into L2-normalised tf-idf vectors with a
+vocabulary fitted on its training documents only.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -17,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .core import BinaryDataset, EmptyDatasetError, StarDataset
+from .core import BinaryDataset, EmptyDatasetError, StarDataset, TermCounts
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -173,82 +178,99 @@ def tokenise(text: str) -> list[str]:
     return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
 
 
+def count_terms(texts: Sequence[str]) -> TermCounts:
+    """Tokenise each document once into a row of raw term counts.
+
+    Columns are numbered by the terms in sorted order.  Rows are built one
+    document at a time, with provisional term ids renumbered at the end.
+    """
+    ids: dict[str, int] = {}
+    columns, counts, indptr = array("i"), array("i"), array("q", [0])
+    for text in texts:
+        tally = Counter(tokenise(text))
+        columns.extend([ids.setdefault(t, len(ids)) for t in tally])
+        counts.extend(tally.values())
+        indptr.append(len(columns))
+    terms = sorted(ids)
+    rank = np.empty(len(ids), dtype=np.int32)
+    rank[[ids[t] for t in terms]] = np.arange(len(terms), dtype=np.int32)
+    matrix = sparse.csr_matrix(
+        (np.asarray(counts, dtype=np.int32), rank[np.asarray(columns, dtype=np.int32)],
+         np.asarray(indptr)),
+        shape=(len(indptr) - 1, len(terms)),
+    )
+    matrix.sort_indices()
+    return TermCounts(matrix, tuple(terms))
+
+
 @dataclass(frozen=True)
 class Vocabulary:
-    """Term index fitted on training texts only.
+    """Terms fitted on training documents only, as columns of their term counts.
 
-    ``doc_freq[i]`` is the number of training documents containing term i;
-    idf uses the smoothed form ln((1 + N) / (1 + df)) + 1.
+    ``space`` is the term list of the counts it was fitted on; vocabulary
+    term i is column ``columns[i]`` of that space (ascending, so vocabulary
+    order is sorted term order).  ``doc_freq[i]`` is the number of training
+    documents containing term i; idf uses the smoothed form
+    ln((1 + N) / (1 + df)) + 1.
     """
 
-    index: dict[str, int]
+    space: tuple[str, ...]
+    columns: np.ndarray
     doc_freq: np.ndarray
     n_docs: int
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.columns)
+
+    @property
+    def terms(self) -> tuple[str, ...]:
+        return tuple(self.space[c] for c in self.columns)
 
     @property
     def idf(self) -> np.ndarray:
         return np.log((1.0 + self.n_docs) / (1.0 + self.doc_freq)) + 1.0
 
 
-def fit_vocabulary(texts: Sequence[str], min_count: int = 3) -> Vocabulary:
-    """Build the vocabulary of terms occurring at least ``min_count`` times.
+def fit_vocabulary(docs: TermCounts, min_count: int = 3) -> Vocabulary:
+    """Keep the terms occurring at least ``min_count`` times in ``docs``.
 
-    Counts are total occurrences across the corpus.  Terms are indexed in
-    sorted order, so refitting on the same corpus is deterministic.
+    Counts are total occurrences across the documents; document frequency
+    is the number of documents whose row holds the term.
     """
-    if len(texts) == 0:
+    n_docs, n_terms = docs.shape
+    if n_docs == 0:
         raise EmptyDatasetError("cannot fit a vocabulary on an empty corpus")
-    totals: dict[str, int] = {}
-    doc_sets = []
-    for text in texts:
-        tokens = tokenise(text)
-        doc_sets.append(set(tokens))
-        for t in tokens:
-            totals[t] = totals.get(t, 0) + 1
-    kept = sorted(t for t, c in totals.items() if c >= min_count)
-    if not kept:
+    m = docs.counts
+    totals = np.bincount(m.indices, weights=m.data, minlength=n_terms)
+    columns = np.flatnonzero(totals >= min_count)
+    if len(columns) == 0:
         raise EmptyDatasetError(
             f"no term occurs at least {min_count} times in the training corpus"
         )
-    index = {t: i for i, t in enumerate(kept)}
-    doc_freq = np.zeros(len(kept), dtype=int)
-    for doc in doc_sets:
-        for t in doc:
-            i = index.get(t)
-            if i is not None:
-                doc_freq[i] += 1
-    return Vocabulary(index=index, doc_freq=doc_freq, n_docs=len(texts))
+    doc_freq = np.bincount(m.indices, minlength=n_terms)[columns]
+    return Vocabulary(space=docs.terms, columns=columns, doc_freq=doc_freq, n_docs=n_docs)
 
 
-def vectorise(texts: Sequence[str], vocab: Vocabulary) -> sparse.csr_matrix:
+def vectorise(docs: TermCounts, vocab: Vocabulary) -> sparse.csr_matrix:
     """tf-idf vectors (raw counts x smoothed idf), each row L2-normalised.
 
     Out-of-vocabulary terms are ignored; a document with no in-vocabulary
     terms maps to the zero vector.
     """
-    idf = vocab.idf
-    data, col_indices, indptr = [], [], [0]
-    for text in texts:
-        counts: dict[int, int] = {}
-        for t in tokenise(text):
-            i = vocab.index.get(t)
-            if i is not None:
-                counts[i] = counts.get(i, 0) + 1
-        cols = sorted(counts)
-        row = np.array([counts[c] * idf[c] for c in cols], dtype=float)
-        norm = np.linalg.norm(row)
-        if norm > 0:
-            row /= norm
-        data.extend(row)
-        col_indices.extend(cols)
-        indptr.append(len(col_indices))
-    return sparse.csr_matrix(
-        (np.array(data), np.array(col_indices, dtype=int), np.array(indptr, dtype=int)),
-        shape=(len(texts), len(vocab)),
-    )
+    if docs.terms != vocab.space:
+        raise ValueError("documents and vocabulary are counted over different terms")
+    m = docs.counts
+    position = np.full(len(docs.terms), -1)
+    position[vocab.columns] = np.arange(len(vocab))
+    column = position[m.indices]
+    kept = column >= 0
+    column = column[kept]
+    data = m.data[kept] * vocab.idf[column]
+    indptr = np.concatenate(([0], np.cumsum(kept)))[m.indptr]
+    bounds = indptr.tolist()
+    norms = [np.linalg.norm(data[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    data /= np.repeat(norms, np.diff(indptr))  # an empty row has norm 0 and no values
+    return sparse.csr_matrix((data, column, indptr), shape=(len(docs), len(vocab)))
 
 
 def load_cluster_specs(path: str | Path) -> list[ClusterSpec]:

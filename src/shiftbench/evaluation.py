@@ -1,4 +1,4 @@
-"""Error measures, aggregation by shift degree, and paired significance tests.
+"""Error measures, the records file, and paired significance tests.
 
 One :class:`ExperimentRecord` is one evaluated test sample; a
 :class:`RecordTable` holds many of them as columns, as read from
@@ -219,21 +219,6 @@ def absolute_error(true_prevalence: float, estimate: float) -> float:
     if not 0.0 <= estimate <= 1.0:
         raise ValueError(f"estimate out of [0, 1]: {estimate}")
     return abs(true_prevalence - estimate)
-
-
-def mae_by_degree(
-    records: Sequence[ExperimentRecord],
-) -> dict[float, dict[str, float]]:
-    """Mean AE grouped by (shift degree, method), pooling repetitions."""
-    if not records:
-        raise ValueError("no records to aggregate")
-    sums: dict[float, dict[str, list[float]]] = {}
-    for rec in records:
-        sums.setdefault(rec.degree, {}).setdefault(rec.method, []).append(rec.ae)
-    return {
-        degree: {method: float(np.mean(aes)) for method, aes in methods.items()}
-        for degree, methods in sums.items()
-    }
 
 
 def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> float:

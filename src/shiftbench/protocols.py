@@ -52,6 +52,7 @@ from .core import (
     PoolExhaustionError,
     Sample,
     StarDataset,
+    TermCounts,
     binarise_dataset,
     is_text_payload,
     round_half_up,
@@ -59,7 +60,7 @@ from .core import (
     split_stratified,
     stratified_split_indices,
 )
-from .datagen import fit_vocabulary, vectorise
+from .datagen import count_terms, fit_vocabulary, vectorise
 from .evaluation import ExperimentRecord
 from .quantifiers import BENCHMARK_METHODS, Quantifier, fit_evidence, quantifier_factory
 from .seeds import derive_seed
@@ -197,7 +198,9 @@ def merge_samples(parts: Sequence[Sample]) -> Sample:
     if not parts:
         raise ValueError("no sample parts to merge")
     xs = [p.x for p in parts]
-    if hasattr(xs[0], "tocsr"):
+    if isinstance(xs[0], TermCounts):
+        x = TermCounts.stack(xs)
+    elif hasattr(xs[0], "tocsr"):
         from scipy import sparse
 
         x = sparse.vstack(xs).tocsr()
@@ -218,12 +221,12 @@ def _draw(pool: Pool, prevalence: float, size: int, seed: int, ctx: str) -> Samp
 def _featurise_train(x):
     """Returns (training features, featuriser for later samples).
 
-    Text payloads get a tf-idf space fitted on the training documents only;
+    Term counts get a tf-idf space fitted on the training documents only;
     numeric payloads pass through unchanged.
     """
-    if is_text_payload(x):
-        vocab = fit_vocabulary(list(x))
-        return vectorise(list(x), vocab), lambda xs: vectorise(list(xs), vocab)
+    if isinstance(x, TermCounts):
+        vocab = fit_vocabulary(x)
+        return vectorise(x, vocab), lambda xs: vectorise(xs, vocab)
     return x, lambda xs: xs
 
 
@@ -248,16 +251,26 @@ class _StarHalf:
     by_star: dict[int, np.ndarray]
 
 
+def _counted(dataset):
+    """The dataset with raw texts replaced by their term counts."""
+    if is_text_payload(dataset.x):
+        return dataclasses.replace(dataset, x=count_terms(dataset.x))
+    return dataset
+
+
 def _prepare_pools(cfg: ProtocolConfig, dataset) -> dict:
     """The pools that draws name: train/test for prior, train_a/test_a/
     train_b/test_b for the covariate protocols, star-balanced train/test
-    halves for concept."""
+    halves for concept.
+
+    Texts are tokenised here, once per run: each document the pools hold
+    becomes a row of term counts, and draws take rows of those counts."""
     seed = derive_seed(cfg.master_seed, cfg.protocol, "split")
     if cfg.protocol == PRIOR:
-        binary = _ensure_binary(dataset, cfg.cut_point)
+        binary = _counted(_ensure_binary(dataset, cfg.cut_point))
         return dict(zip(("train", "test"), split_stratified(binary, cfg.split_fraction, seed)))
     if cfg.protocol in (GLOBAL_COVARIATE, LOCAL_COVARIATE):
-        binary = _ensure_binary(dataset, cfg.cut_point)
+        binary = _counted(_ensure_binary(dataset, cfg.cut_point))
         if binary.category is None:
             raise ValueError(f"the {cfg.protocol} protocol needs category tags")
         pools = {}
@@ -271,7 +284,7 @@ def _prepare_pools(cfg: ProtocolConfig, dataset) -> dict:
     if cfg.protocol == CONCEPT:
         if not isinstance(dataset, StarDataset):
             raise TypeError("the concept protocol needs star-labelled data")
-        balanced = _balance_stars(dataset, derive_seed(seed, "balance"))
+        balanced = _counted(_balance_stars(dataset, derive_seed(seed, "balance")))
         halves = stratified_split_indices(
             balanced.stars, cfg.split_fraction, derive_seed(seed, "halves")
         )

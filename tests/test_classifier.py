@@ -12,7 +12,6 @@ from shiftbench.classifier import (
     item_weights,
     loss_and_grad,
     oof_posteriors_kfold,
-    predict_hard,
     predict_proba,
     rates_from_posteriors,
     stratified_fold_ids,
@@ -63,15 +62,15 @@ class TestTrain:
     def test_separable_data_perfect_training_accuracy(self):
         x, labels = separable_data()
         clf = train(x, labels, C=10.0)
-        assert (predict_hard(clf, x) == labels).all()
+        assert ((predict_proba(clf, x) >= 0.5) == labels).all()
 
     def test_balanced_raises_minority_recall(self):
         x, labels = overlapping_data(n=1200, prevalence=0.1, seed=3)
         plain = train(x, labels, C=100.0, class_weight=None)
         balanced = train(x, labels, C=100.0, class_weight="balanced")
         minority = labels == 1
-        recall_plain = (predict_hard(plain, x)[minority] == 1).mean()
-        recall_balanced = (predict_hard(balanced, x)[minority] == 1).mean()
+        recall_plain = (predict_proba(plain, x)[minority] >= 0.5).mean()
+        recall_balanced = (predict_proba(balanced, x)[minority] >= 0.5).mean()
         assert recall_balanced > recall_plain
 
     def test_duplicated_dataset_same_boundary(self):
@@ -109,7 +108,6 @@ class TestPredict:
         clf = SoftClassifier(np.zeros(2), 0.0, 1.0, None)
         x = np.ones((1, 2))
         assert predict_proba(clf, x)[0] == 0.5
-        assert predict_hard(clf, x)[0] == 1  # threshold tie goes positive
 
     def test_large_bias_saturates_towards_one(self):
         clf = SoftClassifier(np.zeros(2), 30.0, 1.0, None)

@@ -142,6 +142,27 @@ class TestRun:
         assert "line 3: non-finite feature value" in capsys.readouterr().err
         assert not (out / "records.csv").exists()
 
+    @pytest.mark.parametrize(
+        "line_no, text, message",
+        [
+            (2, '{"features": [0.5, 1.0] "label": 1}',
+             "line 2: malformed JSON: Expecting ',' delimiter at column 25"),
+            (4, '{"features": [0.5, 1.0], "category": "A"}', "line 4: missing field 'label'"),
+            (3, '{"features": [0.5, 1.0, 2.0], "label": 0}', "line 3: 3 features, expected 2"),
+        ],
+        ids=["malformed-json", "missing-label", "ragged-features"],
+    )
+    def test_bad_row_exits_2_naming_its_line(
+        self, tmp_path, run_config, dataset, capsys, line_no, text, message
+    ):
+        lines = dataset.read_text().splitlines(keepends=True)
+        lines[line_no - 1] = text + "\n"
+        dataset.write_text("".join(lines))
+        out = tmp_path / "o"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 2
+        assert f"{dataset}: {message}" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     def test_config_hash_follows_dataset_bytes_not_path(self, tmp_path, run_config, dataset):
         def config_hash(dataset_path, name):
             raw = json.loads(run_config.read_text())

@@ -14,7 +14,6 @@ from shiftbench.core import (
     binarise_dataset,
     round_half_up,
     sample_at_prevalence,
-    sample_uniform,
     split_stratified,
 )
 
@@ -150,32 +149,6 @@ class TestSampleAtPrevalence:
             sample_at_prevalence(pool, 0.9, 100, seed=0)
         with pytest.raises(PoolExhaustionError, match="negative"):
             sample_at_prevalence(Pool(binary_dataset([1] * 50 + [0] * 2)), 0.1, 40, seed=0)
-
-
-class TestSampleUniform:
-    def test_whole_pool(self):
-        pool = Pool(binary_dataset([1] * 30 + [0] * 70))
-        s = sample_uniform(pool, 100, seed=0)
-        assert s.true_prevalence == pool.prevalence
-
-    def test_single_from_positive_pool(self):
-        pool = Pool(binary_dataset([1, 1, 1]))
-        assert sample_uniform(pool, 1, seed=5).true_prevalence == 1.0
-
-    def test_mean_prevalence_within_three_standard_errors(self):
-        pool = Pool(binary_dataset([1] * 350 + [0] * 650))
-        p0, size, draws = 0.35, 40, 1000
-        means = [
-            sample_uniform(pool, size, seed=i).true_prevalence for i in range(draws)
-        ]
-        # hypergeometric draw variance, averaged over independent draws
-        var = p0 * (1 - p0) / size * (1000 - size) / (1000 - 1)
-        se = np.sqrt(var / draws)
-        assert abs(np.mean(means) - p0) <= 3 * se
-
-    def test_oversized_request_raises(self):
-        with pytest.raises(PoolExhaustionError):
-            sample_uniform(Pool(binary_dataset([0, 1])), 3, seed=0)
 
 
 class TestSampleInvariants:

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from shiftbench.classifier import predict_hard, train
-from shiftbench.core import BinaryDataset, EmptyDatasetError, StarDataset
+from shiftbench.classifier import predict_proba, train
+from shiftbench.core import BinaryDataset, EmptyDatasetError, StarDataset, TermCounts
 from shiftbench.datagen import (
     ClusterSpec,
     RawReview,
+    count_terms,
     filter_reviews,
     fit_vocabulary,
     generate_mixture,
@@ -47,7 +48,7 @@ class TestGenerateMixture:
         # so a linear classifier must exceed 99% training accuracy
         data = generate_mixture(two_clusters(), 4000, seed=2)
         clf = train(data.x, data.labels, C=100.0)
-        accuracy = (predict_hard(clf, data.x) == data.labels).mean()
+        accuracy = ((predict_proba(clf, data.x) >= 0.5) == data.labels).mean()
         assert accuracy >= 0.99
 
     def test_bit_reproducible(self):
@@ -90,29 +91,39 @@ class TestFilterReviews:
         assert len(filter_reviews([self.make(200, 1)])) == 1
 
 
+def counted(*corpora):
+    """Each corpus as rows of one term-count matrix, as a run's draws are."""
+    counts = count_terms([text for corpus in corpora for text in corpus])
+    bounds = np.cumsum([0] + [len(corpus) for corpus in corpora])
+    return [counts[np.arange(a, b)] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 class TestVocabulary:
     def test_total_count_threshold(self):
-        vocab = fit_vocabulary(["a a a", "b"], min_count=3)
-        assert set(vocab.index) == {"a"}
+        (docs,) = counted(["a a a", "b"])
+        vocab = fit_vocabulary(docs, min_count=3)
+        assert set(vocab.terms) == {"a"}
 
     def test_ubiquitous_term_idf(self):
         # term in every document: idf = ln((1+N)/(1+N)) + 1 = 1 exactly
-        vocab = fit_vocabulary(["cat dog", "cat bird", "cat cat"], min_count=1)
-        assert vocab.idf[vocab.index["cat"]] == pytest.approx(1.0, abs=1e-15)
+        (docs,) = counted(["cat dog", "cat bird", "cat cat"])
+        vocab = fit_vocabulary(docs, min_count=1)
+        assert vocab.idf[vocab.terms.index("cat")] == pytest.approx(1.0, abs=1e-15)
         # "dog" appears in 1 of 3 documents
         expected = math.log((1 + 3) / (1 + 1)) + 1
-        assert vocab.idf[vocab.index["dog"]] == pytest.approx(expected, abs=1e-15)
+        assert vocab.idf[vocab.terms.index("dog")] == pytest.approx(expected, abs=1e-15)
 
     def test_refit_is_deterministic(self):
-        corpus = ["red green blue", "green blue", "blue red red"]
+        (corpus,) = counted(["red green blue", "green blue", "blue red red"])
         v1 = fit_vocabulary(corpus, min_count=1)
         v2 = fit_vocabulary(corpus, min_count=1)
-        assert v1.index == v2.index
+        assert v1.terms == v2.terms
         assert np.array_equal(v1.doc_freq, v2.doc_freq)
 
     def test_empty_vocabulary_raises(self):
+        (docs,) = counted(["a b", "c d"])
         with pytest.raises(EmptyDatasetError):
-            fit_vocabulary(["a b", "c d"], min_count=5)
+            fit_vocabulary(docs, min_count=5)
 
     def test_tokenise_lowercase_nonalnum(self):
         assert tokenise("Hello, WORLD!  x2") == ["hello", "world", "x2"]
@@ -120,38 +131,51 @@ class TestVocabulary:
 
 class TestVectorise:
     def test_out_of_vocabulary_document_is_zero(self):
-        vocab = fit_vocabulary(["apple apple apple"], min_count=3)
-        row = vectorise(["banana pear"], vocab).toarray()[0]
+        train, test = counted(["apple apple apple"], ["banana pear"])
+        vocab = fit_vocabulary(train, min_count=3)
+        row = vectorise(test, vocab).toarray()[0]
         assert np.all(row == 0)
 
     def test_identical_documents_identical_rows(self):
-        vocab = fit_vocabulary(["a a b b c c"], min_count=1)
-        m = vectorise(["a b c", "a b c"], vocab).toarray()
+        train, test = counted(["a a b b c c"], ["a b c", "a b c"])
+        vocab = fit_vocabulary(train, min_count=1)
+        m = vectorise(test, vocab).toarray()
         assert np.array_equal(m[0], m[1])
 
     def test_single_term_document_is_unit_one_hot(self):
-        vocab = fit_vocabulary(["a a a b b b"], min_count=3)
-        row = vectorise(["a a"], vocab).toarray()[0]
+        train, test = counted(["a a a b b b"], ["a a"])
+        vocab = fit_vocabulary(train, min_count=3)
+        row = vectorise(test, vocab).toarray()[0]
         expected = np.zeros(2)
-        expected[vocab.index["a"]] = 1.0  # any positive tf*idf normalises to 1
+        expected[vocab.terms.index("a")] = 1.0  # any positive tf*idf normalises to 1
         assert np.allclose(row, expected)
 
     def test_rows_unit_norm_or_zero(self):
-        corpus = ["u v w", "v w", "w w w u", "q"]
+        corpus, unseen = counted(["u v w", "v w", "w w w u", "q"], ["zzz unseen"])
         vocab = fit_vocabulary(corpus, min_count=1)
-        m = vectorise(corpus + ["zzz unseen"], vocab).toarray()
+        m = vectorise(TermCounts.stack([corpus, unseen]), vocab).toarray()
         norms = np.linalg.norm(m, axis=1)
         assert np.all((np.abs(norms - 1) <= 1e-9) | (norms == 0))
 
     def test_vocabulary_untouched_by_test_texts(self):
-        train_corpus = ["alpha beta beta", "beta gamma alpha"]
+        train_corpus, test_corpus = counted(
+            ["alpha beta beta", "beta gamma alpha"], ["delta epsilon alpha"] * 5
+        )
         vocab = fit_vocabulary(train_corpus, min_count=1)
-        before = dict(vocab.index), vocab.doc_freq.copy(), vocab.n_docs
-        vectorise(["delta epsilon alpha"] * 5, vocab)
+        before = vocab.terms, vocab.doc_freq.copy(), vocab.n_docs
+        vectorise(test_corpus, vocab)
         refit = fit_vocabulary(train_corpus, min_count=1)
-        assert before[0] == refit.index
+        assert before[0] == refit.terms
         assert np.array_equal(before[1], refit.doc_freq)
         assert before[2] == refit.n_docs
+
+    def test_counts_over_other_terms_rejected(self):
+        (train,) = counted(["a a b"])
+        (other,) = counted(["a b c"])
+        with pytest.raises(ValueError, match="different terms"):
+            vectorise(other, fit_vocabulary(train, min_count=1))
+        with pytest.raises(ValueError, match="different terms"):
+            TermCounts.stack([train, other])
 
 
 class TestIngestion:

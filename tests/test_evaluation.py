@@ -11,12 +11,12 @@ from shiftbench.evaluation import (
     RecordTable,
     SignificanceMark,
     absolute_error,
-    mae_by_degree,
     mark_significance,
     read_records_csv,
     wilcoxon_signed_rank,
     write_records_csv,
 )
+from shiftbench.reporting import render_table_csv
 
 
 def brute_force_wilcoxon(a, b):
@@ -63,13 +63,22 @@ class TestAbsoluteError:
             absolute_error(0.5, 1.2)
 
 
+def mae_by_degree(records):
+    """Mean AE by (degree, method), read from the report table."""
+    mae = {}
+    for line in render_table_csv(records).splitlines()[1:]:
+        degree, method, value, _ = line.split(",")
+        mae.setdefault(float(degree), {})[method] = float(value)
+    return mae
+
+
 class TestMaeByDegree:
     def test_single_record(self):
         mae = mae_by_degree([record(est=0.3)])
         assert mae == {0.0: {"CC": pytest.approx(0.2)}}
 
     def test_two_records_average(self):
-        recs = [record(est=0.4), record(est=0.2)]  # AEs 0.1 and 0.3
+        recs = [record(est=0.4), record(est=0.2, config="r=1")]  # AEs 0.1 and 0.3
         assert mae_by_degree(recs)[0.0]["CC"] == pytest.approx(0.2)
 
     def test_degrees_never_mix(self):
@@ -79,7 +88,9 @@ class TestMaeByDegree:
 
     def test_group_mean_bounded_by_extremes(self):
         rng = np.random.default_rng(0)
-        recs = [record(est=float(e)) for e in rng.uniform(0, 1, 50)]
+        recs = [
+            record(est=float(e), config=f"r={i}") for i, e in enumerate(rng.uniform(0, 1, 50))
+        ]
         aes = [r.ae for r in recs]
         value = mae_by_degree(recs)[0.0]["CC"]
         assert min(aes) <= value <= max(aes)

@@ -1,0 +1,70 @@
+"""Golden records on the text path: every method on every protocol, run on a
+small review corpus, pinned to a stored CSV.
+
+The corpus is binarised at 3 stars for prior and both covariate protocols
+(whose draws merge parts from the two categories) and star-balanced for
+concept, so each protocol tokenises, fits a vocabulary and vectorises.
+The stored file was produced by ``python tests/test_golden_text_records.py``;
+estimates must match it exactly, and a two-worker run must match a
+one-worker run.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from shiftbench.datagen import filter_reviews, reviews_to_dataset
+from shiftbench.evaluation import read_records_csv, write_records_csv
+from shiftbench.protocols import PROTOCOLS, run_protocol
+from shiftbench.quantifiers import METHOD_NAMES
+from test_protocols import tiny_config
+from test_text_pipeline import synthetic_reviews
+
+GOLDEN = Path(__file__).with_name("golden_text_records.csv")
+
+
+def review_corpus():
+    return reviews_to_dataset(filter_reviews(synthetic_reviews(2000, seed=11)))
+
+
+def text_config(protocol):
+    return tiny_config(
+        protocol,
+        methods=METHOD_NAMES,
+        train_size=200,
+        test_size=60,
+        repetitions=2,
+        samples_per_config=1,
+    )
+
+
+def golden_run(jobs=1):
+    dataset = review_corpus()
+    records = []
+    for protocol in PROTOCOLS:
+        records += run_protocol(text_config(protocol), dataset, jobs=jobs)
+    return records
+
+
+def _key(r):
+    return (r.protocol, r.method, r.repetition, r.config, r.degree, r.true_prevalence)
+
+
+@pytest.fixture(scope="module")
+def one_worker_run():
+    return golden_run(jobs=1)
+
+
+def test_text_records_match_golden_file(one_worker_run):
+    expected = read_records_csv(GOLDEN)
+    assert {r.protocol for r in expected} == set(PROTOCOLS)
+    assert [_key(r) for r in one_worker_run] == [_key(r) for r in expected]
+    assert [r.estimate for r in one_worker_run] == [r.estimate for r in expected]
+
+
+def test_two_workers_match_one_worker(one_worker_run):
+    assert golden_run(jobs=2) == one_worker_run
+
+
+if __name__ == "__main__":
+    print(f"wrote {write_records_csv(golden_run(), GOLDEN)} records to {GOLDEN}")
