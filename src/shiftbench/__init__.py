@@ -65,6 +65,7 @@ from .quantifiers import (
     expectation_maximisation_prevalence,
     hellinger_distance,
     mixture_fit_alpha,
+    mixture_fit_alphas,
     quantifier_factory,
     topsoe_distance,
 )

@@ -24,9 +24,10 @@ deferred draw whose spec holds the pool, sizes and seed coordinates that fix
 the sample.  One executor, ``_repetition_worker``, walks the plan of one
 repetition.  At each cell it fits every method on the training draw, with
 one classifier per distinct set of classifier hyperparameters (one in the
-default config).  At each test it draws the sample, scores it once per
-classifier, hands the posteriors to every method's ``aggregate``, and emits
-one record per method.  A dry run walks the same plan and emits stub
+default config).  At each test it draws the sample and scores it once per
+classifier.  Once a cell's tests are scored, each method estimates them all
+in one ``aggregate_many`` call, and the executor emits one record per test
+and method, in plan order.  A dry run walks the same plan and emits stub
 estimates at the nominal prevalence, without fitting or drawing.
 
 Repetitions are independent: every draw's seed is derived from the master
@@ -606,10 +607,12 @@ def _fit(cfg: ProtocolConfig, train: Sample, fit_seed: int):
     """Fit every configured method on one training draw.
 
     Methods sharing classifier hyperparameters share one trained classifier
-    and one set of out-of-fold posteriors.  Returns the estimator of a test
-    sample: its raw features -> estimate by method name.  It scores the
-    sample once per distinct classifier and hands those posteriors to every
-    method that shares it.
+    and one set of out-of-fold posteriors.  Returns (score, aggregate):
+    ``score`` maps a test sample's raw features to its posteriors under each
+    distinct classifier (None where a group needs no classifier), and
+    ``aggregate`` maps the scores of a list of samples to each method's
+    estimates for them, by method name, through one ``aggregate_many`` call
+    per method.
     """
     x, featurise = _featurise_train(train.x)
     labels = train.labels
@@ -644,54 +647,82 @@ def _fit(cfg: ProtocolConfig, train: Sample, fit_seed: int):
             (evidence.clf, {n: q.fit_evidence(evidence) for n, q in quantifiers.items()})
         )
 
-    def estimate(raw_x) -> dict[str, float]:
+    def score(raw_x) -> list:
         x = featurise(raw_x)
+        return [None if clf is None else predict_proba(clf, x) for clf, _ in fitted]
+
+    def aggregate(scores: list[list]) -> dict[str, list[float]]:
         estimates = {}
-        for clf, quantifiers in fitted:
-            posteriors = None if clf is None else predict_proba(clf, x)
+        for group, (_, quantifiers) in enumerate(fitted):
+            posteriors = [s[group] for s in scores]
             for name, q in quantifiers.items():
-                estimates[name] = q.aggregate(posteriors)
+                estimates[name] = q.aggregate_many(posteriors)
         return estimates
 
-    return estimate
+    return score, aggregate
 
 
 def _repetition_worker(args) -> list[ExperimentRecord]:
-    """Walk the plan of one repetition: fit at each cell; draw, score and
-    emit at each test.
+    """Walk the plan of one repetition: fit at each cell; draw and score at
+    each test; estimate the tests of a cell together once it is complete.
 
-    A dry run walks the same plan without fitting or drawing and emits
-    stub estimates at each test's nominal prevalence.
+    Only the scored tests of the current cell are held, as (config, degree,
+    true prevalence, scores); their records are emitted in plan order at the
+    next cell or at the end of the plan.  A dry run walks the same plan
+    without fitting or drawing and emits stub estimates at each test's
+    nominal prevalence as it goes, holding nothing.
     """
     cfg, pools, rep, dry = args
-    stubs = dict.fromkeys(cfg.methods, STUB_ESTIMATE)
     records: list[ExperimentRecord] = []
-    for step in _PLANS[cfg.protocol](cfg, rep):
-        if isinstance(step, _Cell):
-            if not dry:
-                estimate = _fit(
-                    cfg,
-                    step.train(master_seed=cfg.master_seed, pools=pools),
-                    derive_seed(cfg.master_seed, *step.fit_coords),
-                )
-            continue
-        if dry:
-            true_prevalence, estimates = step.nominal_prevalence, stubs
-        else:
-            sample = step.draw(master_seed=cfg.master_seed, pools=pools)
-            true_prevalence, estimates = sample.true_prevalence, estimate(sample.x)
-        records += [
+    pending: list[tuple] = []
+
+    def finish_cell():
+        if not pending:
+            return
+        estimates = aggregate([scores for *_, scores in pending])
+        records.extend([
             ExperimentRecord(
                 protocol=cfg.protocol,
                 method=name,
                 repetition=rep,
-                config=step.config,
-                degree=step.degree,
+                config=config,
+                degree=degree,
                 true_prevalence=true_prevalence,
-                estimate=estimates[name],
+                estimate=estimates[name][i],
             )
+            for i, (config, degree, true_prevalence, _) in enumerate(pending)
             for name in cfg.methods
-        ]
+        ])
+        pending.clear()
+
+    for step in _PLANS[cfg.protocol](cfg, rep):
+        if isinstance(step, _Cell):
+            if not dry:
+                finish_cell()
+                score, aggregate = _fit(
+                    cfg,
+                    step.train(master_seed=cfg.master_seed, pools=pools),
+                    derive_seed(cfg.master_seed, *step.fit_coords),
+                )
+        elif not dry:
+            sample = step.draw(master_seed=cfg.master_seed, pools=pools)
+            pending.append((step.config, step.degree, sample.true_prevalence, score(sample.x)))
+        else:
+            # built in place rather than through a shared helper: the dry
+            # run walks full-scale plans, and a call per test shows there
+            records += [
+                ExperimentRecord(
+                    protocol=cfg.protocol,
+                    method=name,
+                    repetition=rep,
+                    config=step.config,
+                    degree=step.degree,
+                    true_prevalence=step.nominal_prevalence,
+                    estimate=STUB_ESTIMATE,
+                )
+                for name in cfg.methods
+            ]
+    finish_cell()
     return records
 
 

@@ -20,14 +20,25 @@ posteriors into an estimate in [0, 1]; ``quantify(x)`` is
 ``aggregate(predict_proba(clf_, x))``.  ``aggregate`` is pure: it reads the
 fitted state and never writes it, so fitted quantifiers are immutable and
 safe to share across concurrent tasks, and a harness can score a sample once
-and hand the same posteriors to every method.  ``METHODS`` maps each method
-name to its class.
+and hand the same posteriors to every method.  ``aggregate_many(list of
+posteriors)`` returns ``aggregate`` of each sample, in order; DyS and HDy
+override it to run one mixture search over all the samples' histograms.
+``METHODS`` maps each method name to its class.
+
+The mixture search (``mixture_fit_alphas``) is a ternary search to 1e-6,
+run for all samples at once, whose answer is checked against a window of the
+1e-4 grid around it.  The objective is convex (Topsoe) or quasi-convex
+(Hellinger) in the mixture weight, so when the window's edges rise, no grid
+point outside it can win; a sample whose window does not certify that is
+checked against the whole grid.  Either way the answer equals the answer of
+a full grid scan, bit for bit.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -135,36 +146,109 @@ def hellinger_distance(h1, h2) -> float:
 _DISTANCES = {"topsoe": _topsoe_rows, "hellinger": _hellinger_rows}
 
 
-def mixture_fit_alpha(h_pos, h_neg, h_test, distance: str = "topsoe") -> float:
-    """The mixture weight alpha minimising dist(alpha*H+ + (1-alpha)*H-, H_test).
+#: The guard grid: every multiple of GRID_STEP in [0, 1].
+_GRID = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
 
-    Ternary search narrows [0, 1] down to 1e-6, scoring both probes of a step
-    in one batched call.  Its answer and a 1e-4-step grid, which guards
-    against non-unimodal objectives, are then scored in one call; the lowest
-    distance wins, the ternary answer on a tie.
+#: Grid points on each side of the ternary answer scored for every row.
+WINDOW_HALF_WIDTH = 8
+
+#: How far a window's outermost value must exceed its inner neighbour and the
+#: ternary value for the window to certify the whole grid (over 1e5 times the
+#: rounding error of one distance value).
+CERTIFICATE_MARGIN = 1e-9
+
+
+def _mixtures(alphas: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """alpha*pos + (1-alpha)*neg, one row per alpha."""
+    return alphas[:, None] * pos + (1.0 - alphas)[:, None] * neg
+
+
+def _grid_scan(pos, neg, test, ternary: float, rows) -> float:
+    """The ternary answer against the whole grid; the lowest distance wins, the
+    ternary answer on a tie."""
+    alphas = np.concatenate(([ternary], _GRID))
+    values = rows(_mixtures(alphas, pos, neg), test)
+    return float(alphas[int(np.argmin(values))])
+
+
+def mixture_fit_alphas(h_pos, h_neg, tests, distance: str = "topsoe") -> np.ndarray:
+    """For each test histogram, the alpha minimising
+    dist(alpha*H+ + (1-alpha)*H-, H_test).
+
+    A ternary search narrows [0, 1] down to 1e-6 for all rows at once.  Each
+    row keeps stepping while its own interval is wider than the tolerance, so
+    its probes and comparisons are those of a search run on it alone.  Each
+    row's answer is then scored together with a window of the
+    ``WINDOW_HALF_WIDTH`` grid points on each side of it on the 1e-4 grid,
+    in one call; the lowest distance wins, the ternary answer on a tie, then
+    the lowest alpha.
+
+    That equals scoring the answer against the whole grid whenever the
+    window is certified: on each side where it stops short of the grid's
+    end, its outermost value exceeds both its inner neighbour and the
+    ternary value by more than ``CERTIFICATE_MARGIN``.  Topsoe is an
+    f-divergence and the mixture is affine in alpha, so the objective is
+    convex in alpha; the Hellinger distance is the square root of a convex
+    function, so it is quasi-convex.  Either way, a value that rises at the
+    window's edge keeps rising beyond it, so every grid point outside a
+    certified window lies strictly above the ternary value.  A row whose
+    window is not certified (a flat objective, say) is scored against the
+    whole grid instead.  The result is bit-identical to the full scan.
     """
     if distance not in _DISTANCES:
         raise ValueError(f"unknown distance {distance!r}; use one of {sorted(_DISTANCES)}")
-    pos, neg, test = _masses(h_pos), _masses(h_neg), _masses(h_test)
+    pos, neg = _masses(h_pos), _masses(h_neg)
     _check_pair(pos, neg)
-    _check_pair(pos, test)
+    tests = np.array([_masses(t) for t in tests], dtype=float)
+    n = len(tests)
+    if n == 0:
+        return np.empty(0)
+    _check_pair(pos, tests[0])
     rows = _DISTANCES[distance]
 
-    lo, hi = 0.0, 1.0
-    while hi - lo > TERNARY_TOL:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        probes = np.array([[m1], [m2]])
-        d1, d2 = rows(probes * pos + (1.0 - probes) * neg, test)
-        if d1 <= d2:
-            hi = m2
-        else:
-            lo = m1
+    lo, hi = np.zeros(n), np.ones(n)
+    active = np.flatnonzero(hi - lo > TERNARY_TOL)
+    while len(active):
+        a_lo, a_hi = lo[active], hi[active]
+        m1 = a_lo + (a_hi - a_lo) / 3.0
+        m2 = a_hi - (a_hi - a_lo) / 3.0
+        probes = np.stack((m1, m2), axis=1).ravel()
+        d = rows(_mixtures(probes, pos, neg), np.repeat(tests[active], 2, axis=0))
+        left = d[0::2] <= d[1::2]
+        hi[active[left]] = m2[left]
+        lo[active[~left]] = m1[~left]
+        active = np.flatnonzero(hi - lo > TERNARY_TOL)
+    ternary = (lo + hi) / 2.0
 
-    # the ternary answer first, so that it wins a tie with the grid
-    alphas = np.concatenate(([(lo + hi) / 2.0], np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)))
-    values = rows(alphas[:, None] * pos + (1.0 - alphas)[:, None] * neg, test)
-    return float(alphas[int(np.argmin(values))])
+    width = 2 * WINDOW_HALF_WIDTH + 1
+    last = len(_GRID) - 1
+    centre = np.rint(ternary / GRID_STEP).astype(int)
+    start = np.clip(centre - WINDOW_HALF_WIDTH, 0, last + 1 - width)
+    window = _GRID[start[:, None] + np.arange(width)]
+    # column 0 is the ternary answer, so that it wins a tie with the window;
+    # columns 1..width are the window in ascending alpha
+    candidates = np.concatenate((ternary[:, None], window), axis=1)
+    values = rows(
+        _mixtures(candidates.ravel(), pos, neg), np.repeat(tests, width + 1, axis=0)
+    ).reshape(n, width + 1)
+    best = candidates[np.arange(n), np.argmin(values, axis=1)]
+
+    def rises(outer, inner):
+        return (values[:, outer] > values[:, inner] + CERTIFICATE_MARGIN) & (
+            values[:, outer] > values[:, 0] + CERTIFICATE_MARGIN
+        )
+
+    certified = (start == 0) | rises(1, 2)
+    certified &= (start + width - 1 == last) | rises(width, width - 1)
+    for i in np.flatnonzero(~certified):
+        best[i] = _grid_scan(pos, neg, tests[i], ternary[i], rows)
+    return best
+
+
+def mixture_fit_alpha(h_pos, h_neg, h_test, distance: str = "topsoe") -> float:
+    """The mixture weight alpha minimising dist(alpha*H+ + (1-alpha)*H-, H_test):
+    :func:`mixture_fit_alphas` for one test histogram."""
+    return float(mixture_fit_alphas(h_pos, h_neg, [h_test], distance)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +442,11 @@ class Quantifier:
         """The estimate for one sample from its posteriors under ``clf_``."""
         raise NotImplementedError
 
+    def aggregate_many(self, posteriors: Sequence[np.ndarray]) -> list[float]:
+        """``aggregate`` of each sample's posteriors, in order.  Methods that
+        can share work across samples override it with the same results."""
+        return [self.aggregate(p) for p in posteriors]
+
     def _require_fitted(self):
         if not self._fitted:
             raise RuntimeError(f"{self.method} quantifier is not fitted")
@@ -475,6 +564,11 @@ class DyS(Quantifier):
     def aggregate(self, posteriors) -> float:
         h_test = PosteriorHistogram.from_scores(posteriors, self.bins)
         return mixture_fit_alpha(self.hist_pos_, self.hist_neg_, h_test, self.distance)
+
+    def aggregate_many(self, posteriors) -> list[float]:
+        """One mixture search over the histograms of all the samples."""
+        tests = [PosteriorHistogram.from_scores(p, self.bins) for p in posteriors]
+        return mixture_fit_alphas(self.hist_pos_, self.hist_neg_, tests, self.distance).tolist()
 
 
 class HDy(DyS):

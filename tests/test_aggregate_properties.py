@@ -47,6 +47,13 @@ def test_result_does_not_depend_on_posterior_order(fitted, posteriors, data):
 
 
 @property_settings
+@given(samples=st.lists(posterior_vectors, max_size=6))
+def test_aggregate_many_equals_aggregate_of_each_sample(fitted, samples):
+    for name, q in fitted.items():
+        assert q.aggregate_many(samples) == [q.aggregate(p) for p in samples], name
+
+
+@property_settings
 @given(posteriors=posterior_vectors)
 def test_pacc_and_smm_agree(fitted, posteriors):
     assert fitted["PACC"].aggregate(posteriors) == pytest.approx(

@@ -58,7 +58,8 @@ def run_config(tmp_path, dataset):
 
 class TestGenData:
     def test_writes_requested_line_count(self, dataset):
-        assert sum(1 for _ in open(dataset)) == 4000
+        with open(dataset) as lines:
+            assert sum(1 for _ in lines) == 4000
 
     def test_same_seed_byte_identical(self, tmp_path, cluster_spec):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
