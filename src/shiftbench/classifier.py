@@ -63,12 +63,13 @@ class SoftClassifier:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function, stable for large |z|: 1/(1+e^-z) or e^z/(1+e^z).
+
+    Both branches share one exponential, e = exp(-|z|), which never overflows.
+    """
+    z = np.asarray(z, dtype=float)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def item_weights(labels: np.ndarray, class_weight: str | None) -> np.ndarray:

@@ -5,7 +5,9 @@ One :class:`ExperimentRecord` is one evaluated test sample; a
 ``records.csv``.  The Wilcoxon
 signed-rank test pairs records of two methods by (repetition, configuration),
 uses the exact sign-flip distribution for up to 25 non-zero differences, and
-a tie- and continuity-corrected normal approximation beyond that.
+a tie- and continuity-corrected normal approximation beyond that.  Its
+average ranks come from :func:`rankdata`, written in numpy so that importing
+the package does not load ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 EXACT_LIMIT = 25  # largest n handled by exact sign-assignment enumeration
 
@@ -219,6 +220,27 @@ def absolute_error(true_prevalence: float, estimate: float) -> float:
     if not 0.0 <= estimate <= 1.0:
         raise ValueError(f"estimate out of [0, 1]: {estimate}")
     return abs(true_prevalence - estimate)
+
+
+def rankdata(values) -> np.ndarray:
+    """Average ranks 1..n of ``values``; tied values share the mean of their ranks.
+
+    Matches ``scipy.stats.rankdata(values)`` (method "average") bit for bit:
+    every rank is a multiple of 0.5, which float64 holds exactly.  Written in
+    numpy so that importing the package does not load ``scipy.stats``.
+    """
+    values = np.asarray(values).ravel()
+    n = len(values)
+    if n == 0:
+        return np.empty(0)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # index in sorted order where each run of equal values starts, plus n
+    bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    starts, ends = bounds[:-1], bounds[1:]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> float:

@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The qualitative criteria run desk-scale protocols (2 repetitions,
-5 samples per configuration) on synthetic Gaussian data.
+5 samples per configuration) on synthetic Gaussian data.  Their time bounds
+count the test's own CPU time (``time.process_time``), so another process
+on the machine cannot fail them.
 """
 
 import itertools
@@ -81,14 +83,14 @@ def covariate_records():
 
 
 def test_criterion_01_mean_matching_equals_adjusted_posterior_count():
-    start = time.monotonic()
+    start = time.process_time()
     worst = 0.0
     for seed in range(200):
         evidence, _, _, xt = fitted_instance(seed)
         pacc = quantifier_factory("PACC").fit_evidence(evidence)
         smm = quantifier_factory("SMM").fit_evidence(evidence)
         worst = max(worst, abs(pacc.quantify(xt) - smm.quantify(xt)))
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     check(
         "criterion 1: SMM equals PACC on 200 random instances",
         worst <= 1e-9 and elapsed < 10.0,
@@ -192,7 +194,7 @@ def test_criterion_03_identity_suite_and_output_range():
 
 
 def test_criterion_04_adjusted_count_error_shrinks_with_sample_size():
-    start = time.monotonic()
+    start = time.process_time()
     data = two_gaussians(64_000, seed=101, shift=1.5)
     train_pool, test_pool = split_stratified(data, 0.5, seed=11)
     train = sample_at_prevalence(train_pool, 0.5, 5000, seed=1)
@@ -208,7 +210,7 @@ def test_criterion_04_adjusted_count_error_shrinks_with_sample_size():
             )
             errors[size].append(abs(acc.quantify(sample.x) - sample.true_prevalence))
     medians = [float(np.median(errors[s])) for s in sizes]
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     check(
         "criterion 4: median adjusted-count error strictly decreases over "
         "test sizes 100/1k/10k",
@@ -218,11 +220,11 @@ def test_criterion_04_adjusted_count_error_shrinks_with_sample_size():
 
 
 def test_criterion_05_prior_shift_method_ordering_at_desk_scale():
-    start = time.monotonic()
+    start = time.process_time()
     data = two_gaussians(30_000, seed=11)
     cfg = ProtocolConfig(protocol=PRIOR, master_seed=5).desk()
     records = run_protocol(cfg, data)
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
 
     pooled: dict[str, dict[str, list]] = {"high": {}, "zero": {}}
     for rec in records:
@@ -281,7 +283,7 @@ def test_criterion_07_mixed_covariate_shift_favours_prior_adjustment(covariate_r
 
 
 def test_criterion_08_record_count_identities_by_dry_run():
-    start = time.monotonic()
+    start = time.process_time()
     expected = {
         PRIOR: 60_500,
         GLOBAL_COVARIATE: 544_500,
@@ -292,7 +294,7 @@ def test_criterion_08_record_count_identities_by_dry_run():
     for protocol, want in expected.items():
         cfg = ProtocolConfig(protocol=protocol, methods=("MLPE",))
         counts[protocol] = len(run_protocol(cfg, dry_run=True))
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     check(
         "criterion 8: full-scale per-method record counts are "
         "60500/544500/60500/8000",
