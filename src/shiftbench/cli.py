@@ -177,6 +177,8 @@ def _file_sha256(path: Path) -> str:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        return _fail(f"--jobs must be at least 1, got {args.jobs}")
     try:
         raw = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -367,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON protocol configuration")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel repetitions")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="pool workers, at most one per repetition")
     p.add_argument("--desk", action="store_true",
                    help="desk-scale preset: 2 repetitions, 5 samples per config")
     p.add_argument("--methods", default=None, help="comma-separated method names")

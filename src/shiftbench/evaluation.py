@@ -1,8 +1,8 @@
 """Error measures, the records file, and paired significance tests.
 
-One :class:`ExperimentRecord` is one evaluated test sample; a
-:class:`RecordTable` holds many of them as columns, as read from
-``records.csv``.  The Wilcoxon
+A :class:`RecordTable` holds evaluated test samples as columns, from the
+executor that builds them to ``records.csv`` and back; one row of it reads
+as an :class:`ExperimentRecord`.  The Wilcoxon
 signed-rank test pairs records of two methods by (repetition, configuration),
 uses the exact sign-flip distribution for up to 25 non-zero differences, and
 a tie- and continuity-corrected normal approximation beyond that.  Its
@@ -28,7 +28,8 @@ EXACT_LIMIT = 25  # largest n handled by exact sign-assignment enumeration
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One evaluation row: a method's estimate on one generated test sample."""
+    """One row of a :class:`RecordTable`: a method's estimate on one generated
+    test sample."""
 
     protocol: str
     method: str
@@ -42,33 +43,23 @@ class ExperimentRecord:
     def __post_init__(self):
         object.__setattr__(self, "ae", absolute_error(self.true_prevalence, self.estimate))
 
-    def csv_row(self) -> list[str]:
-        return [
-            self.protocol,
-            self.method,
-            str(self.repetition),
-            self.config,
-            repr(self.degree),
-            repr(self.true_prevalence),
-            repr(self.estimate),
-            repr(self.ae),
-        ]
-
 
 CSV_HEADER = ("protocol", "method", "repetition", "config",
               "degree", "true_prev", "est_prev", "ae")
 
 
-def write_records_csv(records: Iterable[ExperimentRecord], path: str | Path) -> int:
-    """Write records as UTF-8 CSV with LF line endings; returns the row count."""
-    n = 0
+def write_records_csv(table: RecordTable, path: str | Path) -> int:
+    """Write a table as UTF-8 CSV with LF line endings; returns the row count.
+
+    The columns become Python ints, floats and strings first, which the csv
+    module writes with ``str``: the shortest repr of each float, so every
+    value reads back exactly."""
+    rows = zip(*(getattr(table, name).tolist() for name in RecordTable.COLUMNS))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(rec.csv_row())
-            n += 1
-    return n
+        writer.writerows(rows)
+    return len(table)
 
 
 class RecordTable(Sequence[ExperimentRecord]):
@@ -97,9 +88,21 @@ class RecordTable(Sequence[ExperimentRecord]):
             raise ValueError("RecordTable columns differ in length")
 
     @classmethod
+    def from_estimates(cls, **columns) -> RecordTable:
+        """A table of every column but ``ae``, which is computed as
+        |true_prev - estimate|.  Raises ``ValueError`` on a row that
+        :func:`read_records_csv` would reject."""
+        true_prev = np.asarray(columns["true_prev"], dtype=np.float64)
+        estimate = np.asarray(columns["estimate"], dtype=np.float64)
+        table = cls(**columns, ae=np.abs(true_prev - estimate))
+        if invalid := _first_invalid_row(table):
+            raise ValueError(invalid[1])
+        return table
+
+    @classmethod
     def from_records(cls, records: Iterable[ExperimentRecord]) -> RecordTable:
         records = list(records)
-        return cls(
+        return cls.from_estimates(
             protocol=[r.protocol for r in records],
             method=[r.method for r in records],
             repetition=[r.repetition for r in records],
@@ -107,8 +110,16 @@ class RecordTable(Sequence[ExperimentRecord]):
             degree=[r.degree for r in records],
             true_prev=[r.true_prevalence for r in records],
             estimate=[r.estimate for r in records],
-            ae=[r.ae for r in records],
         )
+
+    @classmethod
+    def concat(cls, tables: Iterable[RecordTable]) -> RecordTable:
+        """The rows of ``tables``, in order."""
+        tables = list(tables)
+        return cls(**{
+            name: np.concatenate([np.empty(0, dtype)] + [getattr(t, name) for t in tables])
+            for name, dtype in cls.COLUMNS.items()
+        })
 
     def __len__(self) -> int:
         return len(self.ae)
@@ -156,6 +167,16 @@ def read_records_csv(path: str | Path) -> RecordTable:
     if len(rows) != _count_data_lines(path) and (error := _first_unparsable_row(path)):
         raise error
     table = RecordTable(**{name: rows[name] for name in RecordTable.COLUMNS})
+    if invalid := _first_invalid_row(table):
+        row, problem = invalid
+        raise ValueError(f"{path}: line {_line_of_row(path, row)}: {problem}")
+    return table
+
+
+def _first_invalid_row(table: RecordTable) -> tuple[int, str] | None:
+    """(index, problem) of the first row with a non-finite degree, a
+    prevalence outside [0, 1], or an ``ae`` other than |true_prev - est_prev|
+    exactly; None if every row is valid."""
     degree, true_prev, estimate, ae = table.degree, table.true_prev, table.estimate, table.ae
     # each check: the rows failing it, and the message for one of them
     checks = (
@@ -169,10 +190,10 @@ def read_records_csv(path: str | Path) -> RecordTable:
                    f"{float(abs(true_prev[i] - estimate[i]))!r}"),
     )
     failures = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks) if bad.any()]
-    if failures:
-        row, k = min(failures)
-        raise ValueError(f"{path}: line {_line_of_row(path, row)}: {checks[k][1](row)}")
-    return table
+    if not failures:
+        return None
+    row, k = min(failures)
+    return row, checks[k][1](row)
 
 
 def _count_data_lines(path: str | Path) -> int:

@@ -19,20 +19,22 @@ to two decimals; concept uses the integer (c_L - c_U).
 Each protocol is data: a cell plan, a generator walked lazily per
 repetition.  It yields a cell -- one training draw and the seed coordinates
 of the fit on it -- followed by the tests scored against that fit.  A test
-carries its config string, shift degree and nominal prevalence, plus a
-deferred draw whose spec holds the pool, sizes and seed coordinates that fix
-the sample.  One executor, ``_repetition_worker``, walks the plan of one
-repetition.  At each cell it fits every method on the training draw, with
-one classifier per distinct set of classifier hyperparameters (one in the
-default config).  At each test it draws the sample and scores it once per
-classifier.  Once a cell's tests are scored, each method estimates them all
-in one ``aggregate_many`` call, and the executor emits one record per test
-and method, in plan order.  A dry run walks the same plan and emits stub
-estimates at the nominal prevalence, without fitting or drawing.
+carries its config string and shift degree, plus a deferred draw whose spec
+holds the pool, sizes and seed coordinates that fix the sample.  One
+executor, ``_repetition_worker``, walks the plan of one repetition.  At each
+cell it fits every method on the training draw, with one classifier per
+distinct set of classifier hyperparameters (one in the default config).  At
+each test it draws the sample and scores it once per classifier.  Once a
+cell's tests are scored, each method estimates them all in one
+``aggregate_many`` call, and the executor turns the cell into one
+:class:`RecordTable`: a row per test and method, in plan order.  A run's
+table is its repetitions' tables, concatenated in repetition order.
 
 Repetitions are independent: every draw's seed is derived from the master
 seed and the draw's structural coordinates, so runs are bit-reproducible for
-any worker count.
+any worker count.  ``run_protocol(cfg, dataset, jobs)`` runs them in at most
+``min(jobs, repetitions)`` pool workers, each returning its repetition's
+table.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from .core import (
     stratified_split_indices,
 )
 from .datagen import count_terms, fit_vocabulary, vectorise
-from .evaluation import ExperimentRecord
+from .evaluation import RecordTable
 from .quantifiers import BENCHMARK_METHODS, Quantifier, fit_evidence, quantifier_factory
 from .seeds import derive_seed
 
@@ -71,8 +73,6 @@ GLOBAL_COVARIATE = "global_covariate"
 LOCAL_COVARIATE = "local_covariate"
 CONCEPT = "concept"
 PROTOCOLS = (PRIOR, GLOBAL_COVARIATE, LOCAL_COVARIATE, CONCEPT)
-
-STUB_ESTIMATE = 0.5  # emitted by dry runs in place of a fitted method
 
 
 def _tenths(lo: int, hi: int) -> tuple[float, ...]:
@@ -132,9 +132,10 @@ class ProtocolConfig:
             raise ValueError("repetitions and samples_per_config must be >= 1")
         if not self.methods:
             raise ValueError("at least one method is required")
-        self.methods = tuple(self.methods)
-        for m in self.methods:
-            quantifier_factory(m)  # unknown names fail fast
+        # registry spelling; unknown names fail fast
+        self.methods = tuple(quantifier_factory(m).method for m in self.methods)
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"duplicate methods: {', '.join(self.methods)}")
 
     def desk(self) -> "ProtocolConfig":
         """A scaled-down copy: 2 repetitions, 5 samples per configuration."""
@@ -437,10 +438,6 @@ def _concept_draw(half, size, prevalence, cut, coords, ctx, master_seed, pools) 
     return Sample(binary.x, binary.labels)
 
 
-def _uniform_star_prevalence(cut: float) -> float:
-    return len([s for s in (1, 2, 3, 4, 5) if s > cut]) / 5.0
-
-
 # ---------------------------------------------------------------------------
 # cell plans: each protocol as a generator that yields each cell's training
 # draw, then the test samples scored against it
@@ -462,7 +459,6 @@ class _Test(NamedTuple):
     draw: Callable[..., Sample]
     config: str
     degree: float
-    nominal_prevalence: float
 
 
 def _grid(values: Sequence[float]) -> list[tuple[int, float, str]]:
@@ -487,7 +483,6 @@ def _prior_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
                                           f"{ctx} pU={f_pu} round={r}")),
                     f"pL={f_pl};pU={f_pu};r={r}",
                     degrees[i_pu],
-                    p_u,
                 )
 
 
@@ -512,7 +507,6 @@ def _global_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _T
                                     f"{proto} rep={rep} pU={f_pu} aU={f_au} round={r}"),
                             f"pL={f_pl};aL={f_al};pU={f_pu};aU={f_au};r={r}",
                             degrees[i_au],
-                            p_u,
                         )
 
 
@@ -552,7 +546,6 @@ def _local_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Te
                 partial(_local_shift_draw, base, drawn_base, positives),
                 f"pU={f_pu};arm=shift;r={r}",
                 degree,
-                p_u,
             )
             # control arm: same size and nominal prevalence, but drawn with the
             # training class-conditionals (positives 2/3 A, negatives 2/3 B)
@@ -563,7 +556,6 @@ def _local_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Te
                             f"{ctx} pU={f_pu} control={d}"),
                     f"pU={f_pu};arm=control;r={r};d={d}",
                     degree,
-                    p_u,
                 )
 
 
@@ -586,7 +578,6 @@ def _concept_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
                             f"{ctx} cU={f_cu} round={r}"),
                     f"cL={f_cl};cU={f_cu};r={r}",
                     degrees[i_cu],
-                    _uniform_star_prevalence(c_u) if p_u is None else p_u,
                 )
 
 
@@ -662,93 +653,63 @@ def _fit(cfg: ProtocolConfig, train: Sample, fit_seed: int):
     return score, aggregate
 
 
-def _repetition_worker(args) -> list[ExperimentRecord]:
+def _repetition_worker(args) -> RecordTable:
     """Walk the plan of one repetition: fit at each cell; draw and score at
     each test; estimate the tests of a cell together once it is complete.
 
     Only the scored tests of the current cell are held, as (config, degree,
-    true prevalence, scores); their records are emitted in plan order at the
-    next cell or at the end of the plan.  A dry run walks the same plan
-    without fitting or drawing and emits stub estimates at each test's
-    nominal prevalence as it goes, holding nothing.
+    true prevalence, scores); at the next cell or at the end of the plan they
+    become one table, a row per test and method in plan order.
     """
-    cfg, pools, rep, dry = args
-    records: list[ExperimentRecord] = []
+    cfg, pools, rep = args
+    tables: list[RecordTable] = []
     pending: list[tuple] = []
 
     def finish_cell():
         if not pending:
             return
-        estimates = aggregate([scores for *_, scores in pending])
-        records.extend([
-            ExperimentRecord(
-                protocol=cfg.protocol,
-                method=name,
-                repetition=rep,
-                config=config,
-                degree=degree,
-                true_prevalence=true_prevalence,
-                estimate=estimates[name][i],
-            )
-            for i, (config, degree, true_prevalence, _) in enumerate(pending)
-            for name in cfg.methods
-        ])
+        configs, degrees, true_prevs, scores = zip(*pending)
+        estimates = aggregate(scores)
+        k, n = len(cfg.methods), len(pending) * len(cfg.methods)
+        tables.append(RecordTable.from_estimates(
+            protocol=np.full(n, cfg.protocol, dtype=object),
+            method=np.tile(np.array(cfg.methods, dtype=object), len(pending)),
+            repetition=np.full(n, rep),
+            config=np.repeat(np.array(configs, dtype=object), k),
+            degree=np.repeat(degrees, k),
+            true_prev=np.repeat(true_prevs, k),
+            estimate=np.column_stack([estimates[name] for name in cfg.methods]).ravel(),
+        ))
         pending.clear()
 
     for step in _PLANS[cfg.protocol](cfg, rep):
         if isinstance(step, _Cell):
-            if not dry:
-                finish_cell()
-                score, aggregate = _fit(
-                    cfg,
-                    step.train(master_seed=cfg.master_seed, pools=pools),
-                    derive_seed(cfg.master_seed, *step.fit_coords),
-                )
-        elif not dry:
+            finish_cell()
+            score, aggregate = _fit(
+                cfg,
+                step.train(master_seed=cfg.master_seed, pools=pools),
+                derive_seed(cfg.master_seed, *step.fit_coords),
+            )
+        else:
             sample = step.draw(master_seed=cfg.master_seed, pools=pools)
             pending.append((step.config, step.degree, sample.true_prevalence, score(sample.x)))
-        else:
-            # built in place rather than through a shared helper: the dry
-            # run walks full-scale plans, and a call per test shows there
-            records += [
-                ExperimentRecord(
-                    protocol=cfg.protocol,
-                    method=name,
-                    repetition=rep,
-                    config=step.config,
-                    degree=step.degree,
-                    true_prevalence=step.nominal_prevalence,
-                    estimate=STUB_ESTIMATE,
-                )
-                for name in cfg.methods
-            ]
     finish_cell()
-    return records
+    return RecordTable.concat(tables)
 
 
-def run_protocol(
-    cfg: ProtocolConfig,
-    dataset=None,
-    dry_run: bool = False,
-    jobs: int = 1,
-) -> list[ExperimentRecord]:
-    """Run one protocol end to end and return its record stream.
+def run_protocol(cfg: ProtocolConfig, dataset, jobs: int = 1) -> RecordTable:
+    """Run one protocol end to end and return its records.
 
-    ``dry_run`` walks the full cell plan without touching data, fitting or
-    sampling, emitting stub estimates; it is how record-count identities are
-    checked cheaply.  With ``jobs`` > 1 repetitions run in separate
-    processes; the stream is merged in repetition order, so the output is
-    identical for any worker count.
+    With ``jobs`` > 1 repetitions run in separate processes, at most one per
+    repetition; their tables are concatenated in repetition order, so the
+    output is identical for any worker count.
     """
-    pools = None
-    if not dry_run:
-        if dataset is None:
-            raise ValueError("a dataset is required unless dry_run=True")
-        pools = _prepare_pools(cfg, dataset)
-    reps = list(range(cfg.repetitions))
-    if jobs <= 1 or len(reps) == 1:
-        chunks = [_repetition_worker((cfg, pools, rep, dry_run)) for rep in reps]
+    pools = _prepare_pools(cfg, dataset)
+    tasks = [(cfg, pools, rep) for rep in range(cfg.repetitions)]
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        tables = [_repetition_worker(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_repetition_worker, [(cfg, pools, rep, dry_run) for rep in reps]))
-    return [rec for chunk in chunks for rec in chunk]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            tables = list(pool.map(_repetition_worker, tasks))
+    return RecordTable.concat(tables)

@@ -20,11 +20,13 @@ from shiftbench.core import sample_at_prevalence, split_stratified
 from shiftbench.datagen import ClusterSpec, generate_mixture
 from shiftbench.evaluation import _exact_p, _normal_p, wilcoxon_signed_rank
 from shiftbench.protocols import (
+    _PLANS,
     CONCEPT,
     GLOBAL_COVARIATE,
     LOCAL_COVARIATE,
     PRIOR,
     ProtocolConfig,
+    _Test,
     run_protocol,
 )
 from shiftbench.quantifiers import (
@@ -59,6 +61,16 @@ def two_category_clusters(n, seed):
         ClusterSpec(mean=[-2.0, -1.25], variance=[1, 1], weight=0.25, label=0, category="A"),
         ClusterSpec(mean=[2.0, 0.75], variance=[1, 1], weight=0.25, label=1, category="B"),
         ClusterSpec(mean=[2.0, -0.75], variance=[1, 1], weight=0.25, label=0, category="B"),
+    ]
+    return generate_mixture(specs, n, seed=seed)
+
+
+def five_star_mixture(n, seed):
+    """One cluster per star rating, with mean s - 3 on the first axis."""
+    specs = [
+        ClusterSpec(mean=[s - 3.0, 0.0], variance=[1.0, 1.0], weight=0.2, stars=s,
+                    category="A" if s % 2 else "B")
+        for s in (1, 2, 3, 4, 5)
     ]
     return generate_mixture(specs, n, seed=seed)
 
@@ -282,7 +294,9 @@ def test_criterion_07_mixed_covariate_shift_favours_prior_adjustment(covariate_r
     )
 
 
-def test_criterion_08_record_count_identities_by_dry_run():
+def test_criterion_08_record_count_identities_by_plan_walk():
+    """Each test sample of the plan gives one record per method; the plans are
+    walked without drawing or fitting."""
     start = time.process_time()
     expected = {
         PRIOR: 60_500,
@@ -293,7 +307,12 @@ def test_criterion_08_record_count_identities_by_dry_run():
     counts = {}
     for protocol, want in expected.items():
         cfg = ProtocolConfig(protocol=protocol, methods=("MLPE",))
-        counts[protocol] = len(run_protocol(cfg, dry_run=True))
+        tests = sum(
+            isinstance(step, _Test)
+            for rep in range(cfg.repetitions)
+            for step in _PLANS[protocol](cfg, rep)
+        )
+        counts[protocol] = tests * len(cfg.methods)
     elapsed = time.process_time() - start
     check(
         "criterion 8: full-scale per-method record counts are "
@@ -397,3 +416,54 @@ def test_criterion_11_end_to_end_desk_runs_are_byte_identical(tmp_path):
                  "--desk"]) == 0
     identical = (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
     check("criterion 11: desk reruns produce byte-identical records.csv", identical)
+
+
+def test_criterion_12_prior_robust_methods_lose_under_local_covariate_shift():
+    """The paper's first finding: methods robust to prior shift are not robust
+    to other shifts.  Under local covariate shift the prior-adjusting methods
+    err at least twice as much on the shift arm as on its control arm, which
+    has the same prevalences but no covariate shift."""
+    start = time.process_time()
+    data = two_category_clusters(36_000, seed=17)
+    table = run_protocol(ProtocolConfig(protocol=LOCAL_COVARIATE, master_seed=5).desk(), data)
+    elapsed = time.process_time() - start
+    arm = np.array([config.split(";")[1] for config in table.config.tolist()])
+    far = np.abs(table.degree) >= 0.2
+    ratios = {}
+    for method in ("PACC", "DyS", "SLD"):
+        rows = far & (table.method == method)
+        shift = table.ae[rows & (arm == "arm=shift")].mean()
+        control = table.ae[rows & (arm == "arm=control")].mean()
+        ratios[method] = float(shift / control)
+    check(
+        "criterion 12: PACC, DyS and SLD err at least twice as much under local "
+        "covariate shift as on its control arm at |degree| >= 0.2",
+        min(ratios.values()) >= 2.0 and elapsed < 60.0,
+        f"shift/control MAE {dict((m, round(r, 2)) for m, r in ratios.items())}, "
+        f"{elapsed:.1f}s",
+    )
+
+
+def test_criterion_13_no_method_is_robust_to_concept_shift():
+    """The paper's second finding: no method is robust to every shift.  Under
+    concept shift every method's error grows with the shift of the cut point."""
+    start = time.process_time()
+    data = five_star_mixture(40_000, seed=3)
+    cfg = ProtocolConfig(protocol=CONCEPT, master_seed=5, methods=METHOD_NAMES).desk()
+    table = run_protocol(cfg, data)
+    elapsed = time.process_time() - start
+    magnitude = np.abs(table.degree)
+    mae = {
+        method: [float(table.ae[(table.method == method) & (magnitude == d)].mean())
+                 for d in (0.0, 1.0, 2.0, 3.0)]
+        for method in cfg.methods
+    }
+    rising = all(a < b for curve in mae.values() for a, b in zip(curve, curve[1:]))
+    worst_at_3 = min(curve[-1] for curve in mae.values())
+    check(
+        "criterion 13: every method's MAE rises over |degree| 0-3 under concept "
+        "shift and exceeds 0.4 at 3",
+        rising and worst_at_3 > 0.4 and elapsed < 60.0,
+        f"MAE at |degree| 0..3 {dict((m, [round(v, 3) for v in c]) for m, c in mae.items())}, "
+        f"{elapsed:.1f}s",
+    )

@@ -116,6 +116,30 @@ class TestRun:
         records = read_records_csv(out / "records.csv")
         assert {r.method for r in records} == {"CC"}
 
+    def test_methods_flag_takes_registry_spelling(self, tmp_path, run_config):
+        out = tmp_path / "m"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out),
+                     "--methods", "cc,PCC"]) == 0
+        records = read_records_csv(out / "records.csv")
+        assert sorted(set(records.method.tolist())) == ["CC", "PCC"]
+        assert json.loads((out / "manifest.json").read_text())["methods"] == ["CC", "PCC"]
+
+    @pytest.mark.parametrize("methods", ["CC,CC", "cc,CC"])
+    def test_duplicate_methods_exit_2(self, tmp_path, run_config, capsys, methods):
+        out = tmp_path / "m"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out),
+                     "--methods", methods]) == 2
+        assert "duplicate methods" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, tmp_path, run_config, capsys, jobs):
+        out = tmp_path / "j"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out),
+                     "--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     def test_missing_dataset_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"train_size": 100}))

@@ -216,7 +216,7 @@ class TestRecords:
             for d, e, r in [(0.0, 0.25, 0), (-0.5, 1 / 3, 1)]
         ]
         path = tmp_path / "records.csv"
-        assert write_records_csv(recs, path) == len(recs)
+        assert write_records_csv(RecordTable.from_records(recs), path) == len(recs)
         loaded = read_records_csv(path)
         assert list(loaded) == recs
 
@@ -224,7 +224,7 @@ class TestRecords:
         recs = [record(config=c, rep=r)
                 for r, c in enumerate(['pL=0.5,"x"', "a\nb", ' spaced, "#" '])]
         path = tmp_path / "records.csv"
-        write_records_csv(recs, path)
+        write_records_csv(RecordTable.from_records(recs), path)
         assert list(read_records_csv(path)) == recs
 
     def test_table_is_a_read_only_sequence_of_records(self):
@@ -235,6 +235,25 @@ class TestRecords:
         assert table.ae.tolist() == [r.ae for r in recs]
         with pytest.raises(ValueError):
             table.ae[0] = 0.0
+
+    def test_concat_keeps_row_order(self):
+        recs = [record(method=m, rep=r, est=e) for m, r, e in [("CC", 0, 0.1), ("SLD", 1, 0.9)]]
+        tables = [RecordTable.from_records(recs[:1]), RecordTable.from_records(recs[1:])]
+        assert list(RecordTable.concat(tables)) == recs
+        empty = RecordTable.concat([])
+        assert len(empty) == 0 and empty.repetition.dtype == np.int64
+
+    def test_from_estimates_computes_ae(self):
+        table = RecordTable.from_estimates(
+            protocol=["prior"] * 2, method=["CC", "SLD"], repetition=[0, 0],
+            config=["r=0"] * 2, degree=[0.5, 0.5], true_prev=[0.7, 0.7], estimate=[0.2, 1.0],
+        )
+        assert table.ae.tolist() == [abs(0.7 - 0.2), abs(0.7 - 1.0)]
+        with pytest.raises(ValueError, match=r"estimate out of \[0, 1\]: 1.5"):
+            RecordTable.from_estimates(
+                protocol=["prior"], method=["CC"], repetition=[0], config=["r=0"],
+                degree=[0.0], true_prev=[0.5], estimate=[1.5],
+            )
 
     def test_csv_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bogus.csv"

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftbench.evaluation import read_records_csv, write_records_csv
+from shiftbench.evaluation import RecordTable, read_records_csv, write_records_csv
 from shiftbench.protocols import CONCEPT, PROTOCOLS, run_protocol
 from shiftbench.quantifiers import METHOD_NAMES
 from test_protocols import binary_ab_dataset, star_dataset, tiny_config
@@ -38,4 +38,5 @@ def test_records_match_golden_file():
 
 
 if __name__ == "__main__":
-    print(f"wrote {write_records_csv(golden_run(), GOLDEN)} records to {GOLDEN}")
+    print(f"wrote {write_records_csv(RecordTable.from_records(golden_run()), GOLDEN)} "
+          f"records to {GOLDEN}")

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from shiftbench.datagen import filter_reviews, reviews_to_dataset
-from shiftbench.evaluation import read_records_csv, write_records_csv
+from shiftbench.evaluation import RecordTable, read_records_csv, write_records_csv
 from shiftbench.protocols import PROTOCOLS, run_protocol
 from shiftbench.quantifiers import METHOD_NAMES
 from test_protocols import tiny_config
@@ -67,4 +67,5 @@ def test_two_workers_match_one_worker(one_worker_run):
 
 
 if __name__ == "__main__":
-    print(f"wrote {write_records_csv(golden_run(), GOLDEN)} records to {GOLDEN}")
+    print(f"wrote {write_records_csv(RecordTable.from_records(golden_run()), GOLDEN)} "
+          f"records to {GOLDEN}")

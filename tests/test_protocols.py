@@ -3,20 +3,24 @@
 import numpy as np
 import pytest
 
+from shiftbench import protocols
 from shiftbench.core import PoolExhaustionError
 from shiftbench.datagen import ClusterSpec, generate_mixture
 from shiftbench.protocols import (
+    _PLANS,
     CONCEPT,
     GLOBAL_COVARIATE,
     LOCAL_COVARIATE,
     PRIOR,
     ProtocolConfig,
     _local_positive_count,
+    _Test,
     count_records,
     count_records_per_method,
     exact_ceil,
     run_protocol,
 )
+from shiftbench.quantifiers import MLPE
 
 
 def binary_ab_dataset(n=6000, seed=0):
@@ -65,6 +69,16 @@ def tiny_config(protocol, **overrides):
     return ProtocolConfig(**defaults)
 
 
+def plan_tests(cfg):
+    """The test samples of every repetition's plan, walked without drawing."""
+    return [
+        step
+        for rep in range(cfg.repetitions)
+        for step in _PLANS[cfg.protocol](cfg, rep)
+        if isinstance(step, _Test)
+    ]
+
+
 class TestCountIdentities:
     def test_full_scale_closed_forms(self):
         expected = {
@@ -77,15 +91,10 @@ class TestCountIdentities:
             cfg = ProtocolConfig(protocol=protocol, methods=("CC",))
             assert count_records_per_method(cfg) == n
 
-    def test_dry_run_matches_closed_form_any_config(self):
+    def test_plan_walk_matches_closed_form_any_config(self):
         for protocol in (PRIOR, GLOBAL_COVARIATE, LOCAL_COVARIATE, CONCEPT):
             cfg = tiny_config(protocol)
-            records = run_protocol(cfg, dry_run=True)
-            assert len(records) == count_records(cfg)
-            per_method = {m: 0 for m in cfg.methods}
-            for r in records:
-                per_method[r.method] += 1
-            assert set(per_method.values()) == {count_records_per_method(cfg)}
+            assert len(plan_tests(cfg)) == count_records_per_method(cfg)
 
     def test_desk_preset_scales_counts(self):
         cfg = ProtocolConfig(protocol=PRIOR, methods=("CC",)).desk()
@@ -96,37 +105,44 @@ class TestCountIdentities:
         cfg = tiny_config(PRIOR)
         records = run_protocol(cfg, binary_ab_dataset())
         assert len(records) == count_records(cfg)
+        methods, counts = np.unique(records.method, return_counts=True)
+        assert methods.tolist() == sorted(cfg.methods)
+        assert set(counts.tolist()) == {count_records_per_method(cfg)}
+
+    def test_rows_follow_plan_order_with_methods_innermost(self):
+        cfg = tiny_config(LOCAL_COVARIATE)
+        records = run_protocol(cfg, binary_ab_dataset())
+        tests = plan_tests(cfg)
+        k = len(cfg.methods)
+        assert records.method.tolist() == list(cfg.methods) * len(tests)
+        assert records.config.tolist() == [t.config for t in tests for _ in range(k)]
+        assert records.degree.tolist() == [t.degree for t in tests for _ in range(k)]
+        assert (records.ae == np.abs(records.true_prev - records.estimate)).all()
 
 
 class TestDegreeConventions:
     def test_prior_degree_rounded_one_decimal(self):
         cfg = tiny_config(PRIOR, prior_train_prevalences=(0.02, 0.5),
                           prior_test_prevalences=(0.0, 0.5, 1.0))
-        records = run_protocol(cfg, dry_run=True)
-        degrees = {r.degree for r in records}
+        degrees = {t.degree for t in plan_tests(cfg)}
         # 0.0-0.02 rounds to -0.0 which must normalise to +0.0
         assert degrees == {-0.5, 0.0, 0.5, 1.0}
         assert all(str(d) != "-0.0" for d in degrees)
 
     def test_covariate_degree_is_train_minus_test_mixture(self):
         cfg = tiny_config(GLOBAL_COVARIATE, covariate_mixtures=(0.0, 1.0))
-        records = run_protocol(cfg, dry_run=True)
-        by_cfg = {}
-        for r in records:
-            by_cfg[r.config] = r.degree
+        by_cfg = {t.config: t.degree for t in plan_tests(cfg)}
         assert by_cfg["pL=0.25;aL=1;pU=0.25;aU=0;r=0"] == 1.0
         assert by_cfg["pL=0.25;aL=0;pU=0.25;aU=1;r=0"] == -1.0
 
     def test_local_degree_two_decimals(self):
         cfg = tiny_config(LOCAL_COVARIATE,
                           local_test_prevalences=(0.25, 0.35, 0.75))
-        records = run_protocol(cfg, dry_run=True)
-        assert {r.degree for r in records} == {-0.25, -0.15, 0.25}
+        assert {t.degree for t in plan_tests(cfg)} == {-0.25, -0.15, 0.25}
 
     def test_concept_degree_integer_valued(self):
         cfg = tiny_config(CONCEPT)
-        records = run_protocol(cfg, dry_run=True)
-        degrees = {r.degree for r in records}
+        degrees = {t.degree for t in plan_tests(cfg)}
         assert degrees == {-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0}
 
 
@@ -198,18 +214,46 @@ class TestDeterminismAndParallelism:
     def test_same_seed_same_records(self):
         cfg = tiny_config(PRIOR)
         data = binary_ab_dataset()
-        assert run_protocol(cfg, data) == run_protocol(cfg, data)
+        assert list(run_protocol(cfg, data)) == list(run_protocol(cfg, data))
 
     def test_different_seed_different_records(self):
         data = binary_ab_dataset()
         a = run_protocol(tiny_config(PRIOR), data)
         b = run_protocol(tiny_config(PRIOR, master_seed=8), data)
-        assert a != b
+        assert list(a) != list(b)
 
     def test_worker_count_does_not_change_stream(self):
         cfg = tiny_config(PRIOR, repetitions=2)
         data = binary_ab_dataset()
-        assert run_protocol(cfg, data, jobs=1) == run_protocol(cfg, data, jobs=2)
+        assert list(run_protocol(cfg, data, jobs=1)) == list(run_protocol(cfg, data, jobs=2))
+
+    @pytest.mark.parametrize("jobs, repetitions, workers", [(8, 2, 2), (2, 3, 2), (1, 3, None)])
+    def test_pool_has_at_most_one_worker_per_repetition(
+        self, monkeypatch, jobs, repetitions, workers
+    ):
+        started = []
+
+        class SerialPool:
+            """Records the worker count it is asked for and maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(protocols, "ProcessPoolExecutor", SerialPool)
+        cfg = tiny_config(PRIOR, repetitions=repetitions, prior_train_prevalences=(0.5,),
+                          prior_test_prevalences=(0.5,), samples_per_config=1)
+        records = run_protocol(cfg, binary_ab_dataset(), jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert len(records) == count_records(cfg)
 
 
 class TestValidationAndErrors:
@@ -221,11 +265,24 @@ class TestValidationAndErrors:
         with pytest.raises(ValueError):
             ProtocolConfig(protocol="sideways")
 
-    def test_dry_run_needs_no_dataset_but_real_run_does(self):
-        cfg = tiny_config(PRIOR)
-        assert run_protocol(cfg, dry_run=True)
-        with pytest.raises(ValueError):
-            run_protocol(cfg, dataset=None)
+    def test_run_needs_a_dataset(self):
+        with pytest.raises(TypeError, match="dataset"):
+            run_protocol(tiny_config(PRIOR), None)
+
+    def test_method_names_take_registry_spelling(self):
+        cfg = tiny_config(PRIOR, methods=("cc", "pcc", "dys", "Sld"))
+        assert cfg.methods == ("CC", "PCC", "DyS", "SLD")
+
+    @pytest.mark.parametrize("methods", [("CC", "CC"), ("cc", "CC"), ("PCC", "SLD", "pcc")])
+    def test_duplicate_methods_rejected(self, methods):
+        with pytest.raises(ValueError, match="duplicate methods"):
+            tiny_config(PRIOR, methods=methods)
+
+    def test_estimate_outside_unit_interval_fails_the_run(self, monkeypatch):
+        monkeypatch.setattr(MLPE, "aggregate",
+                            lambda self, posteriors: float("nan"))
+        with pytest.raises(ValueError, match="estimate out of \\[0, 1\\]: nan"):
+            run_protocol(tiny_config(PRIOR, methods=("MLPE",)), binary_ab_dataset())
 
     def test_exhaustion_error_names_configuration(self):
         cfg = tiny_config(PRIOR, train_size=280, prior_train_prevalences=(0.98,))

@@ -1,0 +1,124 @@
+"""``write_records_csv`` of a table writes the bytes the row-by-row writer wrote.
+
+The oracle, ``oracle_write_records_csv``, is the earlier writer copied
+verbatim: it took a list of :class:`ExperimentRecord` and wrote each through
+the record's own ``csv_row`` (copied here as ``oracle_csv_row``).  The table
+writer must match it byte for byte on any valid rows, including configs with
+commas, quotes and line breaks and floats such as ±0.0, subnormals and 1/3.
+Building a table from estimates must reject the rows the old records
+rejected: a NaN or out-of-range prevalence.
+"""
+
+import csv
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from shiftbench.evaluation import (
+    CSV_HEADER,
+    ExperimentRecord,
+    RecordTable,
+    write_records_csv,
+)
+
+property_settings = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def oracle_csv_row(self) -> list[str]:
+    return [
+        self.protocol,
+        self.method,
+        str(self.repetition),
+        self.config,
+        repr(self.degree),
+        repr(self.true_prevalence),
+        repr(self.estimate),
+        repr(self.ae),
+    ]
+
+
+def oracle_write_records_csv(records, path) -> int:
+    """Write records as UTF-8 CSV with LF line endings; returns the row count."""
+    n = 0
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for rec in records:
+            writer.writerow(oracle_csv_row(rec))
+            n += 1
+    return n
+
+
+SUBNORMALS = (5e-324, 2.2250738585072009e-308, 1e-310)
+EDGE_PREVALENCES = (0.0, -0.0, 1.0, 1 / 3, 2 / 3, 0.1, 1 - 2**-53, *SUBNORMALS)
+
+# any encodable text, plus the characters CSV must quote
+texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+configs = st.one_of(
+    texts,
+    st.lists(st.sampled_from([",", '"', "\n", "\r\n", "\r", " ", "pL=0.5", ";", "#"]),
+             max_size=6).map("".join),
+)
+prevalences = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_PREVALENCES))
+degrees = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((0.0, -0.0, -1.0, 0.25, 1 / 3, -2.0, *SUBNORMALS)),
+)
+rows = st.tuples(
+    st.sampled_from(["prior", "global_covariate", "local_covariate", "concept"]),
+    st.one_of(st.sampled_from(["CC", "DyS", "SLD"]), texts),
+    st.integers(-(2**63), 2**63 - 1),
+    configs,
+    degrees,
+    prevalences,
+    prevalences,
+)
+
+
+def table_of(rows) -> RecordTable:
+    columns = list(zip(*rows)) or [[]] * 7
+    names = ("protocol", "method", "repetition", "config", "degree", "true_prev", "estimate")
+    return RecordTable.from_estimates(**dict(zip(names, columns)))
+
+
+@property_settings
+@given(rows=st.lists(rows, max_size=30))
+def test_table_writer_matches_row_writer(tmp_path, rows):
+    ours, oracle = tmp_path / "table.csv", tmp_path / "rows.csv"
+    table = table_of(rows)
+    records = [ExperimentRecord(*row) for row in rows]
+    assert write_records_csv(table, ours) == oracle_write_records_csv(records, oracle) == len(rows)
+    assert ours.read_bytes() == oracle.read_bytes()
+
+
+out_of_range = st.one_of(
+    st.floats(max_value=-1e-300),
+    st.floats(min_value=1.0, exclude_min=True),
+    st.sampled_from([math.nan, -math.inf, math.inf, -5e-324, 1 + 2**-52]),
+)
+
+
+@property_settings
+@given(rows=st.lists(rows, min_size=1, max_size=10), data=st.data())
+def test_bad_prevalence_rejected_like_a_record(rows, data):
+    bad = data.draw(out_of_range)
+    at = data.draw(st.integers(0, len(rows) - 1))
+    field = data.draw(st.sampled_from([5, 6]))  # true prevalence or estimate
+    row = list(rows[at])
+    row[field] = bad
+    rows = rows[:at] + [tuple(row)] + rows[at + 1:]
+    with pytest.raises(ValueError) as record_error:
+        ExperimentRecord(*row)
+    with pytest.raises(ValueError) as table_error:
+        table_of(rows)
+    assert str(table_error.value) == str(record_error.value)
+
+
+@pytest.mark.parametrize("degree", [math.nan, math.inf, -math.inf])
+def test_non_finite_degree_rejected(degree):
+    with pytest.raises(ValueError, match="non-finite degree"):
+        table_of([("prior", "CC", 0, "r=0", degree, 0.5, 0.5)])
