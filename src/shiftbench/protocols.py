@@ -1,4 +1,4 @@
-"""The four experiment generators: streams of per-sample evaluation records.
+"""The four shift protocols, as plans of draws, and the executor that runs them.
 
 Protocols
 ---------
@@ -16,35 +16,33 @@ Degree conventions: prior uses (p_U - p_L) rounded to one decimal; global
 covariate uses (alpha_L - alpha_U); local covariate uses (p_U - p_L) rounded
 to two decimals; concept uses the integer (c_L - c_U).
 
-Each protocol is data: a cell plan, a generator walked lazily per
-repetition.  It yields a cell -- one training draw and the seed coordinates
-of the fit on it -- followed by the tests scored against that fit.  A test
-carries its config string and shift degree, plus a deferred draw whose spec
-holds the pool, sizes and seed coordinates that fix the sample.  One
-executor, ``_repetition_worker``, walks the plan of one repetition.  At each
-cell it fits every method on the training draw, with one classifier per
-distinct set of classifier hyperparameters (one in the default config).  At
-each test it draws the sample and scores it once per classifier.  Once a
-cell's tests are scored, each method estimates them all in one
-``aggregate_many`` call, and the executor turns the cell into one
-:class:`RecordTable`: a row per test and method, in plan order.  A run's
-table is its repetitions' tables, concatenated in repetition order.
+A sample is data: a tuple of parts, each naming a pool, a prevalence, a
+size, its seed coordinates and an error context; ``_draw`` draws and merges
+them.  A protocol's plan yields, per repetition, a cell (the training parts
+and the seed coordinates of the fit on them) and then the tests scored
+against that fit (parts, config string, degree).  Prior, global-covariate
+and concept share one crossed-grid plan over named axes; local-covariate
+has its own plan of shift and control arms.
 
-Repetitions are independent: every draw's seed is derived from the master
-seed and the draw's structural coordinates, so runs are bit-reproducible for
-any worker count.  ``run_protocol(cfg, dataset, jobs)`` runs them in at most
-``min(jobs, repetitions)`` pool workers, each returning its repetition's
-table.
+One executor, ``_repetition_worker``, walks the plan of one repetition.  At
+each cell it fits every method on the training draw, with one classifier per
+distinct set of classifier hyperparameters.  At each test it draws the
+sample and scores it once per classifier.  Once a cell's tests are scored,
+each method estimates them all in one ``aggregate_many`` call, and the cell
+becomes one :class:`RecordTable`, a row per test and method in plan order.
+Every seed derives from the master seed, so ``run_protocol(cfg, dataset,
+jobs)`` writes the same table for any number of pool workers.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,7 +63,13 @@ from .core import (
 )
 from .datagen import count_terms, fit_vocabulary, vectorise
 from .evaluation import RecordTable
-from .quantifiers import BENCHMARK_METHODS, Quantifier, fit_evidence, quantifier_factory
+from .quantifiers import (
+    BENCHMARK_METHODS,
+    Quantifier,
+    fit_evidence,
+    method_class,
+    quantifier_factory,
+)
 from .seeds import derive_seed
 
 PRIOR = "prior"
@@ -133,7 +137,7 @@ class ProtocolConfig:
         if not self.methods:
             raise ValueError("at least one method is required")
         # registry spelling; unknown names fail fast
-        self.methods = tuple(quantifier_factory(m).method for m in self.methods)
+        self.methods = tuple(method_class(m).method for m in self.methods)
         if len(set(self.methods)) != len(self.methods):
             raise ValueError(f"duplicate methods: {', '.join(self.methods)}")
 
@@ -181,6 +185,8 @@ def count_records(cfg: ProtocolConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+# plans ask for the same few (fraction, size) pairs once per test
+@functools.lru_cache(maxsize=1024)
 def exact_ceil(fraction_value: float, n: int) -> int:
     """ceil(fraction_value * n) treating the float as the nearest simple rational.
 
@@ -211,15 +217,6 @@ def merge_samples(parts: Sequence[Sample]) -> Sample:
     return Sample(x, np.concatenate([p.labels for p in parts]))
 
 
-def _draw(pool: Pool, prevalence: float, size: int, seed: int, ctx: str) -> Sample:
-    try:
-        return sample_at_prevalence(pool, prevalence, size, seed)
-    except PoolExhaustionError as exc:
-        raise PoolExhaustionError(
-            f"{exc.label_name} [{ctx}]", exc.requested, exc.available
-        ) from None
-
-
 def _featurise_train(x):
     """Returns (training features, featuriser for later samples).
 
@@ -245,6 +242,9 @@ def _ensure_binary(dataset, cut_point: float) -> BinaryDataset:
     raise TypeError(f"expected a star or binary dataset, got {type(dataset).__name__}")
 
 
+_STARS = (1, 2, 3, 4, 5)
+
+
 @dataclass(frozen=True)
 class _StarHalf:
     """One half of the star-balanced dataset, with its item indices by star."""
@@ -268,21 +268,6 @@ def _prepare_pools(cfg: ProtocolConfig, dataset) -> dict:
     Texts are tokenised here, once per run: each document the pools hold
     becomes a row of term counts, and draws take rows of those counts."""
     seed = derive_seed(cfg.master_seed, cfg.protocol, "split")
-    if cfg.protocol == PRIOR:
-        binary = _counted(_ensure_binary(dataset, cfg.cut_point))
-        return dict(zip(("train", "test"), split_stratified(binary, cfg.split_fraction, seed)))
-    if cfg.protocol in (GLOBAL_COVARIATE, LOCAL_COVARIATE):
-        binary = _counted(_ensure_binary(dataset, cfg.cut_point))
-        if binary.category is None:
-            raise ValueError(f"the {cfg.protocol} protocol needs category tags")
-        pools = {}
-        for cat in ("A", "B"):
-            subset = binary.take(np.flatnonzero(binary.category == cat))
-            if len(subset) == 0:
-                raise ValueError(f"no datapoints in category {cat}")
-            split = split_stratified(subset, cfg.split_fraction, derive_seed(seed, cat))
-            pools.update(zip((f"train_{cat.lower()}", f"test_{cat.lower()}"), split))
-        return pools
     if cfg.protocol == CONCEPT:
         if not isinstance(dataset, StarDataset):
             raise TypeError("the concept protocol needs star-labelled data")
@@ -291,13 +276,25 @@ def _prepare_pools(cfg: ProtocolConfig, dataset) -> dict:
             balanced.stars, cfg.split_fraction, derive_seed(seed, "halves")
         )
         return {name: _make_half(balanced, idx) for name, idx in zip(("train", "test"), halves)}
-    raise ValueError(f"unknown protocol {cfg.protocol!r}")
+    binary = _counted(_ensure_binary(dataset, cfg.cut_point))
+    if cfg.protocol == PRIOR:
+        return dict(zip(("train", "test"), split_stratified(binary, cfg.split_fraction, seed)))
+    if binary.category is None:
+        raise ValueError(f"the {cfg.protocol} protocol needs category tags")
+    pools = {}
+    for cat in ("A", "B"):
+        subset = binary.take(np.flatnonzero(binary.category == cat))
+        if len(subset) == 0:
+            raise ValueError(f"no datapoints in category {cat}")
+        split = split_stratified(subset, cfg.split_fraction, derive_seed(seed, cat))
+        pools.update(zip((f"train_{cat.lower()}", f"test_{cat.lower()}"), split))
+    return pools
 
 
 def _balance_stars(dataset: StarDataset, seed: int) -> StarDataset:
     """The largest subset with a uniform star distribution (seeded draw)."""
     rng = np.random.default_rng(seed)
-    counts = {s: np.flatnonzero(dataset.stars == s) for s in (1, 2, 3, 4, 5)}
+    counts = {s: np.flatnonzero(dataset.stars == s) for s in _STARS}
     smallest = min(len(idx) for idx in counts.values())
     if smallest == 0:
         missing = [s for s, idx in counts.items() if len(idx) == 0]
@@ -310,51 +307,62 @@ def _balance_stars(dataset: StarDataset, seed: int) -> StarDataset:
 
 def _make_half(dataset: StarDataset, indices: np.ndarray) -> _StarHalf:
     subset = dataset.take(indices)
-    return _StarHalf(subset, {s: np.flatnonzero(subset.stars == s) for s in (1, 2, 3, 4, 5)})
+    return _StarHalf(subset, {s: np.flatnonzero(subset.stars == s) for s in _STARS})
 
 
 # ---------------------------------------------------------------------------
-# draws: each takes its spec, then the master seed and the pools by keyword;
-# seeds derive from the master seed and the spec's seed coordinates
+# draws as data: a sample is a tuple of parts, drawn and merged by ``_draw``
 # ---------------------------------------------------------------------------
 
 
-def _draw_each(parts, master_seed: int, pools) -> list[Sample]:
-    """Draw each (pool name, prevalence, size, seed coordinates, context) part."""
-    return [
-        _draw(pools[pool], prevalence, size, derive_seed(master_seed, *coords), ctx)
-        for pool, prevalence, size, coords, ctx in parts
-    ]
+class _Part(NamedTuple):
+    """One part of a sample: ``size`` items from the pool named ``pool`` at
+    positive ``prevalence``.
+
+    The seed is the master seed hashed with each tuple of ``seed_path`` in
+    turn.  A star-half part (``cut`` set) draws by star -- evenly over the
+    five stars when ``prevalence`` is None, else at that forced positive
+    prevalence -- and binarises at ``cut``.  ``ctx`` names the draw in
+    pool-exhaustion errors.
+    """
+
+    pool: str
+    prevalence: float | None
+    size: int
+    seed_path: tuple[tuple, ...]
+    ctx: str
+    cut: float | None = None
 
 
-def _draw_parts(*parts, master_seed: int, pools) -> Sample:
+def _draw(parts: Sequence[_Part], master_seed: int, pools) -> Sample:
     """Draw each part and merge them."""
-    samples = _draw_each(parts, master_seed, pools)
+    samples = []
+    for part in parts:
+        seed = master_seed
+        for coords in part.seed_path:
+            seed = derive_seed(seed, *coords)
+        pool = pools[part.pool]
+        try:
+            if part.cut is None:
+                samples.append(sample_at_prevalence(pool, part.prevalence, part.size, seed))
+            else:
+                samples.append(_star_sample(pool, part.prevalence, part.size, part.cut, seed))
+        except PoolExhaustionError as exc:
+            raise PoolExhaustionError(
+                f"{exc.label_name} [{part.ctx}]", exc.requested, exc.available
+            ) from None
     return samples[0] if len(samples) == 1 else merge_samples(samples)
 
 
-def _local_shift_draw(base, drawn_base: list, positives, master_seed, pools) -> Sample:
-    """The round's base mixture plus the added positives of category A.
-
-    The shift tests of one round share ``drawn_base``; the first fills it, so
-    the base parts are drawn once per round."""
-    if not drawn_base:
-        drawn_base += _draw_each(base, master_seed, pools)
-    return merge_samples(drawn_base + _draw_each(positives, master_seed, pools))
-
-
-def _covariate_pair(side, prevalence, alpha, total, coords, ctx, master_seed, pools) -> Sample:
-    """Draw size ceil(alpha*total) from A and the complement from B, both at
-    the same class prevalence."""
-    seed = derive_seed(master_seed, *coords)
-    n_a = exact_ceil(alpha, total)
-    n_b = total - n_a
-    parts = []
-    if n_a:
-        parts.append(_draw(pools[f"{side}_a"], prevalence, n_a, derive_seed(seed, "A"), ctx))
-    if n_b:
-        parts.append(_draw(pools[f"{side}_b"], prevalence, n_b, derive_seed(seed, "B"), ctx))
-    return merge_samples(parts)
+def _covariate_parts(side, prevalence, alpha, size, coords, ctx) -> tuple[_Part, ...]:
+    """ceil(alpha*size) items from category A and the rest from B, both at the
+    same class prevalence."""
+    n_a = exact_ceil(alpha, size)
+    return tuple(
+        _Part(f"{side}_{cat.lower()}", prevalence, n, (coords, (cat,)), ctx)
+        for cat, n in (("A", n_a), ("B", size - n_a))
+        if n
+    )
 
 
 def _local_positive_count(cfg, p_u: float) -> int:
@@ -372,25 +380,23 @@ def _local_positive_count(cfg, p_u: float) -> int:
     return max(0, round_half_up(pos))
 
 
-def _control_draw(p_u, size, coords, ctx, master_seed, pools) -> Sample:
-    """A class-conditional-preserving draw at the requested prevalence."""
-    seed = derive_seed(master_seed, *coords)
+def _control_parts(p_u, size, coords, ctx) -> tuple[_Part, ...]:
+    """A class-conditional-preserving draw at the requested prevalence:
+    positives 2/3 from A, negatives 2/3 from B."""
     n_pos = round_half_up(p_u * size)
     n_neg = size - n_pos
     pos_a = round_half_up(2.0 * n_pos / 3.0)
-    pos_b = n_pos - pos_a
     neg_a = round_half_up(n_neg / 3.0)
-    neg_b = n_neg - neg_a
-    parts = []
-    for pool, prevalence, count, tag in (
-        (pools["test_a"], 1.0, pos_a, "posA"),
-        (pools["test_b"], 1.0, pos_b, "posB"),
-        (pools["test_a"], 0.0, neg_a, "negA"),
-        (pools["test_b"], 0.0, neg_b, "negB"),
-    ):
-        if count:
-            parts.append(_draw(pool, prevalence, count, derive_seed(seed, tag), ctx))
-    return merge_samples(parts)
+    return tuple(
+        _Part(pool, prevalence, n, (coords, (tag,)), ctx)
+        for pool, prevalence, n, tag in (
+            ("test_a", 1.0, pos_a, "posA"),
+            ("test_b", 1.0, n_pos - pos_a, "posB"),
+            ("test_a", 0.0, neg_a, "negA"),
+            ("test_b", 0.0, n_neg - neg_a, "negB"),
+        )
+        if n
+    )
 
 
 def _star_allocation(size: int, stars: Sequence[int]) -> dict[int, int]:
@@ -399,7 +405,18 @@ def _star_allocation(size: int, stars: Sequence[int]) -> dict[int, int]:
     return {s: base + (1 if i < rem else 0) for i, s in enumerate(sorted(stars))}
 
 
-def _draw_stars(half: _StarHalf, allocation: dict[int, int], seed: int, ctx: str) -> StarDataset:
+def _star_sample(half: _StarHalf, prevalence, size: int, cut: float, seed: int) -> Sample:
+    """Star-rated items from one half, binarised at ``cut``: evenly over the
+    stars, or with a share ``prevalence`` spread over the stars above ``cut``
+    and the rest over the stars below it."""
+    if prevalence is None:
+        allocation = _star_allocation(size, _STARS)
+    else:
+        n_pos = round_half_up(prevalence * size)
+        allocation = {
+            **_star_allocation(n_pos, [s for s in _STARS if s > cut]),
+            **_star_allocation(size - n_pos, [s for s in _STARS if s < cut]),
+        }
     rng = np.random.default_rng(seed)
     chosen = []
     for s in sorted(allocation):
@@ -408,39 +425,17 @@ def _draw_stars(half: _StarHalf, allocation: dict[int, int], seed: int, ctx: str
             continue
         available = half.by_star[s]
         if want > len(available):
-            raise PoolExhaustionError(f"{s}-star [{ctx}]", want, len(available))
+            raise PoolExhaustionError(f"{s}-star", want, len(available))
         chosen.append(rng.choice(available, want, replace=False))
     idx = np.concatenate(chosen)
     rng.shuffle(idx)
-    return half.dataset.take(idx)
-
-
-def _forced_allocation(size: int, prevalence: float, cut: float) -> dict[int, int]:
-    """Star allocation hitting a forced binary prevalence at this cut point."""
-    pos_stars = [s for s in (1, 2, 3, 4, 5) if s > cut]
-    neg_stars = [s for s in (1, 2, 3, 4, 5) if s < cut]
-    n_pos = round_half_up(prevalence * size)
-    alloc = _star_allocation(n_pos, pos_stars)
-    alloc.update(_star_allocation(size - n_pos, neg_stars))
-    return alloc
-
-
-def _concept_draw(half, size, prevalence, cut, coords, ctx, master_seed, pools) -> Sample:
-    """Star-rated items from one half, binarised at ``cut``: uniform over the
-    stars, or at a forced positive ``prevalence``."""
-    alloc = (
-        _star_allocation(size, (1, 2, 3, 4, 5))
-        if prevalence is None
-        else _forced_allocation(size, prevalence, cut)
-    )
-    stars = _draw_stars(pools[half], alloc, derive_seed(master_seed, *coords), ctx)
-    binary = binarise_dataset(stars, cut)
+    binary = binarise_dataset(half.dataset.take(idx), cut)
     return Sample(binary.x, binary.labels)
 
 
 # ---------------------------------------------------------------------------
 # cell plans: each protocol as a generator that yields each cell's training
-# draw, then the test samples scored against it
+# parts, then the parts of the test samples scored against it
 # ---------------------------------------------------------------------------
 
 
@@ -448,80 +443,96 @@ class _Cell(NamedTuple):
     """One training draw and the seed coordinates of the fit on it; the tests
     that follow it in the plan are scored against that fit."""
 
-    train: Callable[..., Sample]
+    parts: tuple[_Part, ...]
     fit_coords: tuple
 
 
 class _Test(NamedTuple):
-    """One test sample: ``draw(master_seed=..., pools=...)`` draws it; the rest
-    labels its records."""
+    """One test sample: ``parts`` fix its draw; the rest labels its records."""
 
-    draw: Callable[..., Sample]
+    parts: tuple[_Part, ...]
     config: str
     degree: float
 
 
-def _grid(values: Sequence[float]) -> list[tuple[int, float, str]]:
-    """(index, value, value as written in config strings) for each grid point."""
-    return [(i, v, format(v, "g")) for i, v in enumerate(values)]
+def _points(axes) -> list[tuple]:
+    """(indices, values, context label, config label) of each point of the
+    product of named axes, given as (name, values) pairs."""
+    named = [[(i, v, f"{name}={v:g}") for i, v in enumerate(values)] for name, values in axes]
+    return [
+        (indices, values, " ".join(labels), ";".join(labels))
+        for indices, values, labels in (zip(*point) for point in itertools.product(*named))
+    ]
 
 
-def _prior_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
-    test_grid = _grid(cfg.prior_test_prevalences)
-    for i_pl, p_l, f_pl in _grid(cfg.prior_train_prevalences):
-        ctx = f"prior rep={rep} pL={f_pl}"
+def _crossed_plan(cfg, rep, train_axes, test_axes, draw, degree) -> Iterator[_Cell | _Test]:
+    """A cell per point of the training axes; after each, per round, a test
+    per point of the test axes.
+
+    ``draw(side, values, size, coords, ctx)`` gives the parts of the draw at
+    one point of a side ("train" or "test"); ``degree(train values, test
+    values)`` gives a test's shift degree.
+    """
+    proto = cfg.protocol
+    test_points = _points(test_axes)
+    for i_l, v_l, ctx_l, cfg_l in _points(train_axes):
+        ctx = f"{proto} rep={rep} {ctx_l}"
         yield _Cell(
-            partial(_draw_parts, ("train", p_l, cfg.train_size, (PRIOR, rep, "train", i_pl), ctx)),
-            (PRIOR, rep, "fit", i_pl),
+            draw("train", v_l, cfg.train_size, (proto, rep, "train", *i_l), ctx),
+            (proto, rep, "fit", *i_l),
         )
-        degrees = [_round_degree(p_u - p_l, 1) for _, p_u, _ in test_grid]
+        degrees = [degree(v_l, v_u) for _, v_u, _, _ in test_points]
         for r in range(cfg.samples_per_config):
-            for i_pu, p_u, f_pu in test_grid:
+            for (i_u, v_u, ctx_u, cfg_u), deg in zip(test_points, degrees):
                 yield _Test(
-                    partial(_draw_parts, ("test", p_u, cfg.test_size,
-                                          (PRIOR, rep, "test", i_pl, r, i_pu),
-                                          f"{ctx} pU={f_pu} round={r}")),
-                    f"pL={f_pl};pU={f_pu};r={r}",
-                    degrees[i_pu],
+                    draw("test", v_u, cfg.test_size, (proto, rep, "test", *i_l, r, *i_u),
+                         f"{ctx} {ctx_u} round={r}"),
+                    f"{cfg_l};{cfg_u};r={r}",
+                    deg,
                 )
 
 
+def _prior_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
+    return _crossed_plan(
+        cfg, rep, [("pL", cfg.prior_train_prevalences)], [("pU", cfg.prior_test_prevalences)],
+        lambda side, v, size, coords, ctx: (_Part(side, v[0], size, (coords,), ctx),),
+        lambda v_l, v_u: _round_degree(v_u[0] - v_l[0], 1),
+    )
+
+
 def _global_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
-    proto = GLOBAL_COVARIATE
-    prevalences, mixtures = _grid(cfg.covariate_class_prevalences), _grid(cfg.covariate_mixtures)
-    for i_pl, p_l, f_pl in prevalences:
-        for i_al, a_l, f_al in mixtures:
-            yield _Cell(
-                partial(_covariate_pair, "train", p_l, a_l, cfg.train_size,
-                        (proto, rep, "train", i_pl, i_al),
-                        f"{proto} rep={rep} pL={f_pl} aL={f_al}"),
-                (proto, rep, "fit", i_pl, i_al),
-            )
-            degrees = [_round_degree(a_l - a_u, 1) for _, a_u, _ in mixtures]
-            for r in range(cfg.samples_per_config):
-                for i_pu, p_u, f_pu in prevalences:
-                    for i_au, a_u, f_au in mixtures:
-                        yield _Test(
-                            partial(_covariate_pair, "test", p_u, a_u, cfg.test_size,
-                                    (proto, rep, "test", i_pl, i_al, r, i_pu, i_au),
-                                    f"{proto} rep={rep} pU={f_pu} aU={f_au} round={r}"),
-                            f"pL={f_pl};aL={f_al};pU={f_pu};aU={f_au};r={r}",
-                            degrees[i_au],
-                        )
+    prevalences, mixtures = cfg.covariate_class_prevalences, cfg.covariate_mixtures
+    return _crossed_plan(
+        cfg, rep, [("pL", prevalences), ("aL", mixtures)], [("pU", prevalences), ("aU", mixtures)],
+        lambda side, v, size, coords, ctx: _covariate_parts(side, *v, size, coords, ctx),
+        lambda v_l, v_u: _round_degree(v_l[1] - v_u[1], 1),
+    )
+
+
+def _concept_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
+    forced = dict(zip(("train", "test"), cfg.concept_force_prevalence or (None, None)))
+    return _crossed_plan(
+        cfg, rep, [("cL", cfg.concept_cut_points)], [("cU", cfg.concept_cut_points)],
+        lambda side, v, size, coords, ctx: (
+            _Part(side, forced[side], size, (coords,), ctx, cut=v[0]),
+        ),
+        lambda v_l, v_u: _round_degree(v_l[0] - v_u[0], 0),
+    )
 
 
 def _local_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
     """One training draw at prevalence 1/2 (positives 2/3 A, negatives 2/3 B),
     then per round the shift arm at each p_U, each followed by its control
-    draws.  The shift samples of one round share one base mixture, drawn once."""
+    draws.  The shift samples of one round list the same base parts, so they
+    share one base mixture."""
     proto = LOCAL_COVARIATE
     half = cfg.train_size // 2
     p_train = 0.5
+    ctx = f"{proto} rep={rep} train"
     yield _Cell(
-        partial(
-            _draw_parts,
-            ("train_a", 2.0 / 3.0, half, (proto, rep, "trainA"), f"{proto} rep={rep} train A"),
-            ("train_b", 1.0 / 3.0, half, (proto, rep, "trainB"), f"{proto} rep={rep} train B"),
+        (
+            _Part("train_a", 2.0 / 3.0, half, ((proto, rep, "trainA"),), f"{ctx} A"),
+            _Part("train_b", 1.0 / 3.0, half, ((proto, rep, "trainB"),), f"{ctx} B"),
         ),
         (proto, rep, "fit"),
     )
@@ -530,58 +541,29 @@ def _local_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Te
     for r in range(cfg.samples_per_config):
         ctx = f"{proto} rep={rep} round={r}"
         base = (
-            ("test_a", 0.0, neg_a_size, (proto, rep, "baseA", r), f"{ctx} base A"),
-            ("test_b", 1.0 / 3.0, base_b_size, (proto, rep, "baseB", r), f"{ctx} base B"),
+            _Part("test_a", 0.0, neg_a_size, ((proto, rep, "baseA", r),), f"{ctx} base A"),
+            _Part("test_b", 1.0 / 3.0, base_b_size, ((proto, rep, "baseB", r),), f"{ctx} base B"),
         )
-        drawn_base: list[Sample] = []
-        for i_pu, p_u, f_pu in _grid(cfg.local_test_prevalences):
+        for i_pu, p_u in enumerate(cfg.local_test_prevalences):
+            f_pu = format(p_u, "g")
             pos_a = _local_positive_count(cfg, p_u)
             degree = _round_degree(p_u - p_train, 2)
-            positives = (
-                (("test_a", 1.0, pos_a, (proto, rep, "posA", r, i_pu), f"{ctx} pU={f_pu}"),)
-                if pos_a
-                else ()
-            )
-            yield _Test(
-                partial(_local_shift_draw, base, drawn_base, positives),
-                f"pU={f_pu};arm=shift;r={r}",
-                degree,
-            )
+            positives = (_Part("test_a", 1.0, pos_a, ((proto, rep, "posA", r, i_pu),),
+                               f"{ctx} pU={f_pu}"),)
+            yield _Test(base + positives if pos_a else base, f"pU={f_pu};arm=shift;r={r}", degree)
             # control arm: same size and nominal prevalence, but drawn with the
-            # training class-conditionals (positives 2/3 A, negatives 2/3 B)
+            # training class-conditionals
             size = neg_a_size + base_b_size + pos_a
             for d in range(cfg.local_control_draws):
                 yield _Test(
-                    partial(_control_draw, p_u, size, (proto, rep, "control", r, i_pu, d),
-                            f"{ctx} pU={f_pu} control={d}"),
+                    _control_parts(p_u, size, (proto, rep, "control", r, i_pu, d),
+                                   f"{ctx} pU={f_pu} control={d}"),
                     f"pU={f_pu};arm=control;r={r};d={d}",
                     degree,
                 )
 
 
-def _concept_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
-    p_l, p_u = cfg.concept_force_prevalence or (None, None)
-    cuts = _grid(cfg.concept_cut_points)
-    for i_cl, c_l, f_cl in cuts:
-        ctx = f"concept rep={rep} cL={f_cl}"
-        yield _Cell(
-            partial(_concept_draw, "train", cfg.train_size, p_l, c_l,
-                    (CONCEPT, rep, "train", i_cl), ctx),
-            (CONCEPT, rep, "fit", i_cl),
-        )
-        degrees = [_round_degree(c_l - c_u, 0) for _, c_u, _ in cuts]
-        for r in range(cfg.samples_per_config):
-            for i_cu, c_u, f_cu in cuts:
-                yield _Test(
-                    partial(_concept_draw, "test", cfg.test_size, p_u, c_u,
-                            (CONCEPT, rep, "test", i_cl, r, i_cu),
-                            f"{ctx} cU={f_cu} round={r}"),
-                    f"cL={f_cl};cU={f_cu};r={r}",
-                    degrees[i_cu],
-                )
-
-
-_PLANS: dict[str, Callable[[ProtocolConfig, int], Iterator[_Cell | _Test]]] = {
+_PLANS = {
     PRIOR: _prior_plan,
     GLOBAL_COVARIATE: _global_covariate_plan,
     LOCAL_COVARIATE: _local_covariate_plan,
@@ -687,11 +669,11 @@ def _repetition_worker(args) -> RecordTable:
             finish_cell()
             score, aggregate = _fit(
                 cfg,
-                step.train(master_seed=cfg.master_seed, pools=pools),
+                _draw(step.parts, cfg.master_seed, pools),
                 derive_seed(cfg.master_seed, *step.fit_coords),
             )
         else:
-            sample = step.draw(master_seed=cfg.master_seed, pools=pools)
+            sample = _draw(step.parts, cfg.master_seed, pools)
             pending.append((step.config, step.degree, sample.true_prevalence, score(sample.x)))
     finish_cell()
     return RecordTable.concat(tables)

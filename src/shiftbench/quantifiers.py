@@ -9,7 +9,7 @@ PCC    mean posterior probability
 PACC   PCC corrected by posterior-averaged tpr/fpr
 SMM    matches the sample's mean posterior to the class-wise training means
 DyS    minimises a histogram divergence between a two-class mixture of
-       training posteriors and the test posteriors (Topsoe by default)
+       training posteriors and the test posteriors (Topsoe distance)
 HDy    DyS with the Hellinger distance
 SLD    expectation-maximisation rescaling of posteriors and prior
 
@@ -614,6 +614,14 @@ METHOD_NAMES = tuple(METHODS)
 _METHODS_BY_KEY = {name.upper(): cls for name, cls in METHODS.items()}
 
 
+def method_class(method: str) -> type[Quantifier]:
+    """The quantifier class registered under a method name (case-insensitive)."""
+    cls = _METHODS_BY_KEY.get(method.upper())
+    if cls is None:
+        raise ValueError(f"unknown quantification method {method!r}; known: {METHOD_NAMES}")
+    return cls
+
+
 def quantifier_factory(
     method: str,
     C: float = 1.0,
@@ -626,9 +634,7 @@ def quantifier_factory(
 
     ``bins`` applies to the histogram methods (DyS, HDy).
     """
-    cls = _METHODS_BY_KEY.get(method.upper())
-    if cls is None:
-        raise ValueError(f"unknown quantification method {method!r}; known: {METHOD_NAMES}")
+    cls = method_class(method)
     common = dict(C=C, class_weight=class_weight, folds=folds, seed=seed)
     if issubclass(cls, DyS):
         return cls(bins=bins, **common)

@@ -1,0 +1,150 @@
+"""The draw arithmetic of every plan, read from the parts its steps list.
+
+Nothing is drawn: each protocol's plan is walked over small random grids
+and sizes, and the parts of its cells and tests are checked for their
+sizes, their prevalences and the pools they name.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shiftbench.core import round_half_up
+from shiftbench.datagen import ClusterSpec, generate_mixture
+from shiftbench.protocols import (
+    _PLANS,
+    CONCEPT,
+    GLOBAL_COVARIATE,
+    LOCAL_COVARIATE,
+    PRIOR,
+    PROTOCOLS,
+    ProtocolConfig,
+    _Cell,
+    _local_positive_count,
+    _prepare_pools,
+    _Test,
+)
+
+property_settings = settings(max_examples=60, deadline=None)
+
+unit = st.floats(0.0, 1.0)
+grids = st.lists(unit, min_size=1, max_size=3).map(tuple)
+shape = dict(train_size=st.integers(2, 400), test_size=st.integers(2, 200),
+             repetitions=st.integers(1, 2), samples_per_config=st.integers(1, 3))
+
+
+@pytest.fixture(scope="module")
+def pool_names():
+    """The names of the pools ``_prepare_pools`` creates, by protocol."""
+    clusters = generate_mixture(
+        [
+            ClusterSpec(mean=[m, y], variance=[1.0, 1.0], weight=0.25, label=int(y > 0),
+                        category=cat)
+            for m, cat in ((-2.0, "A"), (2.0, "B"))
+            for y in (1.0, -1.0)
+        ],
+        400,
+        seed=0,
+    )
+    stars = generate_mixture(
+        [ClusterSpec(mean=[s - 3.0, 0.0], variance=[1.0, 1.0], weight=0.2, stars=s)
+         for s in (1, 2, 3, 4, 5)],
+        500,
+        seed=0,
+    )
+    return {
+        protocol: set(_prepare_pools(ProtocolConfig(protocol=protocol),
+                                     stars if protocol == CONCEPT else clusters))
+        for protocol in PROTOCOLS
+    }
+
+
+def walk(cfg):
+    return [step for rep in range(cfg.repetitions) for step in _PLANS[cfg.protocol](cfg, rep)]
+
+
+def check_parts(cfg, steps, pool_names, uniform_ok=False):
+    """Every part names a pool of its protocol, a training pool in a cell and
+    a test pool in a test, and has a prevalence in [0, 1] (or None, for an
+    even draw over the stars); a step holds nothing mutable."""
+    for step in steps:
+        hash(step)
+        side = "train" if isinstance(step, _Cell) else "test"
+        for part in step.parts:
+            assert part.pool in pool_names[cfg.protocol]
+            assert part.pool.startswith(side)
+            if part.prevalence is None:
+                assert uniform_ok and part.cut is not None
+            else:
+                assert 0.0 <= part.prevalence <= 1.0
+
+
+def check_sizes(cfg, steps):
+    """Each cell's parts sum to the training size, each test's to the test size."""
+    for step in steps:
+        total = sum(part.size for part in step.parts)
+        if isinstance(step, _Cell):
+            assert total == cfg.train_size
+        else:
+            assert isinstance(step, _Test)
+            assert total == cfg.test_size
+
+
+@property_settings
+@given(train=grids, test=grids, data=st.data())
+def test_prior_parts(pool_names, train, test, data):
+    cfg = ProtocolConfig(PRIOR, prior_train_prevalences=train, prior_test_prevalences=test,
+                         **{k: data.draw(v) for k, v in shape.items()})
+    steps = walk(cfg)
+    check_parts(cfg, steps, pool_names)
+    check_sizes(cfg, steps)
+
+
+@property_settings
+@given(prevalences=grids, mixtures=grids, data=st.data())
+def test_global_covariate_parts(pool_names, prevalences, mixtures, data):
+    cfg = ProtocolConfig(GLOBAL_COVARIATE, covariate_class_prevalences=prevalences,
+                         covariate_mixtures=mixtures,
+                         **{k: data.draw(v) for k, v in shape.items()})
+    steps = walk(cfg)
+    check_parts(cfg, steps, pool_names)
+    check_sizes(cfg, steps)
+
+
+@property_settings
+@given(cuts=st.lists(st.sampled_from((1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5)), min_size=1,
+                     max_size=3, unique=True).map(tuple),
+       forced=st.none() | st.tuples(unit, unit), data=st.data())
+def test_concept_parts(pool_names, cuts, forced, data):
+    cfg = ProtocolConfig(CONCEPT, concept_cut_points=cuts, concept_force_prevalence=forced,
+                         **{k: data.draw(v) for k, v in shape.items()})
+    steps = walk(cfg)
+    check_parts(cfg, steps, pool_names, uniform_ok=forced is None)
+    check_sizes(cfg, steps)
+    assert {part.cut for step in steps for part in step.parts} == set(cuts)
+
+
+@property_settings
+@given(prevalences=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=3).map(tuple),
+       controls=st.integers(0, 3), data=st.data())
+def test_local_covariate_parts(pool_names, prevalences, controls, data):
+    cfg = ProtocolConfig(LOCAL_COVARIATE, local_test_prevalences=prevalences,
+                         local_control_draws=controls,
+                         **{k: data.draw(v) for k, v in shape.items()})
+    steps = walk(cfg)
+    check_parts(cfg, steps, pool_names)
+    # two halves of train_size // 2: an odd training size loses one item
+    cells = [step for step in steps if isinstance(step, _Cell)]
+    assert [sum(p.size for p in cell.parts) for cell in cells] == (
+        [2 * (cfg.train_size // 2)] * cfg.repetitions
+    )
+    # both arms at one p_U hold the base mixture's size plus the added positives
+    base = round_half_up(cfg.test_size / 6.0) + cfg.test_size // 2
+    expected = [
+        base + _local_positive_count(cfg, p_u)
+        for _ in range(cfg.repetitions * cfg.samples_per_config)
+        for p_u in prevalences
+        for _ in range(1 + controls)
+    ]
+    tests = [step for step in steps if isinstance(step, _Test)]
+    assert [sum(p.size for p in test.parts) for test in tests] == expected

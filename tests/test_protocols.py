@@ -20,7 +20,7 @@ from shiftbench.protocols import (
     exact_ceil,
     run_protocol,
 )
-from shiftbench.quantifiers import MLPE
+from shiftbench.quantifiers import MLPE, quantifier_factory
 
 
 def binary_ab_dataset(n=6000, seed=0):
@@ -258,8 +258,13 @@ class TestDeterminismAndParallelism:
 
 class TestValidationAndErrors:
     def test_unknown_method_rejected_at_config_time(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as from_config:
             tiny_config(PRIOR, methods=("CC", "BOGUS"))
+        # one registry lookup: the config and the factory say the same
+        with pytest.raises(ValueError) as from_factory:
+            quantifier_factory("BOGUS")
+        assert str(from_config.value) == str(from_factory.value)
+        assert "unknown quantification method 'BOGUS'" in str(from_config.value)
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
@@ -289,6 +294,24 @@ class TestValidationAndErrors:
         small = binary_ab_dataset(n=700)
         with pytest.raises(PoolExhaustionError, match=r"prior rep=0 pL=0.98"):
             run_protocol(cfg, small)
+
+    @pytest.mark.parametrize("protocol, overrides, message", [
+        # test contexts name the training point, then the test point and round
+        (GLOBAL_COVARIATE,
+         dict(test_size=400, covariate_class_prevalences=(0.75,), covariate_mixtures=(1.0,)),
+         r"^pool exhausted: need 300 positive \[global_covariate rep=0 pL=0\.75 aL=1 "
+         r"pU=0\.75 aU=1 round=0\] items"),
+        # 800 added positives of category A reach p_U = 0.75
+        (LOCAL_COVARIATE, dict(test_size=600, local_test_prevalences=(0.75,)),
+         r"^pool exhausted: need 800 positive \[local_covariate rep=0 round=0 pU=0\.75\] items"),
+        (CONCEPT, dict(test_size=600, concept_cut_points=(2.5,)),
+         r"^pool exhausted: need 120 1-star \[concept rep=0 cL=2\.5 cU=2\.5 round=0\] items"),
+    ])
+    def test_exhaustion_error_names_each_protocols_draw(self, protocol, overrides, message):
+        cfg = tiny_config(protocol, train_size=100, methods=("MLPE",), **overrides)
+        data = star_dataset(n=1000) if protocol == CONCEPT else binary_ab_dataset(n=2000)
+        with pytest.raises(PoolExhaustionError, match=message):
+            run_protocol(cfg, data)
 
     def test_covariate_requires_categories(self):
         data = binary_ab_dataset(n=2000)
