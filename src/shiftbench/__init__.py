@@ -4,7 +4,6 @@ from .classifier import (
     ClassRates,
     DEFAULT_GRID,
     SoftClassifier,
-    grid_search,
     predict_proba,
     train,
 )

@@ -13,19 +13,12 @@ run to a gradient tolerance of 1e-6 (or a 10,000-iteration cap).
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
-
-from .core import Pool, Sample, round_half_up, sample_at_prevalence, split_stratified
-from .evaluation import absolute_error
-from .seeds import derive_seed
-
-logger = logging.getLogger(__name__)
 
 GRAD_TOL = 1e-6
 MAX_ITER = 10_000
@@ -188,91 +181,3 @@ def rates_from_posteriors(
     if mode == "soft":
         return ClassRates(float(pos.mean()), float(neg.mean()))
     raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
-
-
-def _feasible_sample_size(pool: Pool, prevalence: float, requested: int) -> int:
-    """Largest size <= requested the pool can serve at this prevalence."""
-    if prevalence <= 0:
-        return min(requested, pool.n_negative)
-    if prevalence >= 1:
-        return min(requested, pool.n_positive)
-    n = min(
-        requested,
-        int(pool.n_positive / prevalence),
-        int(pool.n_negative / (1.0 - prevalence)),
-    )
-    while n >= 1:
-        n_pos = round_half_up(prevalence * n)
-        if n_pos <= pool.n_positive and n - n_pos <= pool.n_negative:
-            return n
-        n -= 1
-    return 0
-
-
-def build_validation_samples(
-    pool: Pool,
-    seed: int,
-    prevalence_grid: Sequence[float] = tuple(i / 10 for i in range(11)),
-    samples_per_prevalence: int = 10,
-    sample_size: int = 500,
-) -> list[Sample]:
-    """Prevalence-swept validation samples for quantifier model selection.
-
-    Prevalences the pool cannot serve at any size are skipped with a warning;
-    if every prevalence is skipped this raises.
-    """
-    samples = []
-    for p_idx, p in enumerate(prevalence_grid):
-        size = _feasible_sample_size(pool, p, sample_size)
-        if size < 1:
-            warnings.warn(
-                f"validation pool cannot form a sample at prevalence {p}; skipping"
-            )
-            continue
-        for j in range(samples_per_prevalence):
-            samples.append(
-                sample_at_prevalence(pool, p, size, derive_seed(seed, "val", p_idx, j))
-            )
-    if not samples:
-        raise ValueError("validation pool too small for every prevalence in the grid")
-    return samples
-
-
-def grid_search(
-    train_pool: Pool,
-    make_quantifier: Callable[[dict], "object"],
-    grid: Sequence[dict] = DEFAULT_GRID,
-    seed: int = 0,
-    validation_fraction: float = 0.4,
-    samples_per_prevalence: int = 10,
-    sample_size: int = 500,
-) -> dict:
-    """Pick the grid point whose quantifier attains the lowest validation MAE.
-
-    A stratified ``validation_fraction`` of the pool is held out; each grid
-    point is fitted on the remainder and scored by mean absolute error over
-    prevalence-swept samples drawn from the held-out part.  The caller is
-    expected to refit the winning configuration on the full pool.  Ties keep
-    the earliest grid entry, so selection is deterministic given the seed.
-    """
-    if not grid:
-        raise ValueError("hyperparameter grid must be non-empty")
-    fit_pool, val_pool = split_stratified(
-        train_pool.dataset, 1.0 - validation_fraction, derive_seed(seed, "split")
-    )
-    samples = build_validation_samples(
-        val_pool,
-        seed,
-        samples_per_prevalence=samples_per_prevalence,
-        sample_size=sample_size,
-    )
-    best_params, best_mae = None, np.inf
-    for params in grid:
-        q = make_quantifier(dict(params))
-        q.fit(fit_pool.dataset.x, fit_pool.dataset.labels)
-        errors = [absolute_error(s.true_prevalence, q.quantify(s.x)) for s in samples]
-        mae = float(np.mean(errors))
-        logger.debug("grid point %s -> validation MAE %.5f", params, mae)
-        if mae < best_mae:
-            best_params, best_mae = dict(params), mae
-    return best_params

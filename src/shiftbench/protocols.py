@@ -26,8 +26,11 @@ has its own plan of shift and control arms.
 
 One executor, ``_repetition_worker``, walks the plan of one repetition.  At
 each cell it fits every method on the training draw, with one classifier per
-distinct set of classifier hyperparameters.  At each test it draws the
-sample and scores it once per classifier.  Once a cell's tests are scored,
+distinct set of classifier hyperparameters; with ``grid_search`` on, each
+method first picks its own hyperparameters on validation draws from a
+held-out part of that training draw, through the same fit, score and
+estimate steps.  At each test it draws the sample and scores it once per
+classifier.  Once a cell's tests are scored,
 each method estimates them all in one ``aggregate_many`` call, and the cell
 becomes one :class:`RecordTable`, a row per test and method in plan order.
 Every seed derives from the master seed, so ``run_protocol(cfg, dataset,
@@ -39,6 +42,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import numbers
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +51,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .classifier import grid_search, predict_proba
+from .classifier import DEFAULT_GRID, predict_proba
 from .core import (
     BinaryDataset,
     Pool,
@@ -65,7 +70,6 @@ from .datagen import count_terms, fit_vocabulary, vectorise
 from .evaluation import RecordTable
 from .quantifiers import (
     BENCHMARK_METHODS,
-    Quantifier,
     fit_evidence,
     method_class,
     quantifier_factory,
@@ -81,6 +85,18 @@ PROTOCOLS = (PRIOR, GLOBAL_COVARIATE, LOCAL_COVARIATE, CONCEPT)
 
 def _tenths(lo: int, hi: int) -> tuple[float, ...]:
     return tuple(i / 10 for i in range(lo, hi + 1))
+
+
+#: The interval every value of each of these config fields must lie in:
+#: prevalences and mixtures in [0, 1] (a local-covariate shift cannot reach
+#: 1), star cut points strictly between the lowest and the highest star.
+_RANGES = (
+    ("[0, 1]", lambda v: 0.0 <= v <= 1.0,
+     ("prior_train_prevalences", "prior_test_prevalences", "covariate_class_prevalences",
+      "covariate_mixtures", "concept_force_prevalence")),
+    ("[0, 1)", lambda v: 0.0 <= v < 1.0, ("local_test_prevalences",)),
+    ("(1, 5)", lambda v: 1.0 < v < 5.0, ("concept_cut_points", "cut_point")),
+)
 
 
 @dataclass
@@ -134,6 +150,30 @@ class ProtocolConfig:
             raise ValueError("train_size and test_size must be >= 2")
         if self.repetitions < 1 or self.samples_per_config < 1:
             raise ValueError("repetitions and samples_per_config must be >= 1")
+        if self.protocol == LOCAL_COVARIATE:
+            # a test's base part of test_size/6 negatives from A must not be
+            # empty; the training draw is two halves of train_size/2
+            if self.test_size < 3:
+                raise ValueError(f"test_size: must be at least 3 for local-covariate "
+                                 f"shift, got {self.test_size}")
+            if self.train_size % 2:
+                raise ValueError(f"train_size: must be even for local-covariate shift, "
+                                 f"got {self.train_size}")
+        for interval, inside, names in _RANGES:
+            for name in names:
+                values = getattr(self, name)
+                if name == "cut_point":
+                    values = (values,)
+                elif values is None and name == "concept_force_prevalence":
+                    continue
+                elif not isinstance(values, (tuple, list)):
+                    raise ValueError(f"{name}: expected a list of numbers, got {values!r}")
+                for v in values:
+                    if not (isinstance(v, numbers.Real) and inside(v)):
+                        raise ValueError(f"{name}: {v!r} is outside {interval}")
+        forced = self.concept_force_prevalence
+        if forced is not None and len(forced) != 2:
+            raise ValueError(f"concept_force_prevalence: expected (p_L, p_U), got {forced!r}")
         if not self.methods:
             raise ValueError("at least one method is required")
         # registry spelling; unknown names fail fast
@@ -576,52 +616,33 @@ _PLANS = {
 # ---------------------------------------------------------------------------
 
 
-def _fit(cfg: ProtocolConfig, train: Sample, fit_seed: int):
-    """Fit every configured method on one training draw.
+def _fitted(cfg: ProtocolConfig, x, labels, settings: dict, fit_seed: int):
+    """Fit each method of ``settings`` (method name -> the classifier's
+    (C, class_weight)) on one featurised training set.
 
-    Methods sharing classifier hyperparameters share one trained classifier
-    and one set of out-of-fold posteriors.  Returns (score, aggregate):
-    ``score`` maps a test sample's raw features to its posteriors under each
-    distinct classifier (None where a group needs no classifier), and
-    ``aggregate`` maps the scores of a list of samples to each method's
-    estimates for them, by method name, through one ``aggregate_many`` call
-    per method.
+    Methods with the same settings share one trained classifier and one set
+    of out-of-fold posteriors.  Returns (score, aggregate): ``score`` maps a
+    sample's features to its posteriors under each distinct classifier (None
+    where a group needs no classifier), and ``aggregate`` maps the scores of a
+    list of samples to each method's estimates for them, by method name,
+    through one ``aggregate_many`` call per method.
     """
-    x, featurise = _featurise_train(train.x)
-    labels = train.labels
-    pool = Pool(BinaryDataset(x, labels)) if cfg.grid_search else None
-    groups: dict[tuple, dict[str, Quantifier]] = {}
-    for name in cfg.methods:
-        params = {"C": cfg.C, "class_weight": cfg.class_weight}
-        if cfg.grid_search:
-            params = grid_search(
-                pool,
-                lambda p, _n=name: quantifier_factory(
-                    _n, folds=cfg.folds, bins=cfg.bins, seed=fit_seed, **p
-                ),
-                seed=derive_seed(fit_seed, "grid", name),
-                sample_size=cfg.test_size,
-            )
-        q = quantifier_factory(name, folds=cfg.folds, bins=cfg.bins, seed=fit_seed, **params)
-        groups.setdefault((q.C, q.class_weight), {})[name] = q
+    groups: dict[tuple, list[str]] = {}
+    for name, setting in settings.items():
+        groups.setdefault(setting, []).append(name)
     fitted = []
-    for (C, class_weight), quantifiers in groups.items():
+    for (C, class_weight), names in groups.items():
+        quantifiers = {name: quantifier_factory(name, C=C, class_weight=class_weight,
+                                                folds=cfg.folds, bins=cfg.bins, seed=fit_seed)
+                       for name in names}
         evidence = fit_evidence(
-            x,
-            labels,
-            C=C,
-            class_weight=class_weight,
-            folds=cfg.folds,
-            seed=fit_seed,
+            x, labels, C=C, class_weight=class_weight, folds=cfg.folds, seed=fit_seed,
             need_oof=any(q.needs_oof for q in quantifiers.values()),
             need_classifier=any(q.needs_classifier for q in quantifiers.values()),
         )
-        fitted.append(
-            (evidence.clf, {n: q.fit_evidence(evidence) for n, q in quantifiers.items()})
-        )
+        fitted.append((evidence.clf, {n: q.fit_evidence(evidence) for n, q in quantifiers.items()}))
 
-    def score(raw_x) -> list:
-        x = featurise(raw_x)
+    def score(x) -> list:
         return [None if clf is None else predict_proba(clf, x) for clf, _ in fitted]
 
     def aggregate(scores: list[list]) -> dict[str, list[float]]:
@@ -633,6 +654,72 @@ def _fit(cfg: ProtocolConfig, train: Sample, fit_seed: int):
         return estimates
 
     return score, aggregate
+
+
+def _feasible_sample_size(pool: Pool, prevalence: float, requested: int) -> int:
+    """Largest size <= requested the pool can serve at this prevalence."""
+    if prevalence <= 0:
+        return min(requested, pool.n_negative)
+    if prevalence >= 1:
+        return min(requested, pool.n_positive)
+    n = min(requested, int(pool.n_positive / prevalence),
+            int(pool.n_negative / (1.0 - prevalence)))
+    while n >= 1:
+        n_pos = round_half_up(prevalence * n)
+        if n_pos <= pool.n_positive and n - n_pos <= pool.n_negative:
+            return n
+        n -= 1
+    return 0
+
+
+def _validation_parts(pool: Pool, size: int, ctx: str) -> list[_Part]:
+    """Ten draws from the "val" pool at each prevalence 0, 0.1, ..., 1, each
+    capped to the largest size up to ``size`` the pool serves at it.
+
+    Prevalences the pool cannot serve at any size are skipped with a warning;
+    if every prevalence is skipped this raises.
+    """
+    parts = []
+    for i, p in enumerate(_tenths(0, 10)):
+        n = _feasible_sample_size(pool, p, size)
+        if n < 1:
+            warnings.warn(f"validation pool cannot form a sample at prevalence {p}; skipping")
+            continue
+        parts += [_Part("val", p, n, (("val", i, j),), f"{ctx} p={p:g} draw={j}")
+                  for j in range(10)]
+    if not parts:
+        raise ValueError("validation pool too small for every prevalence in the grid")
+    return parts
+
+
+def _select_settings(cfg: ProtocolConfig, x, labels, fit_seed: int) -> dict[str, tuple]:
+    """Each method's classifier (C, class_weight): the configured pair, or with
+    ``grid_search`` the ``DEFAULT_GRID`` point of lowest validation MAE.
+
+    Each method selects on its own split, seeded by its name: a stratified
+    0.6 of the training draw is fitted at every grid point, and the held-out
+    rest serves the validation draws.  Each draw is scored once per grid
+    point and all are estimated in one ``aggregate_many`` call.  Ties keep
+    the earliest grid point.
+    """
+    if not cfg.grid_search:
+        return {name: (cfg.C, cfg.class_weight) for name in cfg.methods}
+    settings = {}
+    for name in cfg.methods:
+        seed = derive_seed(fit_seed, "grid", name)
+        fit, val = split_stratified(BinaryDataset(x, labels), 0.6, derive_seed(seed, "split"))
+        samples = [_draw((part,), seed, {"val": val})
+                   for part in _validation_parts(val, cfg.test_size, f"grid {name} val")]
+        truth = np.array([s.true_prevalence for s in samples])
+        best_mae = np.inf
+        for point in DEFAULT_GRID:
+            setting = (point["C"], point["class_weight"])
+            score, aggregate = _fitted(cfg, fit.dataset.x, fit.dataset.labels, {name: setting},
+                                       fit_seed)
+            mae = np.mean(np.abs(truth - aggregate([score(s.x) for s in samples])[name]))
+            if mae < best_mae:
+                settings[name], best_mae = setting, mae
+    return settings
 
 
 def _repetition_worker(args) -> RecordTable:
@@ -667,14 +754,16 @@ def _repetition_worker(args) -> RecordTable:
     for step in _PLANS[cfg.protocol](cfg, rep):
         if isinstance(step, _Cell):
             finish_cell()
-            score, aggregate = _fit(
-                cfg,
-                _draw(step.parts, cfg.master_seed, pools),
-                derive_seed(cfg.master_seed, *step.fit_coords),
-            )
+            train = _draw(step.parts, cfg.master_seed, pools)
+            x, featurise = _featurise_train(train.x)
+            fit_seed = derive_seed(cfg.master_seed, *step.fit_coords)
+            settings = _select_settings(cfg, x, train.labels, fit_seed)
+            score, aggregate = _fitted(cfg, x, train.labels, settings, fit_seed)
+            del train, x  # hold no training data while the cell's tests run
         else:
             sample = _draw(step.parts, cfg.master_seed, pools)
-            pending.append((step.config, step.degree, sample.true_prevalence, score(sample.x)))
+            pending.append((step.config, step.degree, sample.true_prevalence,
+                            score(featurise(sample.x))))
     finish_cell()
     return RecordTable.concat(tables)
 

@@ -1,14 +1,12 @@
-"""Logistic training, posterior prediction, k-fold rates, and grid search."""
+"""Logistic training, posterior prediction, k-fold rates, and model selection."""
 
 import numpy as np
 import pytest
 
-from shiftbench import classifier
+from shiftbench import classifier, protocols
 from shiftbench.classifier import (
     ClassRates,
     SoftClassifier,
-    build_validation_samples,
-    grid_search,
     item_weights,
     loss_and_grad,
     oof_posteriors_kfold,
@@ -18,7 +16,7 @@ from shiftbench.classifier import (
     train,
 )
 from shiftbench.core import BinaryDataset, Pool
-from shiftbench.quantifiers import quantifier_factory
+from shiftbench.protocols import PRIOR, ProtocolConfig, _draw, _select_settings, _validation_parts
 
 
 def separable_data(n=200, gap=4.0, prevalence=0.5, seed=0):
@@ -181,51 +179,37 @@ class TestKFold:
 
 
 class TestGridSearch:
-    def make_pool(self, n=900, seed=0):
-        x, labels = overlapping_data(n=n, seed=seed, shift=1.5)
-        return Pool(BinaryDataset(x, labels))
+    """Model selection (``grid_search`` on), as the protocol executor runs it."""
 
-    def factory(self, params):
-        return quantifier_factory("CC", folds=4, **params)
+    def config(self, test_size=60):
+        return ProtocolConfig(PRIOR, methods=("CC",), folds=4, test_size=test_size,
+                              grid_search=True)
 
-    def test_single_point_grid(self):
-        chosen = grid_search(
-            self.make_pool(),
-            self.factory,
-            grid=[{"C": 2.0, "class_weight": None}],
-            seed=0,
-            sample_size=60,
-        )
-        assert chosen == {"C": 2.0, "class_weight": None}
-
-    def test_constant_classifier_loses(self):
+    def test_constant_classifier_loses(self, monkeypatch):
         # C ~ 0 forces w ~ 0, so CC degenerates to a constant estimate whose
         # MAE against the prevalence sweep is far above the real classifier's
-        grid = [{"C": 1e-9, "class_weight": None}, {"C": 100.0, "class_weight": None}]
-        chosen = grid_search(self.make_pool(), self.factory, grid=grid, seed=1,
-                             sample_size=60)
-        assert chosen["C"] == 100.0
+        monkeypatch.setattr(protocols, "DEFAULT_GRID", (
+            {"C": 1e-9, "class_weight": None}, {"C": 100.0, "class_weight": None},
+        ))
+        x, labels = overlapping_data(n=900, seed=0, shift=1.5)
+        assert _select_settings(self.config(), x, labels, fit_seed=1) == {"CC": (100.0, None)}
 
-    def test_deterministic_selection(self):
-        grid = [{"C": c, "class_weight": cw} for c in (0.5, 50.0) for cw in (None, "balanced")]
-        a = grid_search(self.make_pool(seed=2), self.factory, grid=grid, seed=9,
-                        sample_size=50)
-        b = grid_search(self.make_pool(seed=2), self.factory, grid=grid, seed=9,
-                        sample_size=50)
+    def test_deterministic_selection(self, monkeypatch):
+        monkeypatch.setattr(protocols, "DEFAULT_GRID", tuple(
+            {"C": c, "class_weight": cw} for c in (0.5, 50.0) for cw in (None, "balanced")
+        ))
+        x, labels = overlapping_data(n=900, seed=2, shift=1.5)
+        a = _select_settings(self.config(test_size=50), x, labels, fit_seed=9)
+        b = _select_settings(self.config(test_size=50), x, labels, fit_seed=9)
         assert a == b
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            grid_search(self.make_pool(), self.factory, grid=[], seed=0)
 
     def test_validation_samples_cap_to_pool(self):
         # 9 positives cannot fill size 40 at prevalence 1.0: the size is capped
         labels = np.array([1] * 9 + [0] * 200)
         x = np.random.default_rng(1).standard_normal((len(labels), 2))
         pool = Pool(BinaryDataset(x, labels))
-        samples = build_validation_samples(
-            pool, seed=0, samples_per_prevalence=1, sample_size=40
-        )
+        samples = [_draw((part,), 0, {"val": pool})
+                   for part in _validation_parts(pool, 40, "test")]
         sizes = {round(s.true_prevalence, 1): len(s) for s in samples}
         assert sizes[1.0] == 9 and sizes[0.0] == 40
 
@@ -235,7 +219,11 @@ class TestGridSearch:
         x = np.random.default_rng(1).standard_normal((80, 2))
         pool = Pool(BinaryDataset(x, labels))
         with pytest.warns(UserWarning, match="skipping"):
-            samples = build_validation_samples(
-                pool, seed=0, samples_per_prevalence=2, sample_size=40
-            )
-        assert all(s.true_prevalence == 0.0 for s in samples)
+            parts = _validation_parts(pool, 40, "test")
+        assert {part.prevalence for part in parts} == {0.0}
+
+    def test_validation_pool_serving_nothing_raises(self):
+        pool = Pool(BinaryDataset(np.zeros((0, 2)), np.zeros(0, dtype=int)))
+        with pytest.warns(UserWarning, match="skipping"):
+            with pytest.raises(ValueError, match="too small for every prevalence"):
+                _validation_parts(pool, 40, "test")

@@ -208,6 +208,36 @@ class TestRun:
         copy.write_text(text[:at] + "B" + text[at + 1:])  # one byte changed
         assert config_hash(copy, "changed") != original
 
+    @pytest.mark.parametrize("protocol, field, value, message", [
+        ("prior", "prior_train_prevalences", [0.2, 1.5], "1.5 is outside [0, 1]"),
+        ("prior", "prior_test_prevalences", [-0.1, 0.5], "-0.1 is outside [0, 1]"),
+        ("prior", "prior_test_prevalences", ["0.5"], "'0.5' is outside [0, 1]"),
+        ("prior", "prior_test_prevalences", 0.5, "expected a list of numbers, got 0.5"),
+        ("global-covariate", "covariate_class_prevalences", [0.5, 1.01],
+         "1.01 is outside [0, 1]"),
+        ("global-covariate", "covariate_mixtures", [-0.5], "-0.5 is outside [0, 1]"),
+        ("local-covariate", "local_test_prevalences", [0.5, 1.0], "1.0 is outside [0, 1)"),
+        ("concept", "concept_cut_points", [2.5, 5.0], "5.0 is outside (1, 5)"),
+        ("prior", "cut_point", 1.0, "1.0 is outside (1, 5)"),
+        ("concept", "concept_force_prevalence", [0.5, 1.5], "1.5 is outside [0, 1]"),
+        ("concept", "concept_force_prevalence", [0.5], "expected (p_L, p_U), got (0.5,)"),
+        ("local-covariate", "test_size", 2, "must be at least 3 for local-covariate shift, got 2"),
+        ("local-covariate", "train_size", 301, "must be even for local-covariate shift, got 301"),
+    ])
+    def test_out_of_range_field_exits_2_before_running(
+        self, tmp_path, run_config, capsys, monkeypatch, protocol, field, value, message
+    ):
+        runs = []
+        monkeypatch.setattr("shiftbench.cli.run_protocol", lambda *a, **k: runs.append(a))
+        raw = json.loads(run_config.read_text())
+        raw[field] = value
+        cfg = run_config.parent / "range.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "r"
+        assert main(["run", protocol, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: bad config: {field}: {message}" in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+
     def test_unknown_protocol_exits_2(self, tmp_path, run_config):
         with pytest.raises(SystemExit) as exc:
             main(["run", "bogus", "--config", str(run_config),

@@ -65,14 +65,16 @@ def walk(cfg):
 
 def check_parts(cfg, steps, pool_names, uniform_ok=False):
     """Every part names a pool of its protocol, a training pool in a cell and
-    a test pool in a test, and has a prevalence in [0, 1] (or None, for an
-    even draw over the stars); a step holds nothing mutable."""
+    a test pool in a test, holds at least one item, and has a prevalence in
+    [0, 1] (or None, for an even draw over the stars); a step holds nothing
+    mutable."""
     for step in steps:
         hash(step)
         side = "train" if isinstance(step, _Cell) else "test"
         for part in step.parts:
             assert part.pool in pool_names[cfg.protocol]
             assert part.pool.startswith(side)
+            assert part.size >= 1
             if part.prevalence is None:
                 assert uniform_ok and part.cut is not None
             else:
@@ -124,19 +126,24 @@ def test_concept_parts(pool_names, cuts, forced, data):
     assert {part.cut for step in steps for part in step.parts} == set(cuts)
 
 
+# the sizes a local-covariate config accepts: an even training size (two
+# equal halves) and at least 3 test items (a base part of at least one)
+local_shape = dict(shape, train_size=st.integers(1, 200).map(lambda n: 2 * n),
+                   test_size=st.integers(3, 200))
+
+
 @property_settings
 @given(prevalences=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=3).map(tuple),
        controls=st.integers(0, 3), data=st.data())
 def test_local_covariate_parts(pool_names, prevalences, controls, data):
     cfg = ProtocolConfig(LOCAL_COVARIATE, local_test_prevalences=prevalences,
                          local_control_draws=controls,
-                         **{k: data.draw(v) for k, v in shape.items()})
+                         **{k: data.draw(v) for k, v in local_shape.items()})
     steps = walk(cfg)
     check_parts(cfg, steps, pool_names)
-    # two halves of train_size // 2: an odd training size loses one item
     cells = [step for step in steps if isinstance(step, _Cell)]
     assert [sum(p.size for p in cell.parts) for cell in cells] == (
-        [2 * (cfg.train_size // 2)] * cfg.repetitions
+        [cfg.train_size] * cfg.repetitions
     )
     # both arms at one p_U hold the base mixture's size plus the added positives
     base = round_half_up(cfg.test_size / 6.0) + cfg.test_size // 2
