@@ -59,10 +59,13 @@ from .quantifiers import (
     PACC,
     PCC,
     PosteriorHistogram,
+    PosteriorRows,
     SLD,
     SMM,
     expectation_maximisation_prevalence,
+    expectation_maximisation_prevalences,
     hellinger_distance,
+    histogram_masses,
     mixture_fit_alpha,
     mixture_fit_alphas,
     quantifier_factory,

@@ -12,6 +12,7 @@ the package does not load ``scipy.stats``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -53,12 +54,21 @@ def write_records_csv(table: RecordTable, path: str | Path) -> int:
 
     The columns become Python ints, floats and strings first, which the csv
     module writes with ``str``: the shortest repr of each float, so every
-    value reads back exactly."""
+    value reads back exactly.  The csv module quotes a field holding a LF but
+    not one holding a lone CR, which a reader would take for a line break, so
+    a row with a CR in a text field is written with every text field quoted.
+    """
     rows = zip(*(getattr(table, name).tolist() for name in RecordTable.COLUMNS))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
+        texts = (table.protocol, table.method, table.config)
+        if any("\r" in text for column in texts for text in set(column)):
+            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+            for row in rows:
+                (quoted if "\r" in row[0] + row[1] + row[3] else writer).writerow(row)
+        else:
+            writer.writerows(rows)
     return len(table)
 
 
@@ -155,16 +165,21 @@ def read_records_csv(path: str | Path) -> RecordTable:
         header = next(csv.reader(fh), None)
     if header != list(CSV_HEADER):
         raise ValueError(f"{path}: unexpected records header {header}")
+    lines, has_cr = _scan_data_lines(path)
+    # np.loadtxt opens a path with universal newlines, which would read a CR
+    # inside a quoted config as a line break; a file holding a CR is parsed
+    # through a handle that keeps line endings as they are (and reads slower)
+    source = open(path, encoding="utf-8", newline="") if has_cr else contextlib.nullcontext(path)
     try:
-        with warnings.catch_warnings():
+        with source as text, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(path, dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
+            rows = np.loadtxt(text, dtype=_ROW_DTYPE, delimiter=",", quotechar='"',
                               comments=None, skiprows=1, ndmin=1, encoding="utf-8")
     except ValueError as exc:
         raise _first_unparsable_row(path) or ValueError(f"{path}: {exc}") from None
     # np.loadtxt skips blank lines; fewer rows than lines means a blank line
     # or a quoted line break, and only the first is an error
-    if len(rows) != _count_data_lines(path) and (error := _first_unparsable_row(path)):
+    if len(rows) != lines and (error := _first_unparsable_row(path)):
         raise error
     table = RecordTable(**{name: rows[name] for name in RecordTable.COLUMNS})
     if invalid := _first_invalid_row(table):
@@ -196,14 +211,16 @@ def _first_invalid_row(table: RecordTable) -> tuple[int, str] | None:
     return row, checks[k][1](row)
 
 
-def _count_data_lines(path: str | Path) -> int:
-    """Lines after the header, counting a last line without a line break."""
-    lines, last = 0, b"\n"
+def _scan_data_lines(path: str | Path) -> tuple[int, bool]:
+    """Lines after the header, counting a last line without a line break, and
+    whether the file holds a carriage return."""
+    lines, last, has_cr = 0, b"\n", False
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             lines += block.count(b"\n")
+            has_cr = has_cr or b"\r" in block
             last = block[-1:]
-    return lines - 1 + (last != b"\n")
+    return lines - 1 + (last != b"\n"), has_cr
 
 
 def _data_rows(path: str | Path):

@@ -30,9 +30,9 @@ distinct set of classifier hyperparameters; with ``grid_search`` on, each
 method first picks its own hyperparameters on validation draws from a
 held-out part of that training draw, through the same fit, score and
 estimate steps.  At each test it draws the sample and scores it once per
-classifier.  Once a cell's tests are scored,
-each method estimates them all in one ``aggregate_many`` call, and the cell
-becomes one :class:`RecordTable`, a row per test and method in plan order.
+classifier.  Once a cell's tests are scored, each classifier's posteriors
+are stacked into one matrix per test size, each method estimates them all in
+one ``aggregate_many`` call, and the cell becomes one :class:`RecordTable`, a row per test and method in plan order.
 Every seed derives from the master seed, so ``run_protocol(cfg, dataset,
 jobs)`` writes the same table for any number of pool workers.
 """
@@ -70,6 +70,7 @@ from .datagen import count_terms, fit_vocabulary, vectorise
 from .evaluation import RecordTable
 from .quantifiers import (
     BENCHMARK_METHODS,
+    PosteriorRows,
     fit_evidence,
     method_class,
     quantifier_factory,
@@ -625,7 +626,9 @@ def _fitted(cfg: ProtocolConfig, x, labels, settings: dict, fit_seed: int):
     sample's features to its posteriors under each distinct classifier (None
     where a group needs no classifier), and ``aggregate`` maps the scores of a
     list of samples to each method's estimates for them, by method name,
-    through one ``aggregate_many`` call per method.
+    through one ``aggregate_many`` call per method.  Each classifier's
+    posteriors are stacked once, one matrix per sample length, and shared by
+    the methods of its group.
     """
     groups: dict[tuple, list[str]] = {}
     for name, setting in settings.items():
@@ -647,8 +650,10 @@ def _fitted(cfg: ProtocolConfig, x, labels, settings: dict, fit_seed: int):
 
     def aggregate(scores: list[list]) -> dict[str, list[float]]:
         estimates = {}
-        for group, (_, quantifiers) in enumerate(fitted):
+        for group, (clf, quantifiers) in enumerate(fitted):
             posteriors = [s[group] for s in scores]
+            if clf is not None:
+                posteriors = PosteriorRows.stack(posteriors)
             for name, q in quantifiers.items():
                 estimates[name] = q.aggregate_many(posteriors)
         return estimates

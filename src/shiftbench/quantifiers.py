@@ -15,15 +15,24 @@ SLD    expectation-maximisation rescaling of posteriors and prior
 
 Every method aggregates the posteriors of one L2 logistic classifier (MLPE
 ignores them).  ``fit`` trains that classifier and whatever out-of-fold
-evidence the method needs; ``aggregate(posteriors)`` turns one sample's
-posteriors into an estimate in [0, 1]; ``quantify(x)`` is
-``aggregate(predict_proba(clf_, x))``.  ``aggregate`` is pure: it reads the
-fitted state and never writes it, so fitted quantifiers are immutable and
-safe to share across concurrent tasks, and a harness can score a sample once
-and hand the same posteriors to every method.  ``aggregate_many(list of
-posteriors)`` returns ``aggregate`` of each sample, in order; DyS and HDy
-override it to run one mixture search over all the samples' histograms.
-``METHODS`` maps each method name to its class.
+evidence the method needs; ``aggregate_many(list of posteriors)`` turns each
+sample's posteriors into an estimate in [0, 1], in order.  It stacks samples
+of one length into a matrix, one row per sample, and estimates each matrix
+in one pass of array operations: row sums and row means for CC, ACC, PCC,
+PACC and SMM, one pass of histograms and one mixture search for DyS and HDy,
+one EM loop for SLD.  A row's estimate equals the estimate of that sample
+alone, bit for bit.  ``aggregate(posteriors)`` is ``aggregate_many`` of one
+sample, and ``quantify(x)`` is ``aggregate(predict_proba(clf_, x))``.  Both
+are pure: they read the fitted state and never write it, so fitted
+quantifiers are immutable and safe to share across concurrent tasks, and a
+harness can score a sample once and hand the same posteriors to every
+method.  ``METHODS`` maps each method name to its class.
+
+The per-sample routines are one-row calls of the batched ones:
+``expectation_maximisation_prevalence`` of
+``expectation_maximisation_prevalences``, ``PosteriorHistogram.from_scores``
+of ``histogram_masses`` and ``mixture_fit_alpha`` of ``mixture_fit_alphas``;
+the counting formulas take a sample or a matrix of samples alike.
 
 The mixture search (``mixture_fit_alphas``) is a ternary search to 1e-6,
 run for all samples at once, whose answer is checked against a window of the
@@ -94,11 +103,37 @@ class PosteriorHistogram:
 
     @classmethod
     def from_scores(cls, scores: np.ndarray, bins: int) -> "PosteriorHistogram":
-        scores = np.asarray(scores, dtype=float)
-        if len(scores) == 0:
-            raise EmptyDatasetError("cannot build a histogram from zero scores")
-        counts, _ = np.histogram(scores, bins=bins, range=(0.0, 1.0))
-        return cls(counts / counts.sum())
+        """The histogram of one sample's scores: :func:`histogram_masses` of one row."""
+        return cls(histogram_masses(np.asarray(scores, dtype=float)[None, :], bins)[0])
+
+
+def histogram_masses(rows: np.ndarray, bins: int) -> np.ndarray:
+    """The normalised histogram of each row of scores over ``bins`` uniform
+    bins of [0, 1]: ``np.histogram(row, bins, range=(0, 1))`` counts divided
+    by their sum, bit for bit.
+
+    ``np.histogram``'s uniform-bin index rule runs once over the whole
+    matrix: the scaled index ``x * bins`` (its ``(x - 0) / (1 - 0) * bins``),
+    moved into the top bin from ``bins``, one bin down where ``x`` lies below
+    its bin's lower edge and one bin up where it reaches the next edge, except
+    in the closed top bin.  One ``np.bincount`` with row offsets then counts
+    every row.  Scores outside [0, 1] and NaN are left out, as there.
+    """
+    rows = np.asarray(rows, dtype=float)
+    n, size = rows.shape
+    if size == 0:
+        raise EmptyDatasetError("cannot build a histogram from zero scores")
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    keep = (rows >= 0.0) & (rows <= 1.0)
+    scores = np.where(keep, rows, 0.0)
+    index = (scores * bins).astype(np.intp)
+    index[index == bins] -= 1
+    index[scores < edges[index]] -= 1
+    index[(scores >= edges[index + 1]) & (index != bins - 1)] += 1
+    index[~keep] = bins  # an extra column for left-out scores, dropped below
+    index += np.arange(n)[:, None] * (bins + 1)
+    counts = np.bincount(index.ravel(), minlength=n * (bins + 1)).reshape(n, bins + 1)[:, :bins]
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 def _masses(h) -> np.ndarray:
@@ -172,7 +207,8 @@ def _grid_scan(pos, neg, test, ternary: float, rows) -> float:
 
 
 def mixture_fit_alphas(h_pos, h_neg, tests, distance: str = "topsoe") -> np.ndarray:
-    """For each test histogram, the alpha minimising
+    """For each test histogram (histograms or masses, or a matrix of masses
+    with one row per test), the alpha minimising
     dist(alpha*H+ + (1-alpha)*H-, H_test).
 
     A ternary search narrows [0, 1] down to 1e-6 for all rows at once.  Each
@@ -199,7 +235,10 @@ def mixture_fit_alphas(h_pos, h_neg, tests, distance: str = "topsoe") -> np.ndar
         raise ValueError(f"unknown distance {distance!r}; use one of {sorted(_DISTANCES)}")
     pos, neg = _masses(h_pos), _masses(h_neg)
     _check_pair(pos, neg)
-    tests = np.array([_masses(t) for t in tests], dtype=float)
+    if isinstance(tests, np.ndarray):
+        tests = np.asarray(tests, dtype=float)
+    else:
+        tests = np.array([_masses(t) for t in tests], dtype=float)
     n = len(tests)
     if n == 0:
         return np.empty(0)
@@ -256,45 +295,60 @@ def mixture_fit_alpha(h_pos, h_neg, h_test, distance: str = "topsoe") -> float:
 # ---------------------------------------------------------------------------
 
 
-def classify_and_count(hard_predictions: np.ndarray) -> float:
+def classify_and_count(hard_predictions: np.ndarray):
+    """The fraction of positive predictions in a sample, or in each row of a
+    matrix of samples: an integer count over the sample size."""
     preds = np.asarray(hard_predictions)
-    if len(preds) == 0:
+    if preds.shape[-1] == 0:
         raise EmptyDatasetError("cannot quantify an empty sample")
-    return float(preds.sum() / len(preds))
+    return preds.sum(axis=-1) / preds.shape[-1]
 
 
-def probabilistic_classify_and_count(posteriors: np.ndarray) -> float:
-    posteriors = np.asarray(posteriors, dtype=float)
-    if len(posteriors) == 0:
+def probabilistic_classify_and_count(posteriors: np.ndarray):
+    """The mean posterior of a sample, or of each row of a matrix of samples
+    (the mean of a C-contiguous row equals the mean of that row alone, bit
+    for bit)."""
+    posteriors = np.ascontiguousarray(posteriors, dtype=float)
+    if posteriors.shape[-1] == 0:
         raise EmptyDatasetError("cannot quantify an empty sample")
-    return float(posteriors.mean())
+    return posteriors.mean(axis=-1)
 
 
-def adjust_prevalence(base_estimate: float, rates: ClassRates) -> float:
-    """(base - fpr) / (tpr - fpr), clipped to [0, 1].
+def _clip_unit(values):
+    """``min(max(v, 0.0), 1.0)`` of a value or of each value of an array;
+    -0.0 and NaN pass through unchanged, as they do there."""
+    values = np.where(values < 0.0, 0.0, values)
+    values = np.where(values > 1.0, 1.0, values)
+    return values if values.ndim else float(values)
+
+
+def adjust_prevalence(base_estimate, rates: ClassRates):
+    """(base - fpr) / (tpr - fpr), clipped to [0, 1], of a value or of each
+    value of an array.
 
     A near-zero denominator means the rates carry no usable signal; the
     unadjusted estimate is returned instead.
     """
+    base = np.asarray(base_estimate, dtype=float)
     gap = rates.tpr - rates.fpr
     if abs(gap) < DEGENERATE_RATE_GAP:
-        return min(max(base_estimate, 0.0), 1.0)
-    return min(max((base_estimate - rates.fpr) / gap, 0.0), 1.0)
+        return _clip_unit(base)
+    return _clip_unit((base - rates.fpr) / gap)
 
 
-def mean_matching_prevalence(
-    test_mean: float, positive_mean: float, negative_mean: float
-) -> float:
-    """Where the sample's mean posterior falls between the class-wise means.
+def mean_matching_prevalence(test_mean, positive_mean: float, negative_mean: float):
+    """Where the sample's mean posterior falls between the class-wise means,
+    for a value or for each value of an array.
 
     Solves test_mean = alpha * positive_mean + (1 - alpha) * negative_mean
     for alpha, clipped to [0, 1]; coincident class means carry no signal and
     return the test mean itself.
     """
+    test_mean = np.asarray(test_mean, dtype=float)
     spread = positive_mean - negative_mean
     if abs(spread) < DEGENERATE_RATE_GAP:
-        return min(max(test_mean, 0.0), 1.0)
-    return min(max((test_mean - negative_mean) / spread, 0.0), 1.0)
+        return _clip_unit(test_mean)
+    return _clip_unit((test_mean - negative_mean) / spread)
 
 
 def expectation_maximisation_prevalence(
@@ -309,28 +363,73 @@ def expectation_maximisation_prevalence(
     by the ratio of current to training priors and replaces the prior with
     the mean rescaled posterior, until that mean moves by less than ``tol``
     (so the returned value is within tol of the mean of its own recalibrated
-    posteriors) or ``max_iter`` steps elapse.
+    posteriors) or ``max_iter`` steps elapse.  A prior at 0 or 1 is an
+    absorbing endpoint and stops the loop.  This is
+    :func:`expectation_maximisation_prevalences` of one row.
 
     Returns (prevalence, converged, iterations).
+    """
+    p, converged, iterations = expectation_maximisation_prevalences(
+        np.asarray(posteriors, dtype=float)[None, :], train_prevalence, tol, max_iter
+    )
+    return float(p[0]), bool(converged[0]), int(iterations[0])
+
+
+def expectation_maximisation_prevalences(
+    rows: np.ndarray,
+    train_prevalence: float,
+    tol: float = EM_TOL,
+    max_iter: int = EM_MAX_ITER,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The EM fixed point of each row of a matrix of posteriors, one sample
+    per row, in one loop.
+
+    Each step updates only the rows still running.  A row stops, converged,
+    before a step when its prior sits at 0 or 1, and after a step that moves
+    its prior by less than ``tol`` (keeping the prior it had); a row still
+    running after ``max_iter`` steps stops unconverged at its last prior.
+    Every operation on a row is elementwise or a mean over that row alone,
+    so each row's sequence of priors is the one it has on its own.
+
+    Returns (prevalences, converged, iterations), one entry per row.
     """
     if not 0.0 < train_prevalence < 1.0:
         raise ValueError(
             f"training prevalence must lie strictly in (0, 1), got {train_prevalence}"
         )
-    s = np.asarray(posteriors, dtype=float)
-    if len(s) == 0:
+    rows = np.ascontiguousarray(rows, dtype=float)  # keeps each step's row means row-wise
+    n, size = rows.shape
+    if size == 0:
         raise EmptyDatasetError("cannot quantify an empty sample")
-    p = train_prevalence
+    p = np.full(n, float(train_prevalence))
+    converged = np.zeros(n, dtype=bool)
+    iterations = np.full(n, max_iter)
+    # the running rows: their indices, posteriors and 1 - posteriors
+    active, s, rest = np.arange(n), rows, 1.0 - rows
+
+    def stop(done, iteration):
+        nonlocal active, s, rest
+        converged[active[done]] = True
+        iterations[active[done]] = iteration
+        keep = ~done
+        active, s, rest = active[keep], s[keep], rest[keep]
+
     for iteration in range(max_iter):
-        if p <= 0.0 or p >= 1.0:
-            return float(p), True, iteration  # absorbing endpoint
-        num = (p / train_prevalence) * s
-        den = num + ((1.0 - p) / (1.0 - train_prevalence)) * (1.0 - s)
-        m = float((num / den).mean())
-        if abs(m - p) < tol:
-            return float(p), True, iteration
-        p = m
-    return float(p), False, max_iter
+        at_end = (p[active] <= 0.0) | (p[active] >= 1.0)  # absorbing endpoints
+        if at_end.any():
+            stop(at_end, iteration)
+        if not len(active):
+            break
+        q = p[active]
+        num = (q / train_prevalence)[:, None] * s
+        den = ((1.0 - q) / (1.0 - train_prevalence))[:, None] * rest
+        den += num
+        m = np.divide(num, den, out=num).mean(axis=1)
+        settled = np.abs(m - q) < tol
+        p[active[~settled]] = m[~settled]
+        if settled.any():
+            stop(settled, iteration)
+    return p, converged, iterations
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +483,41 @@ def fit_evidence(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PosteriorRows:
+    """A list of samples' posteriors as matrices of equal-length rows.
+
+    ``groups`` holds, per distinct sample length in order of first
+    appearance, the positions of those samples in the list and their
+    posteriors stacked as the C-contiguous rows of one matrix.
+    """
+
+    count: int
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return self.count
+
+    @classmethod
+    def stack(cls, posteriors: Sequence[np.ndarray]) -> "PosteriorRows":
+        samples = [np.asarray(p, dtype=float) for p in posteriors]
+        by_length: dict[int, list[int]] = {}
+        for i, p in enumerate(samples):
+            by_length.setdefault(len(p), []).append(i)
+        if 0 in by_length:
+            raise EmptyDatasetError("cannot quantify an empty sample")
+        return cls(len(samples), tuple(
+            (np.array(positions), np.stack([samples[i] for i in positions]))
+            for positions in by_length.values()
+        ))
+
+
 class Quantifier:
     """Base interface: fit on labelled data, then quantify feature batches.
 
     Subclasses implement ``_prepare`` (fitted state from evidence) and
-    ``aggregate`` (an estimate from one sample's posteriors).
+    ``_estimate`` (one estimate per row of a matrix of posteriors, one
+    sample per row).
     """
 
     method: str = "?"
@@ -439,13 +568,24 @@ class Quantifier:
         return self.aggregate(predict_proba(self.clf_, x) if self.needs_classifier else None)
 
     def aggregate(self, posteriors: np.ndarray) -> float:
-        """The estimate for one sample from its posteriors under ``clf_``."""
-        raise NotImplementedError
+        """The estimate for one sample from its posteriors under ``clf_``:
+        ``aggregate_many`` of that one sample."""
+        return self.aggregate_many([posteriors])[0]
 
-    def aggregate_many(self, posteriors: Sequence[np.ndarray]) -> list[float]:
-        """``aggregate`` of each sample's posteriors, in order.  Methods that
-        can share work across samples override it with the same results."""
-        return [self.aggregate(p) for p in posteriors]
+    def aggregate_many(self, posteriors: Sequence[np.ndarray] | PosteriorRows) -> list[float]:
+        """The estimate for each sample, in order, from a list of the samples'
+        posteriors or from their :class:`PosteriorRows`.  The samples of each
+        length are estimated together, as the rows of one matrix."""
+        if not isinstance(posteriors, PosteriorRows):
+            posteriors = PosteriorRows.stack(posteriors)
+        estimates = np.empty(len(posteriors))
+        for positions, rows in posteriors.groups:
+            estimates[positions] = self._estimate(rows)
+        return estimates.tolist()
+
+    def _estimate(self, rows: np.ndarray) -> np.ndarray:
+        """The estimate for each row of a matrix of posteriors."""
+        raise NotImplementedError
 
     def _require_fitted(self):
         if not self._fitted:
@@ -466,8 +606,10 @@ class MLPE(Quantifier):
     def _prepare(self, evidence: TrainedEvidence):
         self.prevalence_ = evidence.train_prevalence
 
-    def aggregate(self, posteriors) -> float:
-        return self.prevalence_
+    def aggregate_many(self, posteriors) -> list[float]:
+        """The training prevalence once per sample; the posteriors (None
+        where no classifier was fitted) are not read."""
+        return [self.prevalence_] * len(posteriors)
 
 
 class CC(Quantifier):
@@ -475,8 +617,8 @@ class CC(Quantifier):
 
     method = "CC"
 
-    def aggregate(self, posteriors) -> float:
-        return classify_and_count(np.asarray(posteriors) >= 0.5)
+    def _estimate(self, rows):
+        return classify_and_count(rows >= 0.5)
 
 
 class ACC(Quantifier):
@@ -491,9 +633,8 @@ class ACC(Quantifier):
             evidence.oof_posteriors, evidence.labels, "hard"
         )
 
-    def aggregate(self, posteriors) -> float:
-        cc = classify_and_count(np.asarray(posteriors) >= 0.5)
-        return adjust_prevalence(cc, self.rates_)
+    def _estimate(self, rows):
+        return adjust_prevalence(classify_and_count(rows >= 0.5), self.rates_)
 
 
 class PCC(Quantifier):
@@ -501,8 +642,8 @@ class PCC(Quantifier):
 
     method = "PCC"
 
-    def aggregate(self, posteriors) -> float:
-        return probabilistic_classify_and_count(posteriors)
+    def _estimate(self, rows):
+        return probabilistic_classify_and_count(rows)
 
 
 class PACC(Quantifier):
@@ -517,9 +658,8 @@ class PACC(Quantifier):
             evidence.oof_posteriors, evidence.labels, "soft"
         )
 
-    def aggregate(self, posteriors) -> float:
-        pcc = probabilistic_classify_and_count(posteriors)
-        return adjust_prevalence(pcc, self.rates_)
+    def _estimate(self, rows):
+        return adjust_prevalence(probabilistic_classify_and_count(rows), self.rates_)
 
 
 class SMM(Quantifier):
@@ -534,9 +674,9 @@ class SMM(Quantifier):
         self.positive_mean_ = float(oof[labels == 1].mean())
         self.negative_mean_ = float(oof[labels == 0].mean())
 
-    def aggregate(self, posteriors) -> float:
+    def _estimate(self, rows):
         return mean_matching_prevalence(
-            probabilistic_classify_and_count(posteriors),
+            probabilistic_classify_and_count(rows),
             self.positive_mean_,
             self.negative_mean_,
         )
@@ -561,14 +701,10 @@ class DyS(Quantifier):
         self.hist_pos_ = PosteriorHistogram.from_scores(oof[labels == 1], self.bins)
         self.hist_neg_ = PosteriorHistogram.from_scores(oof[labels == 0], self.bins)
 
-    def aggregate(self, posteriors) -> float:
-        h_test = PosteriorHistogram.from_scores(posteriors, self.bins)
-        return mixture_fit_alpha(self.hist_pos_, self.hist_neg_, h_test, self.distance)
-
-    def aggregate_many(self, posteriors) -> list[float]:
-        """One mixture search over the histograms of all the samples."""
-        tests = [PosteriorHistogram.from_scores(p, self.bins) for p in posteriors]
-        return mixture_fit_alphas(self.hist_pos_, self.hist_neg_, tests, self.distance).tolist()
+    def _estimate(self, rows):
+        """One pass of histograms and one mixture search over all the rows."""
+        tests = histogram_masses(rows, self.bins)
+        return mixture_fit_alphas(self.hist_pos_, self.hist_neg_, tests, self.distance)
 
 
 class HDy(DyS):
@@ -591,11 +727,10 @@ class SLD(Quantifier):
         super()._prepare(evidence)
         self.train_prevalence_ = evidence.train_prevalence
 
-    def aggregate(self, posteriors) -> float:
-        p, converged, _ = expectation_maximisation_prevalence(
-            posteriors, self.train_prevalence_
-        )
-        if not converged:
+    def _estimate(self, rows):
+        """One EM loop over all the rows."""
+        p, converged, _ = expectation_maximisation_prevalences(rows, self.train_prevalence_)
+        if not converged.all():
             # a fixed message, so the default warning filter shows it once per process
             warnings.warn(
                 f"SLD: EM stopped at the {EM_MAX_ITER}-iteration cap without converging",

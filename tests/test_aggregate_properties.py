@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from shiftbench.classifier import ClassRates
 from shiftbench.quantifiers import METHODS, fit_evidence
+from test_batched_estimators_properties import oracle_estimate
 
 open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 posterior_vectors = arrays(float, st.integers(1, 300), elements=open_unit)
@@ -49,8 +50,12 @@ def test_result_does_not_depend_on_posterior_order(fitted, posteriors, data):
 @property_settings
 @given(samples=st.lists(posterior_vectors, max_size=6))
 def test_aggregate_many_equals_aggregate_of_each_sample(fitted, samples):
+    """``aggregate`` is ``aggregate_many`` of one sample, so both are checked
+    against each method's independent per-sample formula."""
     for name, q in fitted.items():
-        assert q.aggregate_many(samples) == [q.aggregate(p) for p in samples], name
+        expected = [oracle_estimate(q, p) for p in samples]
+        assert q.aggregate_many(samples) == expected, name
+        assert [q.aggregate(p) for p in samples] == expected, name
 
 
 @property_settings

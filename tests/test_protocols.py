@@ -284,8 +284,8 @@ class TestValidationAndErrors:
             tiny_config(PRIOR, methods=methods)
 
     def test_estimate_outside_unit_interval_fails_the_run(self, monkeypatch):
-        monkeypatch.setattr(MLPE, "aggregate",
-                            lambda self, posteriors: float("nan"))
+        monkeypatch.setattr(MLPE, "aggregate_many",
+                            lambda self, posteriors: [float("nan")] * len(posteriors))
         with pytest.raises(ValueError, match="estimate out of \\[0, 1\\]: nan"):
             run_protocol(tiny_config(PRIOR, methods=("MLPE",)), binary_ab_dataset())
 

@@ -1,10 +1,14 @@
 """``write_records_csv`` of a table writes the bytes the row-by-row writer wrote.
 
-The oracle, ``oracle_write_records_csv``, is the earlier writer copied
-verbatim: it took a list of :class:`ExperimentRecord` and wrote each through
-the record's own ``csv_row`` (copied here as ``oracle_csv_row``).  The table
-writer must match it byte for byte on any valid rows, including configs with
-commas, quotes and line breaks and floats such as ±0.0, subnormals and 1/3.
+The oracle, ``oracle_write_records_csv``, is the earlier writer: it took a
+list of :class:`ExperimentRecord` and wrote each through the record's own
+``csv_row`` (copied here as ``oracle_csv_row``).  One rule is added to it: a
+record with a carriage return in a text field is written with every text
+field quoted, because the csv module leaves a field holding a lone CR
+unquoted and no reader can tell it from a line break.  The table writer must
+match it byte for byte on any valid rows, including configs with commas,
+quotes and line breaks and floats such as ±0.0, subnormals and 1/3, and
+``read_records_csv`` must read every such file back to the same table.
 Building a table from estimates must reject the rows the old records
 rejected: a NaN or out-of-range prevalence.
 """
@@ -20,6 +24,7 @@ from shiftbench.evaluation import (
     CSV_HEADER,
     ExperimentRecord,
     RecordTable,
+    read_records_csv,
     write_records_csv,
 )
 
@@ -48,7 +53,13 @@ def oracle_write_records_csv(records, path) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for rec in records:
-            writer.writerow(oracle_csv_row(rec))
+            if "\r" in rec.protocol + rec.method + rec.config:
+                fh.write(",".join(
+                    field if k in (2, 4, 5, 6, 7) else '"' + field.replace('"', '""') + '"'
+                    for k, field in enumerate(oracle_csv_row(rec))
+                ) + "\n")
+            else:
+                writer.writerow(oracle_csv_row(rec))
             n += 1
     return n
 
@@ -93,6 +104,24 @@ def test_table_writer_matches_row_writer(tmp_path, rows):
     records = [ExperimentRecord(*row) for row in rows]
     assert write_records_csv(table, ours) == oracle_write_records_csv(records, oracle) == len(rows)
     assert ours.read_bytes() == oracle.read_bytes()
+
+
+@property_settings
+@given(rows=st.lists(rows, max_size=30),
+       configs=st.lists(st.lists(st.sampled_from(["a", ",", '"', "\r", "\r\n", "\n"]),
+                                 max_size=6).map("".join), min_size=30, max_size=30))
+def test_written_table_reads_back(tmp_path, rows, configs):
+    """A CR, a CR LF or a LF inside a config, or anywhere in a text field,
+    survives write_records_csv then read_records_csv unchanged."""
+    rows = [row[:3] + (config,) + row[4:] for row, config in zip(rows, configs)]
+    path, again = tmp_path / "table.csv", tmp_path / "again.csv"
+    table = table_of(rows)
+    write_records_csv(table, path)
+    loaded = read_records_csv(path)
+    for name in RecordTable.COLUMNS:
+        assert getattr(loaded, name).tolist() == getattr(table, name).tolist(), name
+    write_records_csv(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 out_of_range = st.one_of(
