@@ -1,5 +1,13 @@
 """shiftbench: binary quantification methods and dataset-shift protocols."""
 
+import os
+
+# One BLAS thread per process unless the caller set a count: ``--jobs N``
+# already runs N processes, and threaded BLAS in each would oversubscribe
+# the CPUs.  BLAS reads these when numpy loads, so they are set first.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 from .classifier import (
     ClassRates,
     DEFAULT_GRID,

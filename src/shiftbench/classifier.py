@@ -81,20 +81,45 @@ def item_weights(labels: np.ndarray, class_weight: str | None) -> np.ndarray:
     return w
 
 
+def objective(x, labels: np.ndarray, C: float, omega: np.ndarray):
+    """The objective of one fit as a function of params = (w..., b),
+    returning its value and analytic gradient.
+
+    Built once per fit, so ``x.T`` is taken once rather than at every
+    evaluation.  Each evaluation works in place where it can, and skips the
+    multiply by ``omega`` when every weight is 1, which is exact.
+    """
+    n = len(labels)
+    xt = x.T
+    weighted = not (omega == 1.0).all()
+
+    def loss_and_grad_at(params: np.ndarray) -> tuple[float, np.ndarray]:
+        w, b = params[:-1], params[-1]
+        z = x @ w
+        z += b
+        # log-loss via softplus: log(1+e^z) - y*z, stable for large |z|
+        losses = np.logaddexp(0.0, z)
+        losses -= labels * z
+        loss = float(w @ w) / (2.0 * C) + float(omega @ losses) / n
+        gz = sigmoid(z)
+        gz -= labels
+        if weighted:
+            gz *= omega
+        gz /= n
+        grad = np.empty(len(params))
+        grad[:-1] = xt @ gz
+        grad[:-1] += w / C
+        grad[-1] = gz.sum()
+        return loss, grad
+
+    return loss_and_grad_at
+
+
 def loss_and_grad(
     params: np.ndarray, x, labels: np.ndarray, C: float, omega: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Objective value and analytic gradient at params = (w..., b)."""
-    w, b = params[:-1], params[-1]
-    z = x @ w + b
-    # log-loss via softplus: log(1+e^z) - y*z, stable for large |z|
-    losses = np.logaddexp(0.0, z) - labels * z
-    n = len(labels)
-    loss = float(w @ w) / (2.0 * C) + float(omega @ losses) / n
-    gz = omega * (sigmoid(z) - labels) / n
-    grad_w = x.T @ gz + w / C
-    grad = np.concatenate([np.asarray(grad_w).ravel(), [gz.sum()]])
-    return loss, grad
+    return objective(x, labels, C, omega)(params)
 
 
 def train(x, labels: np.ndarray, C: float = 1.0, class_weight: str | None = None) -> SoftClassifier:
@@ -108,9 +133,8 @@ def train(x, labels: np.ndarray, C: float = 1.0, class_weight: str | None = None
     omega = item_weights(labels.astype(int), class_weight)
     dim = x.shape[1]
     result = optimize.minimize(
-        loss_and_grad,
+        objective(x, labels, C, omega),
         x0=np.zeros(dim + 1),
-        args=(x, labels, C, omega),
         method="L-BFGS-B",
         jac=True,
         options={"maxiter": MAX_ITER, "gtol": GRAD_TOL, "ftol": 1e-14},

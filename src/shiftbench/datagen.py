@@ -7,14 +7,21 @@ document once into a row of raw term counts, with columns in sorted term
 order; ``fit_vocabulary`` and ``vectorise`` then work on rows of those
 counts, turning each draw into L2-normalised tf-idf vectors with a
 vocabulary fitted on its training documents only.
+
+Tokens are the maximal runs of ASCII ``[0-9a-z]`` in the lowercased text;
+every other character, non-ASCII ones included, separates tokens.
+``count_terms`` works through ``COUNT_BLOCK`` documents at a time, counting
+a block's tokens in a few array calls; the bound keeps only one block's
+token lists alive, so memory stays close to that of the counts themselves.
+A row's L2 norm is ``math.sqrt(row.dot(row))``: the dot product and the
+correctly rounded square root that ``np.linalg.norm`` computes.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -24,7 +31,13 @@ from scipy import sparse
 
 from .core import BinaryDataset, EmptyDatasetError, StarDataset, TermCounts
 
-_TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
+#: Byte table mapping every byte outside [0-9a-z] to a space.
+_TOKEN_BYTES = bytes(
+    c if chr(c) in "0123456789abcdefghijklmnopqrstuvwxyz" else 32 for c in range(256)
+)
+
+#: Documents tokenised and counted together by ``count_terms``.
+COUNT_BLOCK = 100
 
 MIN_REVIEW_CHARS = 200
 
@@ -174,23 +187,38 @@ def load_reviews_jsonl(path: str | Path) -> list[RawReview]:
 
 
 def tokenise(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric runs; no stemming, no stopwords."""
-    return [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
+    """Lowercase and split on non-alphanumeric runs; no stemming, no stopwords.
+
+    A non-ASCII character encodes as ``?`` and so separates tokens, like
+    every other character outside [0-9a-z].
+    """
+    return text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
 def count_terms(texts: Sequence[str]) -> TermCounts:
     """Tokenise each document once into a row of raw term counts.
 
-    Columns are numbered by the terms in sorted order.  Rows are built one
-    document at a time, with provisional term ids renumbered at the end.
+    Columns are numbered by the terms in sorted order.  Each block of
+    ``COUNT_BLOCK`` documents is counted under provisional term ids with
+    one ``np.unique`` over (document, id) keys; the ids are renumbered at
+    the end.
     """
     ids: dict[str, int] = {}
     columns, counts, indptr = array("i"), array("i"), array("q", [0])
-    for text in texts:
-        tally = Counter(tokenise(text))
-        columns.extend([ids.setdefault(t, len(ids)) for t in tally])
-        counts.extend(tally.values())
-        indptr.append(len(columns))
+    for start in range(0, len(texts), COUNT_BLOCK):
+        docs = [tokenise(text) for text in texts[start:start + COUNT_BLOCK]]
+        tokens = [t for doc in docs for t in doc]
+        fresh = sorted(set(tokens).difference(ids))
+        ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))
+        width = max(len(ids), 1)
+        doc = np.repeat(np.arange(len(docs), dtype=np.int64), [len(d) for d in docs])
+        doc *= width
+        doc += np.fromiter(map(ids.__getitem__, tokens), np.int64, len(tokens))
+        keys, tally = np.unique(doc, return_counts=True)
+        columns.frombytes((keys % width).astype(np.int32).tobytes())
+        counts.frombytes(tally.astype(np.int32).tobytes())
+        row_ends = np.cumsum(np.bincount(keys // width, minlength=len(docs))) + indptr[-1]
+        indptr.frombytes(row_ends.astype(np.int64).tobytes())
     terms = sorted(ids)
     rank = np.empty(len(ids), dtype=np.int32)
     rank[[ids[t] for t in terms]] = np.arange(len(terms), dtype=np.int32)
@@ -268,7 +296,8 @@ def vectorise(docs: TermCounts, vocab: Vocabulary) -> sparse.csr_matrix:
     data = m.data[kept] * vocab.idf[column]
     indptr = np.concatenate(([0], np.cumsum(kept)))[m.indptr]
     bounds = indptr.tolist()
-    norms = [np.linalg.norm(data[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    rows = map(data.__getitem__, map(slice, bounds, bounds[1:]))
+    norms = [math.sqrt(row.dot(row)) for row in rows]
     data /= np.repeat(norms, np.diff(indptr))  # an empty row has norm 0 and no values
     return sparse.csr_matrix((data, column, indptr), shape=(len(docs), len(vocab)))
 

@@ -26,13 +26,9 @@ class _Groups(NamedTuple):
 
 def _ranks(values: np.ndarray) -> tuple[list, np.ndarray]:
     """Distinct values in Python sort order, and each value's index among them."""
-    first: dict = {}
-    codes = np.fromiter((first.setdefault(v, len(first)) for v in values), np.int64,
-                        count=len(values))
-    distinct = sorted(first)
-    rank = np.empty(len(distinct), np.int64)
-    rank[[first[v] for v in distinct]] = np.arange(len(distinct))
-    return distinct, rank[codes]
+    distinct = sorted(dict.fromkeys(values))
+    lookup = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(lookup.__getitem__, values), np.int64, count=len(values))
 
 
 def _groups(records: Sequence[ExperimentRecord]) -> _Groups:

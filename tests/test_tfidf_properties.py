@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from shiftbench.core import EmptyDatasetError
-from shiftbench.datagen import count_terms, fit_vocabulary, tokenise, vectorise
+from shiftbench.datagen import count_terms, fit_vocabulary, vectorise
+from test_tokenise_properties import oracle_tokenise as tokenise
 
 property_settings = settings(max_examples=300, deadline=None)
 
