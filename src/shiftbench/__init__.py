@@ -7,6 +7,7 @@ import os
 # the CPUs.  BLAS reads these when numpy loads, so they are set first.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
+del _name
 
 from .classifier import (
     ClassRates,

@@ -86,12 +86,10 @@ def objective(x, labels: np.ndarray, C: float, omega: np.ndarray):
     returning its value and analytic gradient.
 
     Built once per fit, so ``x.T`` is taken once rather than at every
-    evaluation.  Each evaluation works in place where it can, and skips the
-    multiply by ``omega`` when every weight is 1, which is exact.
+    evaluation.  Each evaluation works in place where it can.
     """
     n = len(labels)
     xt = x.T
-    weighted = not (omega == 1.0).all()
 
     def loss_and_grad_at(params: np.ndarray) -> tuple[float, np.ndarray]:
         w, b = params[:-1], params[-1]
@@ -103,8 +101,7 @@ def objective(x, labels: np.ndarray, C: float, omega: np.ndarray):
         loss = float(w @ w) / (2.0 * C) + float(omega @ losses) / n
         gz = sigmoid(z)
         gz -= labels
-        if weighted:
-            gz *= omega
+        gz *= omega
         gz /= n
         grad = np.empty(len(params))
         grad[:-1] = xt @ gz

@@ -391,10 +391,6 @@ def expectation_maximisation_prevalences(
     Every operation on a row is elementwise or a mean over that row alone,
     so each row's sequence of priors is the one it has on its own.
 
-    Stopped rows leave the working matrices only once at least half of
-    them have stopped since rows last left; until then they are stepped
-    with their prior, ``converged`` and ``iterations`` frozen.
-
     Returns (prevalences, converged, iterations), one entry per row.
     """
     if not 0.0 < train_prevalence < 1.0:
@@ -408,36 +404,29 @@ def expectation_maximisation_prevalences(
     p = np.full(n, float(train_prevalence))
     converged = np.zeros(n, dtype=bool)
     iterations = np.full(n, max_iter)
-    # the working rows: their indices, posteriors, 1 - posteriors, and which still run
+    # the running rows: their indices, posteriors and 1 - posteriors
     active, s, rest = np.arange(n), rows, 1.0 - rows
-    running, stopped = np.ones(n, dtype=bool), 0
 
     def stop(done, iteration):
-        nonlocal active, s, rest, running, stopped
+        nonlocal active, s, rest
         converged[active[done]] = True
         iterations[active[done]] = iteration
-        running &= ~done
-        stopped += np.count_nonzero(done)
-        if 2 * stopped >= len(active):
-            active, s, rest = active[running], s[running], rest[running]
-            running, stopped = np.ones(len(active), dtype=bool), 0
+        keep = ~done
+        active, s, rest = active[keep], s[keep], rest[keep]
 
     for iteration in range(max_iter):
-        q = p[active]
-        at_end = running & ((q <= 0.0) | (q >= 1.0))  # absorbing endpoints
+        at_end = (p[active] <= 0.0) | (p[active] >= 1.0)  # absorbing endpoints
         if at_end.any():
             stop(at_end, iteration)
-            q = p[active]
         if not len(active):
             break
+        q = p[active]
         num = (q / train_prevalence)[:, None] * s
         den = ((1.0 - q) / (1.0 - train_prevalence))[:, None] * rest
         den += num
         m = np.divide(num, den, out=num).mean(axis=1)
         settled = np.abs(m - q) < tol
-        settled &= running
-        moved = running & ~settled
-        p[active[moved]] = m[moved]
+        p[active[~settled]] = m[~settled]
         if settled.any():
             stop(settled, iteration)
     return p, converged, iterations

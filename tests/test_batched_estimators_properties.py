@@ -242,9 +242,9 @@ def test_em_single_row_ragged_rows_and_no_rows():
 
 
 def test_em_rows_stopping_at_staggered_steps():
-    # rows that settle at many different steps, so stopped rows are stepped
-    # with frozen priors for a while before they leave; two rows end at an
-    # endpoint among them, and no step on a frozen row divides 0 by 0
+    # rows that settle at many different steps, so the running rows change
+    # many times; two rows end at an endpoint among them, and no step
+    # divides 0 by 0
     rng = np.random.default_rng(11)
     rows = rng.beta(rng.uniform(0.2, 5.0, (64, 1)), rng.uniform(0.2, 5.0, (64, 1)), (64, 120))
     rows[7], rows[9] = 1.0, 0.0
