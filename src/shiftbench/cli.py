@@ -188,6 +188,8 @@ def cmd_run(args) -> int:
     dataset_path = raw.pop("dataset", None)
     if dataset_path is None:
         return _fail("config must name a 'dataset' file")
+    if not isinstance(dataset_path, str):
+        return _fail(f"bad config: dataset: expected a file path, got {dataset_path!r}")
     raw["protocol"] = _CLI_PROTOCOLS[args.protocol]
     if args.methods:
         raw["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]

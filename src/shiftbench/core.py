@@ -2,8 +2,9 @@
 
 Datasets are column-oriented: a payload ``x`` (dense matrix, sparse matrix, an
 object array of raw texts, or the term counts of tokenised texts), plus
-parallel label/category arrays.  All sampling operations are pure functions
-of (pool, seed) and never mutate their inputs, so pools can be shared freely
+parallel label/category arrays.  A pool is a set of indices into a dataset
+it shares, and a draw's rows are gathered once, with ``x[idx]``.  Sampling is
+pure in (pool, seed) and mutates nothing, so pools can be shared freely
 across concurrent tasks.
 """
 
@@ -79,13 +80,6 @@ class TermCounts:
 
     def __getitem__(self, indices) -> "TermCounts":
         return TermCounts(self.counts[indices], self.terms)
-
-    @staticmethod
-    def stack(parts: "list[TermCounts]") -> "TermCounts":
-        """The rows of every part, in order, over the first part's terms."""
-        if any(p.terms != parts[0].terms for p in parts):
-            raise ValueError("cannot stack term counts over different terms")
-        return TermCounts(sparse.vstack([p.counts for p in parts], format="csr"), parts[0].terms)
 
 
 def _as_payload(x: Any) -> Any:
@@ -164,35 +158,34 @@ class BinaryDataset:
     def prevalence(self) -> float:
         return float(self.labels.sum() / len(self))
 
-    def take(self, indices: np.ndarray) -> "BinaryDataset":
-        indices = np.asarray(indices)
-        category = None if self.category is None else self.category[indices]
-        return BinaryDataset(self.x[indices], self.labels[indices], category)
-
 
 @dataclass(frozen=True)
 class Pool:
     """A labelled reservoir from which samples are drawn without replacement.
 
-    ``positive_index`` / ``negative_index`` partition the datapoints by label.
-    Immutable after construction; drawing is pure given (pool, seed).
+    ``index`` holds the pool's items as ascending indices into ``dataset``
+    (all of them by default), split by label into ``positive_index`` and
+    ``negative_index``.  Immutable; drawing is pure given (pool, seed).
     """
 
     dataset: BinaryDataset
+    index: np.ndarray | None = None
     positive_index: np.ndarray = field(init=False)
     negative_index: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        labels = self.dataset.labels
-        object.__setattr__(self, "positive_index", np.flatnonzero(labels == 1))
-        object.__setattr__(self, "negative_index", np.flatnonzero(labels == 0))
+        index = np.arange(len(self.dataset)) if self.index is None else np.asarray(self.index)
+        labels = self.dataset.labels[index]
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "positive_index", index[labels == 1])
+        object.__setattr__(self, "negative_index", index[labels == 0])
 
     def __len__(self) -> int:
-        return len(self.dataset)
+        return len(self.index)
 
     @property
     def prevalence(self) -> float:
-        return self.dataset.prevalence
+        return self.n_positive / len(self)
 
     @property
     def n_positive(self) -> int:
@@ -280,13 +273,13 @@ def stratified_split_indices(
 def split_stratified(
     data: BinaryDataset, fraction: float, seed: int
 ) -> tuple[Pool, Pool]:
-    """Split a binary dataset into two label-stratified pools."""
+    """Split a binary dataset into two label-stratified pools over it."""
     first, second = stratified_split_indices(data.labels, fraction, seed)
-    return Pool(data.take(first)), Pool(data.take(second))
+    return Pool(data, first), Pool(data, second)
 
 
-def sample_at_prevalence(pool: Pool, prevalence: float, size: int, seed: int) -> Sample:
-    """Draw ``size`` items with a controlled positive prevalence.
+def draw_indices(pool: Pool, prevalence: float, size: int, seed: int) -> np.ndarray:
+    """Indices of ``size`` items drawn at a controlled positive prevalence.
 
     Exactly ``round_half_up(prevalence * size)`` positives are drawn, the rest
     negatives, uniformly without replacement within each class.  Successive
@@ -310,6 +303,10 @@ def sample_at_prevalence(pool: Pool, prevalence: float, size: int, seed: int) ->
         ]
     ).astype(int)
     rng.shuffle(chosen)
-    ds = pool.dataset
-    return Sample(ds.x[chosen], ds.labels[chosen])
+    return chosen
 
+
+def sample_at_prevalence(pool: Pool, prevalence: float, size: int, seed: int) -> Sample:
+    """The rows of ``draw_indices(pool, prevalence, size, seed)``."""
+    chosen = draw_indices(pool, prevalence, size, seed)
+    return Sample(pool.dataset.x[chosen], pool.dataset.labels[chosen])

@@ -16,11 +16,13 @@ Degree conventions: prior uses (p_U - p_L) rounded to one decimal; global
 covariate uses (alpha_L - alpha_U); local covariate uses (p_U - p_L) rounded
 to two decimals; concept uses the integer (c_L - c_U).
 
-A sample is data: a tuple of parts, each naming a pool, a prevalence, a
-size, its seed coordinates and an error context; ``_draw`` draws and merges
-them.  A protocol's plan yields, per repetition, a cell (the training parts
-and the seed coordinates of the fit on them) and then the tests scored
-against that fit (parts, config string, degree).  Prior, global-covariate
+Pools are index sets over the one dataset of a run (binarised, or
+star-balanced for concept).  A sample is data: a tuple of parts, each naming
+a pool, a prevalence, a size, its seed coordinates and an error context;
+``_draw`` draws each part's indices and gathers all their rows at once.  A
+protocol's plan yields, per repetition, a cell (the training parts and the
+seed coordinates of the fit on them) and then the tests scored against that
+fit (parts, config string, degree).  Prior, global-covariate
 and concept share one crossed-grid plan over named axes; local-covariate
 has its own plan of shift and control arms.
 
@@ -60,9 +62,9 @@ from .core import (
     StarDataset,
     TermCounts,
     binarise_dataset,
+    draw_indices,
     is_text_payload,
     round_half_up,
-    sample_at_prevalence,
     split_stratified,
     stratified_split_indices,
 )
@@ -98,6 +100,11 @@ _RANGES = (
     ("[0, 1)", lambda v: 0.0 <= v < 1.0, ("local_test_prevalences",)),
     ("(1, 5)", lambda v: 1.0 < v < 5.0, ("concept_cut_points", "cut_point")),
 )
+
+#: Integer config fields and the least value each may take (None: any).
+_INTEGERS = (("train_size", 2), ("test_size", 2), ("repetitions", 1),
+             ("samples_per_config", 1), ("master_seed", None), ("folds", 2), ("bins", 2),
+             ("local_control_draws", 0))
 
 
 @dataclass
@@ -147,10 +154,12 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}; one of {PROTOCOLS}")
-        if self.train_size < 2 or self.test_size < 2:
-            raise ValueError("train_size and test_size must be >= 2")
-        if self.repetitions < 1 or self.samples_per_config < 1:
-            raise ValueError("repetitions and samples_per_config must be >= 1")
+        for name, least in _INTEGERS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name}: expected an integer, got {value!r}")
+            if least is not None and value < least:
+                raise ValueError(f"{name}: must be at least {least}, got {value}")
         if self.protocol == LOCAL_COVARIATE:
             # a test's base part of test_size/6 negatives from A must not be
             # empty; the training draw is two halves of train_size/2
@@ -243,21 +252,6 @@ def _round_degree(value: float, decimals: int) -> float:
     return round(value, decimals) + 0.0  # normalise -0.0
 
 
-def merge_samples(parts: Sequence[Sample]) -> Sample:
-    if not parts:
-        raise ValueError("no sample parts to merge")
-    xs = [p.x for p in parts]
-    if isinstance(xs[0], TermCounts):
-        x = TermCounts.stack(xs)
-    elif hasattr(xs[0], "tocsr"):
-        from scipy import sparse
-
-        x = sparse.vstack(xs).tocsr()
-    else:
-        x = np.concatenate(xs)
-    return Sample(x, np.concatenate([p.labels for p in parts]))
-
-
 def _featurise_train(x):
     """Returns (training features, featuriser for later samples).
 
@@ -288,7 +282,7 @@ _STARS = (1, 2, 3, 4, 5)
 
 @dataclass(frozen=True)
 class _StarHalf:
-    """One half of the star-balanced dataset, with its item indices by star."""
+    """One half of the star-balanced dataset: its item indices by star."""
 
     dataset: StarDataset
     by_star: dict[int, np.ndarray]
@@ -304,7 +298,7 @@ def _counted(dataset):
 def _prepare_pools(cfg: ProtocolConfig, dataset) -> dict:
     """The pools that draws name: train/test for prior, train_a/test_a/
     train_b/test_b for the covariate protocols, star-balanced train/test
-    halves for concept.
+    halves for concept, each an index set over the run's one dataset.
 
     Texts are tokenised here, once per run: each document the pools hold
     becomes a row of term counts, and draws take rows of those counts."""
@@ -316,7 +310,8 @@ def _prepare_pools(cfg: ProtocolConfig, dataset) -> dict:
         halves = stratified_split_indices(
             balanced.stars, cfg.split_fraction, derive_seed(seed, "halves")
         )
-        return {name: _make_half(balanced, idx) for name, idx in zip(("train", "test"), halves)}
+        return {name: _StarHalf(balanced, {s: idx[balanced.stars[idx] == s] for s in _STARS})
+                for name, idx in zip(("train", "test"), halves)}
     binary = _counted(_ensure_binary(dataset, cfg.cut_point))
     if cfg.protocol == PRIOR:
         return dict(zip(("train", "test"), split_stratified(binary, cfg.split_fraction, seed)))
@@ -324,11 +319,13 @@ def _prepare_pools(cfg: ProtocolConfig, dataset) -> dict:
         raise ValueError(f"the {cfg.protocol} protocol needs category tags")
     pools = {}
     for cat in ("A", "B"):
-        subset = binary.take(np.flatnonzero(binary.category == cat))
-        if len(subset) == 0:
+        members = np.flatnonzero(binary.category == cat)
+        if len(members) == 0:
             raise ValueError(f"no datapoints in category {cat}")
-        split = split_stratified(subset, cfg.split_fraction, derive_seed(seed, cat))
-        pools.update(zip((f"train_{cat.lower()}", f"test_{cat.lower()}"), split))
+        halves = stratified_split_indices(binary.labels[members], cfg.split_fraction,
+                                          derive_seed(seed, cat))
+        pools.update((f"{side}_{cat.lower()}", Pool(binary, members[idx]))
+                     for side, idx in zip(("train", "test"), halves))
     return pools
 
 
@@ -346,13 +343,8 @@ def _balance_stars(dataset: StarDataset, seed: int) -> StarDataset:
     return dataset.take(chosen)
 
 
-def _make_half(dataset: StarDataset, indices: np.ndarray) -> _StarHalf:
-    subset = dataset.take(indices)
-    return _StarHalf(subset, {s: np.flatnonzero(subset.stars == s) for s in _STARS})
-
-
 # ---------------------------------------------------------------------------
-# draws as data: a sample is a tuple of parts, drawn and merged by ``_draw``
+# draws as data: a sample is a tuple of parts, drawn and gathered by ``_draw``
 # ---------------------------------------------------------------------------
 
 
@@ -376,8 +368,11 @@ class _Part(NamedTuple):
 
 
 def _draw(parts: Sequence[_Part], master_seed: int, pools) -> Sample:
-    """Draw each part and merge them."""
-    samples = []
+    """Draw each part's indices, then gather their rows in one ``x[idx]``.
+
+    The pools a draw names share one dataset.  A star part keeps the items
+    off its cut, labelled positive above it."""
+    chosen, labels = [], []
     for part in parts:
         seed = master_seed
         for coords in part.seed_path:
@@ -385,14 +380,18 @@ def _draw(parts: Sequence[_Part], master_seed: int, pools) -> Sample:
         pool = pools[part.pool]
         try:
             if part.cut is None:
-                samples.append(sample_at_prevalence(pool, part.prevalence, part.size, seed))
+                idx = draw_indices(pool, part.prevalence, part.size, seed)
+                labels.append(pool.dataset.labels[idx])
             else:
-                samples.append(_star_sample(pool, part.prevalence, part.size, part.cut, seed))
+                idx = _star_indices(pool, part.prevalence, part.size, part.cut, seed)
+                idx = idx[pool.dataset.stars[idx] != part.cut]
+                labels.append(pool.dataset.stars[idx] > part.cut)
         except PoolExhaustionError as exc:
             raise PoolExhaustionError(
                 f"{exc.label_name} [{part.ctx}]", exc.requested, exc.available
             ) from None
-    return samples[0] if len(samples) == 1 else merge_samples(samples)
+        chosen.append(idx)
+    return Sample(pool.dataset.x[np.concatenate(chosen)], np.concatenate(labels))
 
 
 def _covariate_parts(side, prevalence, alpha, size, coords, ctx) -> tuple[_Part, ...]:
@@ -446,10 +445,10 @@ def _star_allocation(size: int, stars: Sequence[int]) -> dict[int, int]:
     return {s: base + (1 if i < rem else 0) for i, s in enumerate(sorted(stars))}
 
 
-def _star_sample(half: _StarHalf, prevalence, size: int, cut: float, seed: int) -> Sample:
-    """Star-rated items from one half, binarised at ``cut``: evenly over the
-    stars, or with a share ``prevalence`` spread over the stars above ``cut``
-    and the rest over the stars below it."""
+def _star_indices(half: _StarHalf, prevalence, size: int, cut: float, seed: int) -> np.ndarray:
+    """Indices of star-rated items from one half, in draw order: evenly over
+    the stars, or with a share ``prevalence`` spread over the stars above
+    ``cut`` and the rest over the stars below it."""
     if prevalence is None:
         allocation = _star_allocation(size, _STARS)
     else:
@@ -470,8 +469,7 @@ def _star_sample(half: _StarHalf, prevalence, size: int, cut: float, seed: int) 
         chosen.append(rng.choice(available, want, replace=False))
     idx = np.concatenate(chosen)
     rng.shuffle(idx)
-    binary = binarise_dataset(half.dataset.take(idx), cut)
-    return Sample(binary.x, binary.labels)
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -716,11 +714,11 @@ def _select_settings(cfg: ProtocolConfig, x, labels, fit_seed: int) -> dict[str,
         samples = [_draw((part,), seed, {"val": val})
                    for part in _validation_parts(val, cfg.test_size, f"grid {name} val")]
         truth = np.array([s.true_prevalence for s in samples])
+        fit_x, fit_labels = x[fit.index], labels[fit.index]
         best_mae = np.inf
         for point in DEFAULT_GRID:
             setting = (point["C"], point["class_weight"])
-            score, aggregate = _fitted(cfg, fit.dataset.x, fit.dataset.labels, {name: setting},
-                                       fit_seed)
+            score, aggregate = _fitted(cfg, fit_x, fit_labels, {name: setting}, fit_seed)
             mae = np.mean(np.abs(truth - aggregate([score(s.x) for s in samples])[name]))
             if mae < best_mae:
                 settings[name], best_mae = setting, mae

@@ -238,6 +238,42 @@ class TestRun:
         assert f"error: bad config: {field}: {message}" in capsys.readouterr().err
         assert runs == [] and not out.exists()
 
+    @pytest.mark.parametrize("protocol, field, value, message", [
+        ("prior", "master_seed", 5.7, "expected an integer, got 5.7"),
+        ("global-covariate", "train_size", 1000.0, "expected an integer, got 1000.0"),
+        ("prior", "test_size", "60", "expected an integer, got '60'"),
+        ("prior", "repetitions", True, "expected an integer, got True"),
+        ("prior", "samples_per_config", 0, "must be at least 1, got 0"),
+        ("prior", "folds", 1, "must be at least 2, got 1"),
+        ("prior", "bins", 1, "must be at least 2, got 1"),
+        ("local-covariate", "local_control_draws", -1, "must be at least 0, got -1"),
+        ("local-covariate", "local_control_draws", 2.0, "expected an integer, got 2.0"),
+    ])
+    def test_bad_integer_field_exits_2_before_any_split(
+        self, tmp_path, run_config, capsys, monkeypatch, protocol, field, value, message
+    ):
+        splits = []
+        monkeypatch.setattr("shiftbench.protocols._prepare_pools",
+                            lambda *a: splits.append(a))
+        raw = json.loads(run_config.read_text())
+        raw[field] = value
+        cfg = run_config.parent / "integer.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "i"
+        assert main(["run", protocol, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: bad config: {field}: {message}" in capsys.readouterr().err
+        assert splits == [] and not out.exists()
+
+    def test_non_string_dataset_exits_2_naming_it(self, tmp_path, run_config, capsys):
+        raw = json.loads(run_config.read_text())
+        raw["dataset"] = 5
+        cfg = run_config.parent / "dataset.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "d"
+        assert main(["run", "prior", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error: bad config: dataset: expected a file path, got 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_protocol_exits_2(self, tmp_path, run_config):
         with pytest.raises(SystemExit) as exc:
             main(["run", "bogus", "--config", str(run_config),

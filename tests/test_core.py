@@ -100,13 +100,13 @@ class TestSplitStratified:
         data = binary_dataset(labels)
         a1, b1 = split_stratified(data, 0.3, seed=42)
         a2, b2 = split_stratified(data, 0.3, seed=42)
-        assert np.array_equal(a1.dataset.x, a2.dataset.x)
-        assert np.array_equal(b1.dataset.x, b2.dataset.x)
+        assert np.array_equal(a1.dataset.x[a1.index], a2.dataset.x[a2.index])
+        assert np.array_equal(b1.dataset.x[b1.index], b2.dataset.x[b2.index])
 
     def test_disjoint_and_exhaustive(self):
         labels = (np.random.default_rng(4).random(77) < 0.4).astype(int)
         a, b = split_stratified(binary_dataset(labels), 0.5, seed=0)
-        ids = np.concatenate([a.dataset.x[:, 0], b.dataset.x[:, 0]])
+        ids = np.concatenate([a.dataset.x[a.index, 0], b.dataset.x[b.index, 0]])
         assert len(a) + len(b) == 77
         assert len(np.unique(ids)) == 77
 

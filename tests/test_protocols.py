@@ -352,7 +352,7 @@ class TestSampleIntegrity:
         from shiftbench.core import split_stratified
 
         train_pool, test_pool = split_stratified(tagged, 0.5, seed=3)
-        train_ids = set(train_pool.dataset.x[:, -1])
-        test_ids = set(test_pool.dataset.x[:, -1])
+        train_ids = set(train_pool.dataset.x[train_pool.index, -1])
+        test_ids = set(test_pool.dataset.x[test_pool.index, -1])
         assert not train_ids & test_ids
         assert len(train_ids | test_ids) == len(data)
