@@ -40,10 +40,8 @@ from .datagen import (
     vectorise,
 )
 from .evaluation import (
-    ExperimentRecord,
     RecordTable,
     SignificanceMark,
-    absolute_error,
     mark_significance,
     read_records_csv,
     wilcoxon_signed_rank,

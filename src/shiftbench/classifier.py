@@ -168,7 +168,7 @@ def stratified_fold_ids(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
         members = np.flatnonzero(labels == value)
         if len(members) < k:
             raise ValueError(
-                f"class {value!r} has {len(members)} member(s); need >= k={k}"
+                f"class {value} has {len(members)} member(s); need >= k={k}"
             )
         shuffled = rng.permutation(members)
         fold[shuffled] = np.arange(len(members)) % k

@@ -150,6 +150,8 @@ class BinaryDataset:
             object.__setattr__(self, "category", category)
             if len(category) != n:
                 raise ValueError("category must match dataset length")
+            if n and not np.isin(category, CATEGORIES).all():
+                raise ValueError(f"categories must be in {CATEGORIES}")
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -259,7 +261,7 @@ def stratified_split_indices(
         members = np.flatnonzero(labels == value)
         if len(members) < 2:
             raise StratificationError(
-                f"class {value!r} has {len(members)} member(s); "
+                f"class {value} has {len(members)} member(s); "
                 "need at least 2 to stratify"
             )
         shuffled = rng.permutation(members)

@@ -1,13 +1,15 @@
-"""Error measures, the records file, and paired significance tests.
+"""The records file and paired significance tests.
 
 A :class:`RecordTable` holds evaluated test samples as columns, from the
-executor that builds them to ``records.csv`` and back; one row of it reads
-as an :class:`ExperimentRecord`.  The Wilcoxon
-signed-rank test pairs records of two methods by (repetition, configuration),
-uses the exact sign-flip distribution for up to 25 non-zero differences, and
-a tie- and continuity-corrected normal approximation beyond that.  Its
-average ranks come from :func:`rankdata`, written in numpy so that importing
-the package does not load ``scipy.stats``.
+executor that builds them to ``records.csv`` and back.  It is the one form
+a record takes: :meth:`RecordTable.from_estimates` computes each row's
+absolute error and rejects a bad row by the rule :func:`read_records_csv`
+applies.  The Wilcoxon signed-rank test pairs records of two methods by
+(repetition, configuration), uses the exact sign-flip distribution for up to
+25 non-zero differences, and a tie- and continuity-corrected normal
+approximation beyond that.  Its average ranks come from :func:`rankdata`,
+written in numpy so that importing the package does not load
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -25,25 +26,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 EXACT_LIMIT = 25  # largest n handled by exact sign-assignment enumeration
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One row of a :class:`RecordTable`: a method's estimate on one generated
-    test sample."""
-
-    protocol: str
-    method: str
-    repetition: int
-    config: str
-    degree: float
-    true_prevalence: float
-    estimate: float
-    ae: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ae", absolute_error(self.true_prevalence, self.estimate))
-
 
 CSV_HEADER = ("protocol", "method", "repetition", "config",
               "degree", "true_prev", "est_prev", "ae")
@@ -72,14 +54,13 @@ def write_records_csv(table: RecordTable, path: str | Path) -> int:
     return len(table)
 
 
-class RecordTable(Sequence[ExperimentRecord]):
+class RecordTable:
     """Records held as read-only columns, one array per field.
 
     ``protocol``, ``method`` and ``config`` are object arrays of strings,
     ``repetition`` is int64, and ``degree``, ``true_prev``, ``estimate`` and
-    ``ae`` are float64.  Indexing and iteration build each
-    :class:`ExperimentRecord` on demand, so code written for a list of
-    records reads a table unchanged.
+    ``ae`` are float64.  A row is read through its columns, e.g.
+    ``table.ae[table.method == "CC"]``.
     """
 
     COLUMNS = {"protocol": object, "method": object, "repetition": np.int64, "config": object,
@@ -110,19 +91,6 @@ class RecordTable(Sequence[ExperimentRecord]):
         return table
 
     @classmethod
-    def from_records(cls, records: Iterable[ExperimentRecord]) -> RecordTable:
-        records = list(records)
-        return cls.from_estimates(
-            protocol=[r.protocol for r in records],
-            method=[r.method for r in records],
-            repetition=[r.repetition for r in records],
-            config=[r.config for r in records],
-            degree=[r.degree for r in records],
-            true_prev=[r.true_prevalence for r in records],
-            estimate=[r.estimate for r in records],
-        )
-
-    @classmethod
     def concat(cls, tables: Iterable[RecordTable]) -> RecordTable:
         """The rows of ``tables``, in order."""
         tables = list(tables)
@@ -133,21 +101,6 @@ class RecordTable(Sequence[ExperimentRecord]):
 
     def __len__(self) -> int:
         return len(self.ae)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RecordTable(**{name: getattr(self, name)[index] for name in self.COLUMNS})
-        return ExperimentRecord(
-            self.protocol[index], self.method[index], int(self.repetition[index]),
-            self.config[index], float(self.degree[index]), float(self.true_prev[index]),
-            float(self.estimate[index]),
-        )
-
-    def __iter__(self):
-        columns = (self.protocol, self.method, self.repetition.tolist(), self.config,
-                   self.degree.tolist(), self.true_prev.tolist(), self.estimate.tolist())
-        for row in zip(*columns):
-            yield ExperimentRecord(*row)
 
 
 _ROW_DTYPE = np.dtype(list(RecordTable.COLUMNS.items()))  # one file row, fields in file order
@@ -249,15 +202,6 @@ def _first_unparsable_row(path: str | Path) -> ValueError | None:
 def _line_of_row(path: str | Path, index: int) -> int:
     line, _ = next(itertools.islice(_data_rows(path), index, None))
     return line
-
-
-def absolute_error(true_prevalence: float, estimate: float) -> float:
-    """|p - p_hat|; both arguments must already be prevalences in [0, 1]."""
-    if not 0.0 <= true_prevalence <= 1.0:
-        raise ValueError(f"true prevalence out of [0, 1]: {true_prevalence}")
-    if not 0.0 <= estimate <= 1.0:
-        raise ValueError(f"estimate out of [0, 1]: {estimate}")
-    return abs(true_prevalence - estimate)
 
 
 def rankdata(values) -> np.ndarray:

@@ -44,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -91,15 +92,22 @@ def _tenths(lo: int, hi: int) -> tuple[float, ...]:
 
 
 #: The interval every value of each of these config fields must lie in:
-#: prevalences and mixtures in [0, 1] (a local-covariate shift cannot reach
-#: 1), star cut points strictly between the lowest and the highest star.
+#: training prevalences strictly inside (0, 1), since a classifier is fitted
+#: on both classes (the crossed covariate plan trains at every class
+#: prevalence), and so must the fraction of the pool split off for training;
+#: test prevalences and mixtures in [0, 1] (a local-covariate shift cannot
+#: reach 1); star cut points strictly between the lowest and the highest
+#: star; and C positive and finite.  A bool is not a number here.
 _RANGES = (
+    ("(0, 1)", lambda v: 0.0 < v < 1.0,
+     ("prior_train_prevalences", "covariate_class_prevalences", "split_fraction")),
     ("[0, 1]", lambda v: 0.0 <= v <= 1.0,
-     ("prior_train_prevalences", "prior_test_prevalences", "covariate_class_prevalences",
-      "covariate_mixtures", "concept_force_prevalence")),
+     ("prior_test_prevalences", "covariate_mixtures", "concept_force_prevalence")),
     ("[0, 1)", lambda v: 0.0 <= v < 1.0, ("local_test_prevalences",)),
     ("(1, 5)", lambda v: 1.0 < v < 5.0, ("concept_cut_points", "cut_point")),
+    ("(0, inf)", lambda v: 0.0 < v < math.inf, ("C",)),
 )
+_SCALARS = ("split_fraction", "cut_point", "C")  # the fields of _RANGES that hold one value
 
 #: Integer config fields and the least value each may take (None: any).
 _INTEGERS = (("train_size", 2), ("test_size", 2), ("repetitions", 1),
@@ -172,18 +180,29 @@ class ProtocolConfig:
         for interval, inside, names in _RANGES:
             for name in names:
                 values = getattr(self, name)
-                if name == "cut_point":
+                if name in _SCALARS:
                     values = (values,)
                 elif values is None and name == "concept_force_prevalence":
                     continue
                 elif not isinstance(values, (tuple, list)):
                     raise ValueError(f"{name}: expected a list of numbers, got {values!r}")
                 for v in values:
-                    if not (isinstance(v, numbers.Real) and inside(v)):
+                    if isinstance(v, bool) or not (isinstance(v, numbers.Real) and inside(v)):
                         raise ValueError(f"{name}: {v!r} is outside {interval}")
         forced = self.concept_force_prevalence
-        if forced is not None and len(forced) != 2:
-            raise ValueError(f"concept_force_prevalence: expected (p_L, p_U), got {forced!r}")
+        if forced is not None:
+            if len(forced) != 2:
+                raise ValueError(f"concept_force_prevalence: expected (p_L, p_U), got {forced!r}")
+            if not 0.0 < forced[0] < 1.0:
+                raise ValueError(f"concept_force_prevalence: p_L {forced[0]!r} is outside (0, 1)")
+        if not isinstance(self.grid_search, bool):
+            raise ValueError(f"grid_search: expected true or false, got {self.grid_search!r}")
+        if self.class_weight not in (None, "balanced"):
+            raise ValueError(f"class_weight: expected null or 'balanced', "
+                             f"got {self.class_weight!r}")
+        if not (isinstance(self.methods, (tuple, list))
+                and all(isinstance(m, str) for m in self.methods)):
+            raise ValueError(f"methods: expected a list of method names, got {self.methods!r}")
         if not self.methods:
             raise ValueError("at least one method is required")
         # registry spelling; unknown names fail fast

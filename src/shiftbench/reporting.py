@@ -1,4 +1,4 @@
-"""Rendering of record streams into tables and boxplot-ready quantile data."""
+"""Rendering of a :class:`RecordTable` into tables and boxplot-ready quantile data."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .evaluation import ExperimentRecord, RecordTable, SignificanceMark, mark_significance
+from .evaluation import RecordTable, SignificanceMark, mark_significance
 from .quantifiers import METHOD_NAMES
 
 _MARK_SUFFIX = {SignificanceMark.DAGGER: "†", SignificanceMark.DDAGGER: "‡"}
@@ -31,12 +31,10 @@ def _ranks(values: np.ndarray) -> tuple[list, np.ndarray]:
     return distinct, np.fromiter(map(lookup.__getitem__, values), np.int64, count=len(values))
 
 
-def _groups(records: Sequence[ExperimentRecord]) -> _Groups:
-    """The one grouping every report renders from; a list of records is
-    converted to a :class:`RecordTable` first."""
-    if not records:
+def _groups(table: RecordTable) -> _Groups:
+    """The one grouping every report renders from."""
+    if len(table) == 0:
         raise ValueError("no records to report")
-    table = records if isinstance(records, RecordTable) else RecordTable.from_records(records)
     if not (table.protocol == table.protocol[0]).all():
         raise ValueError(f"records mix protocols: {', '.join(_ranks(table.protocol)[0])}")
     degrees, degree_code = np.unique(table.degree, return_inverse=True)
@@ -97,9 +95,9 @@ def _fmt_mae(value: float) -> str:
     return out[1:] if out.startswith("0.") else out
 
 
-def render_markdown(records: Sequence[ExperimentRecord]) -> str:
+def render_markdown(table: RecordTable) -> str:
     """MAE-by-degree markdown table; best per row in bold, daggers appended."""
-    g = _groups(records)
+    g = _groups(table)
     methods = g.methods
     out = io.StringIO()
     out.write("| degree | " + " | ".join(methods) + " |\n")
@@ -121,9 +119,9 @@ def render_markdown(records: Sequence[ExperimentRecord]) -> str:
     return out.getvalue()
 
 
-def render_table_csv(records: Sequence[ExperimentRecord]) -> str:
+def render_table_csv(table: RecordTable) -> str:
     """Machine-readable table: degree,method,mae,mark."""
-    g = _groups(records)
+    g = _groups(table)
     out = io.StringIO()
     out.write("degree,method,mae,mark\n")
     for degree, mae, marks in _degree_rows(g):
@@ -161,9 +159,9 @@ def boxplot_stats(values: Sequence[float]) -> dict:
     }
 
 
-def render_plotdata(records: Sequence[ExperimentRecord]) -> str:
+def render_plotdata(table: RecordTable) -> str:
     """Per-(degree, method) boxplot numbers: whisker ends, quartiles, outliers."""
-    g = _groups(records)
+    g = _groups(table)
     out = io.StringIO()
     out.write("degree,method,min,q1,median,q3,max,outliers\n")
     for degree, group in g.degrees:

@@ -39,6 +39,7 @@ from shiftbench.quantifiers import (
     mixture_fit_alpha,
     quantifier_factory,
 )
+from test_protocols import config_field
 
 
 def check(name: str, ok: bool, detail: str = ""):
@@ -231,6 +232,12 @@ def test_criterion_04_adjusted_count_error_shrinks_with_sample_size():
     )
 
 
+def _mae_by_method(table, rows):
+    """MAE of each method over the selected rows, methods in record order."""
+    return {m: float(np.mean(table.ae[rows & (table.method == m)]))
+            for m in dict.fromkeys(table.method[rows].tolist())}
+
+
 def test_criterion_05_prior_shift_method_ordering_at_desk_scale():
     start = time.process_time()
     data = two_gaussians(30_000, seed=11)
@@ -238,14 +245,8 @@ def test_criterion_05_prior_shift_method_ordering_at_desk_scale():
     records = run_protocol(cfg, data)
     elapsed = time.process_time() - start
 
-    pooled: dict[str, dict[str, list]] = {"high": {}, "zero": {}}
-    for rec in records:
-        if abs(rec.degree) >= 0.5:
-            pooled["high"].setdefault(rec.method, []).append(rec.ae)
-        if rec.degree == 0.0:
-            pooled["zero"].setdefault(rec.method, []).append(rec.ae)
-    high = {m: float(np.mean(v)) for m, v in pooled["high"].items()}
-    zero = {m: float(np.mean(v)) for m, v in pooled["zero"].items()}
+    high = _mae_by_method(records, np.abs(records.degree) >= 0.5)
+    zero = _mae_by_method(records, records.degree == 0.0)
 
     adjusting_beat_counting = all(
         high[a] < high[c]
@@ -261,17 +262,10 @@ def test_criterion_05_prior_shift_method_ordering_at_desk_scale():
     )
 
 
-def _config_fields(record):
-    return dict(kv.split("=") for kv in record.config.split(";"))
-
-
 def test_criterion_06_pure_covariate_shift_favours_mean_posterior(covariate_records):
-    errors: dict[str, list] = {}
-    for rec in covariate_records:
-        c = _config_fields(rec)
-        if c["pL"] == c["pU"] and abs(rec.degree) == 1.0:
-            errors.setdefault(rec.method, []).append(rec.ae)
-    mae = {m: float(np.mean(v)) for m, v in errors.items()}
+    table = covariate_records
+    pure = config_field(table, "pL") == config_field(table, "pU")
+    mae = _mae_by_method(table, pure & (np.abs(table.degree) == 1.0))
     best = min(mae.values())
     check(
         "criterion 6: PCC is (near-)best under maximal pure covariate shift",
@@ -281,12 +275,8 @@ def test_criterion_06_pure_covariate_shift_favours_mean_posterior(covariate_reco
 
 
 def test_criterion_07_mixed_covariate_shift_favours_prior_adjustment(covariate_records):
-    errors: dict[str, list] = {}
-    for rec in covariate_records:
-        c = _config_fields(rec)
-        if c["pL"] != c["pU"]:
-            errors.setdefault(rec.method, []).append(rec.ae)
-    mae = {m: float(np.mean(v)) for m, v in errors.items()}
+    table = covariate_records
+    mae = _mae_by_method(table, config_field(table, "pL") != config_field(table, "pU"))
     check(
         "criterion 7: SLD beats PCC when covariate shift carries a prior change",
         mae["SLD"] < mae["PCC"],

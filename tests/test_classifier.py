@@ -170,7 +170,7 @@ class TestKFold:
 
     def test_class_smaller_than_k_raises(self):
         labels = np.array([1] * 3 + [0] * 50)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^class 1 has 3 member\(s\); need >= k=5$"):
             stratified_fold_ids(labels, 5, seed=0)
 
     def test_unknown_mode_rejected(self):

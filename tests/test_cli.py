@@ -114,7 +114,7 @@ class TestRun:
         assert main(["run", "prior", "--config", str(run_config), "--out", str(out),
                      "--methods", "CC"]) == 0
         records = read_records_csv(out / "records.csv")
-        assert {r.method for r in records} == {"CC"}
+        assert set(records.method.tolist()) == {"CC"}
 
     def test_methods_flag_takes_registry_spelling(self, tmp_path, run_config):
         out = tmp_path / "m"
@@ -167,6 +167,19 @@ class TestRun:
         assert "line 3: non-finite feature value" in capsys.readouterr().err
         assert not (out / "records.csv").exists()
 
+    def test_category_outside_a_and_b_exits_2(self, tmp_path, run_config, dataset, capsys):
+        lines = dataset.read_text().splitlines(keepends=True)
+        for index in range(0, len(lines), 3):
+            row = json.loads(lines[index])
+            row["category"] = "ABC"[index % 9 // 3]
+            lines[index] = json.dumps(row) + "\n"
+        dataset.write_text("".join(lines))
+        out = tmp_path / "o"
+        assert main(["run", "global-covariate", "--config", str(run_config),
+                     "--out", str(out)]) == 2
+        assert "categories must be in ('A', 'B')" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
     @pytest.mark.parametrize(
         "line_no, text, message",
         [
@@ -209,18 +222,28 @@ class TestRun:
         assert config_hash(copy, "changed") != original
 
     @pytest.mark.parametrize("protocol, field, value, message", [
-        ("prior", "prior_train_prevalences", [0.2, 1.5], "1.5 is outside [0, 1]"),
+        ("prior", "prior_train_prevalences", [0.2, 1.5], "1.5 is outside (0, 1)"),
+        ("prior", "prior_train_prevalences", [0.5, 0.0], "0.0 is outside (0, 1)"),
         ("prior", "prior_test_prevalences", [-0.1, 0.5], "-0.1 is outside [0, 1]"),
         ("prior", "prior_test_prevalences", ["0.5"], "'0.5' is outside [0, 1]"),
         ("prior", "prior_test_prevalences", 0.5, "expected a list of numbers, got 0.5"),
         ("global-covariate", "covariate_class_prevalences", [0.5, 1.01],
-         "1.01 is outside [0, 1]"),
+         "1.01 is outside (0, 1)"),
+        ("global-covariate", "covariate_class_prevalences", [1.0, 0.5], "1.0 is outside (0, 1)"),
         ("global-covariate", "covariate_mixtures", [-0.5], "-0.5 is outside [0, 1]"),
         ("local-covariate", "local_test_prevalences", [0.5, 1.0], "1.0 is outside [0, 1)"),
         ("concept", "concept_cut_points", [2.5, 5.0], "5.0 is outside (1, 5)"),
         ("prior", "cut_point", 1.0, "1.0 is outside (1, 5)"),
         ("concept", "concept_force_prevalence", [0.5, 1.5], "1.5 is outside [0, 1]"),
         ("concept", "concept_force_prevalence", [0.5], "expected (p_L, p_U), got (0.5,)"),
+        ("concept", "concept_force_prevalence", [0.0, 1.0], "p_L 0.0 is outside (0, 1)"),
+        ("prior", "split_fraction", 1.5, "1.5 is outside (0, 1)"),
+        ("prior", "C", "big", "'big' is outside (0, inf)"),
+        ("prior", "C", True, "True is outside (0, inf)"),
+        ("prior", "C", 0, "0 is outside (0, inf)"),
+        ("prior", "grid_search", "no", "expected true or false, got 'no'"),
+        ("prior", "methods", "CC", "expected a list of method names, got 'CC'"),
+        ("prior", "class_weight", "weird", "expected null or 'balanced', got 'weird'"),
         ("local-covariate", "test_size", 2, "must be at least 3 for local-covariate shift, got 2"),
         ("local-covariate", "train_size", 301, "must be even for local-covariate shift, got 301"),
     ])
@@ -451,7 +474,7 @@ class TestConceptViaCli:
         assert main(["run", "concept", "--config", str(cfg), "--out", str(out)]) == 0
         records = read_records_csv(out / "records.csv")
         assert len(records) == 4 * 4 * 2
-        assert {r.protocol for r in records} == {"concept"}
+        assert set(records.protocol.tolist()) == {"concept"}
 
 
 class TestSelftest:

@@ -111,7 +111,8 @@ class TestSplitStratified:
         assert len(np.unique(ids)) == 77
 
     def test_tiny_class_raises(self):
-        with pytest.raises(StratificationError):
+        with pytest.raises(StratificationError,
+                           match=r"^class 1 has 1 member\(s\); need at least 2 to stratify$"):
             split_stratified(binary_dataset([0, 0, 0, 1]), 0.5, seed=0)
 
 

@@ -7,16 +7,15 @@ import pytest
 from scipy.stats import rankdata
 
 from shiftbench.evaluation import (
-    ExperimentRecord,
     RecordTable,
     SignificanceMark,
-    absolute_error,
     mark_significance,
     read_records_csv,
     wilcoxon_signed_rank,
     write_records_csv,
 )
 from shiftbench.reporting import render_table_csv
+from test_protocols import same_records
 
 
 def brute_force_wilcoxon(a, b):
@@ -38,35 +37,34 @@ def brute_force_wilcoxon(a, b):
     return min(1.0, 2.0 * min(p_low, p_high))
 
 
-def record(method="CC", degree=0.0, true=0.5, est=0.4, rep=0, config="r=0"):
-    return ExperimentRecord(
-        protocol="prior",
-        method=method,
-        repetition=rep,
-        config=config,
-        degree=degree,
-        true_prevalence=true,
-        estimate=est,
-    )
+def records(method="CC", degree=0.0, true=0.5, est=0.4, rep=0, config="r=0"):
+    """A prior-protocol table; each argument is one value for every row or a
+    list of per-row values."""
+    columns = dict(method=method, degree=degree, true_prev=true, estimate=est,
+                   repetition=rep, config=config)
+    n = max((len(v) for v in columns.values() if isinstance(v, list)), default=1)
+    columns = {k: v if isinstance(v, list) else [v] * n for k, v in columns.items()}
+    return RecordTable.from_estimates(protocol=["prior"] * n, **columns)
 
 
 class TestAbsoluteError:
     def test_basic_values(self):
-        assert absolute_error(0.5, 0.5) == 0.0
-        assert absolute_error(0.0, 1.0) == 1.0
-        assert absolute_error(0.25, 0.40) == pytest.approx(0.15)
+        ae = records(true=[0.5, 0.0, 0.25], est=[0.5, 1.0, 0.40]).ae
+        assert ae[0] == 0.0
+        assert ae[1] == 1.0
+        assert ae[2] == pytest.approx(0.15)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            absolute_error(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            absolute_error(0.5, 1.2)
+        with pytest.raises(ValueError, match=r"^true prevalence out of \[0, 1\]: -0.1$"):
+            records(true=-0.1, est=0.5)
+        with pytest.raises(ValueError, match=r"^estimate out of \[0, 1\]: 1.2$"):
+            records(true=0.5, est=1.2)
 
 
-def mae_by_degree(records):
+def mae_by_degree(table):
     """Mean AE by (degree, method), read from the report table."""
     mae = {}
-    for line in render_table_csv(records).splitlines()[1:]:
+    for line in render_table_csv(table).splitlines()[1:]:
         degree, method, value, _ = line.split(",")
         mae.setdefault(float(degree), {})[method] = float(value)
     return mae
@@ -74,30 +72,26 @@ def mae_by_degree(records):
 
 class TestMaeByDegree:
     def test_single_record(self):
-        mae = mae_by_degree([record(est=0.3)])
+        mae = mae_by_degree(records(est=0.3))
         assert mae == {0.0: {"CC": pytest.approx(0.2)}}
 
     def test_two_records_average(self):
-        recs = [record(est=0.4), record(est=0.2, config="r=1")]  # AEs 0.1 and 0.3
-        assert mae_by_degree(recs)[0.0]["CC"] == pytest.approx(0.2)
+        table = records(est=[0.4, 0.2], config=["r=0", "r=1"])  # AEs 0.1 and 0.3
+        assert mae_by_degree(table)[0.0]["CC"] == pytest.approx(0.2)
 
     def test_degrees_never_mix(self):
-        recs = [record(degree=0.1, est=0.4), record(degree=0.2, est=0.1)]
-        mae = mae_by_degree(recs)
+        mae = mae_by_degree(records(degree=[0.1, 0.2], est=[0.4, 0.1]))
         assert set(mae) == {0.1, 0.2}
 
     def test_group_mean_bounded_by_extremes(self):
         rng = np.random.default_rng(0)
-        recs = [
-            record(est=float(e), config=f"r={i}") for i, e in enumerate(rng.uniform(0, 1, 50))
-        ]
-        aes = [r.ae for r in recs]
-        value = mae_by_degree(recs)[0.0]["CC"]
-        assert min(aes) <= value <= max(aes)
+        table = records(est=rng.uniform(0, 1, 50).tolist(), config=[f"r={i}" for i in range(50)])
+        value = mae_by_degree(table)[0.0]["CC"]
+        assert table.ae.min() <= value <= table.ae.max()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mae_by_degree([])
+            mae_by_degree(records(est=[]))
 
 
 class TestWilcoxon:
@@ -202,44 +196,38 @@ class TestMarkSignificance:
 
 class TestRecords:
     def test_ae_is_exact_absolute_difference(self):
-        rec = record(true=0.7, est=0.2)
-        assert rec.ae == abs(0.7 - 0.2)
+        assert records(true=0.7, est=0.2).ae[0] == abs(0.7 - 0.2)
 
     def test_estimate_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            record(est=1.5)
+        with pytest.raises(ValueError, match=r"^estimate out of \[0, 1\]: 1.5$"):
+            records(est=1.5)
 
     def test_csv_round_trip(self, tmp_path):
-        recs = [
-            record(method=m, degree=d, true=0.5, est=e, rep=r, config=f"pL=0.5;r={r}")
-            for m in ("CC", "SLD")
-            for d, e, r in [(0.0, 0.25, 0), (-0.5, 1 / 3, 1)]
-        ]
+        table = records(method=["CC", "CC", "SLD", "SLD"], degree=[0.0, -0.5] * 2,
+                        est=[0.25, 1 / 3] * 2, rep=[0, 1] * 2,
+                        config=["pL=0.5;r=0", "pL=0.5;r=1"] * 2)
         path = tmp_path / "records.csv"
-        assert write_records_csv(RecordTable.from_records(recs), path) == len(recs)
-        loaded = read_records_csv(path)
-        assert list(loaded) == recs
+        assert write_records_csv(table, path) == len(table) == 4
+        assert same_records(read_records_csv(path), table)
 
     def test_csv_round_trip_of_quoted_configs(self, tmp_path):
-        recs = [record(config=c, rep=r)
-                for r, c in enumerate(['pL=0.5,"x"', "a\nb", ' spaced, "#" '])]
+        table = records(config=['pL=0.5,"x"', "a\nb", ' spaced, "#" '], rep=[0, 1, 2])
         path = tmp_path / "records.csv"
-        write_records_csv(RecordTable.from_records(recs), path)
-        assert list(read_records_csv(path)) == recs
+        write_records_csv(table, path)
+        assert same_records(read_records_csv(path), table)
 
-    def test_table_is_a_read_only_sequence_of_records(self):
-        recs = [record(method=m, rep=r, est=e) for m, r, e in [("CC", 0, 0.1), ("SLD", 1, 0.9)]]
-        table = RecordTable.from_records(recs)
-        assert len(table) == 2 and table[1] == recs[1] and table[-1] == recs[1]
-        assert list(table[:1]) == recs[:1]
-        assert table.ae.tolist() == [r.ae for r in recs]
-        with pytest.raises(ValueError):
-            table.ae[0] = 0.0
+    def test_table_columns_are_read_only(self):
+        table = records(method=["CC", "SLD"], rep=[0, 1], est=[0.1, 0.9])
+        assert len(table) == 2
+        assert table.ae.tolist() == [abs(0.5 - 0.1), abs(0.5 - 0.9)]
+        for name in RecordTable.COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = getattr(table, name)[1]
 
     def test_concat_keeps_row_order(self):
-        recs = [record(method=m, rep=r, est=e) for m, r, e in [("CC", 0, 0.1), ("SLD", 1, 0.9)]]
-        tables = [RecordTable.from_records(recs[:1]), RecordTable.from_records(recs[1:])]
-        assert list(RecordTable.concat(tables)) == recs
+        both = records(method=["CC", "SLD"], rep=[0, 1], est=[0.1, 0.9])
+        tables = [records(method="CC", rep=0, est=0.1), records(method="SLD", rep=1, est=0.9)]
+        assert same_records(RecordTable.concat(tables), both)
         empty = RecordTable.concat([])
         assert len(empty) == 0 and empty.repetition.dtype == np.int64
 

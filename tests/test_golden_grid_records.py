@@ -15,6 +15,7 @@ from shiftbench.evaluation import RecordTable, read_records_csv, write_records_c
 from shiftbench.protocols import PRIOR, ProtocolConfig, run_protocol
 from shiftbench.quantifiers import METHOD_NAMES
 from test_acceptance import two_gaussians
+from test_protocols import same_records
 
 GOLDEN = Path(__file__).with_name("golden_grid_records.csv")
 
@@ -39,10 +40,6 @@ def golden_run(methods=METHOD_NAMES):
     return run_protocol(grid_config(methods), two_gaussians(6000, seed=0))
 
 
-def _key(r):
-    return (r.protocol, r.method, r.repetition, r.config, r.degree, r.true_prevalence)
-
-
 @pytest.fixture(scope="module")
 def all_methods_run():
     return golden_run()
@@ -50,14 +47,15 @@ def all_methods_run():
 
 def test_grid_records_match_golden_file(all_methods_run):
     expected = read_records_csv(GOLDEN)
-    assert {r.method for r in expected} == set(METHOD_NAMES)
-    assert [_key(r) for r in all_methods_run] == [_key(r) for r in expected]
-    assert [r.estimate for r in all_methods_run] == [r.estimate for r in expected]
+    assert set(expected.method.tolist()) == set(METHOD_NAMES)
+    assert same_records(all_methods_run, expected)
 
 
 def test_selection_does_not_depend_on_other_methods(all_methods_run):
     alone = golden_run(methods=("CC",))
-    assert list(alone) == [r for r in all_methods_run if r.method == "CC"]
+    cc_rows = {name: getattr(all_methods_run, name)[all_methods_run.method == "CC"]
+               for name in RecordTable.COLUMNS}
+    assert same_records(alone, RecordTable(**cc_rows))
 
 
 if __name__ == "__main__":

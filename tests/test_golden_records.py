@@ -7,7 +7,7 @@ deliberate regeneration, declared alongside the change that causes it.
 
 from pathlib import Path
 
-import pytest
+import numpy as np
 
 from shiftbench.evaluation import RecordTable, read_records_csv, write_records_csv
 from shiftbench.protocols import CONCEPT, PROTOCOLS, run_protocol
@@ -18,25 +18,21 @@ GOLDEN = Path(__file__).with_name("golden_records.csv")
 
 
 def golden_run():
-    records = []
-    for protocol in PROTOCOLS:
-        dataset = star_dataset() if protocol == CONCEPT else binary_ab_dataset()
-        records += run_protocol(tiny_config(protocol, methods=METHOD_NAMES), dataset)
-    return records
-
-
-def _key(r):
-    return (r.protocol, r.method, r.repetition, r.config, r.degree, r.true_prevalence)
+    return RecordTable.concat(
+        run_protocol(tiny_config(protocol, methods=METHOD_NAMES),
+                     star_dataset() if protocol == CONCEPT else binary_ab_dataset())
+        for protocol in PROTOCOLS
+    )
 
 
 def test_records_match_golden_file():
     expected = read_records_csv(GOLDEN)
     actual = golden_run()
-    assert [_key(r) for r in actual] == [_key(r) for r in expected]
-    for got, want in zip(actual, expected):
-        assert got.estimate == pytest.approx(want.estimate, abs=1e-9), _key(got)
+    assert len(actual) == len(expected)
+    for name in ("protocol", "method", "repetition", "config", "degree", "true_prev"):
+        assert np.array_equal(getattr(actual, name), getattr(expected, name)), name
+    assert np.abs(actual.estimate - expected.estimate).max() <= 1e-9
 
 
 if __name__ == "__main__":
-    print(f"wrote {write_records_csv(RecordTable.from_records(golden_run()), GOLDEN)} "
-          f"records to {GOLDEN}")
+    print(f"wrote {write_records_csv(golden_run(), GOLDEN)} records to {GOLDEN}")

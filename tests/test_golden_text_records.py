@@ -17,7 +17,7 @@ from shiftbench.datagen import filter_reviews, reviews_to_dataset
 from shiftbench.evaluation import RecordTable, read_records_csv, write_records_csv
 from shiftbench.protocols import PROTOCOLS, run_protocol
 from shiftbench.quantifiers import METHOD_NAMES
-from test_protocols import tiny_config
+from test_protocols import same_records, tiny_config
 from test_text_pipeline import synthetic_reviews
 
 GOLDEN = Path(__file__).with_name("golden_text_records.csv")
@@ -40,14 +40,9 @@ def text_config(protocol):
 
 def golden_run(jobs=1):
     dataset = review_corpus()
-    records = []
-    for protocol in PROTOCOLS:
-        records += run_protocol(text_config(protocol), dataset, jobs=jobs)
-    return records
-
-
-def _key(r):
-    return (r.protocol, r.method, r.repetition, r.config, r.degree, r.true_prevalence)
+    return RecordTable.concat(
+        run_protocol(text_config(protocol), dataset, jobs=jobs) for protocol in PROTOCOLS
+    )
 
 
 @pytest.fixture(scope="module")
@@ -57,15 +52,13 @@ def one_worker_run():
 
 def test_text_records_match_golden_file(one_worker_run):
     expected = read_records_csv(GOLDEN)
-    assert {r.protocol for r in expected} == set(PROTOCOLS)
-    assert [_key(r) for r in one_worker_run] == [_key(r) for r in expected]
-    assert [r.estimate for r in one_worker_run] == [r.estimate for r in expected]
+    assert set(expected.protocol.tolist()) == set(PROTOCOLS)
+    assert same_records(one_worker_run, expected)
 
 
 def test_two_workers_match_one_worker(one_worker_run):
-    assert golden_run(jobs=2) == one_worker_run
+    assert same_records(golden_run(jobs=2), one_worker_run)
 
 
 if __name__ == "__main__":
-    print(f"wrote {write_records_csv(RecordTable.from_records(golden_run()), GOLDEN)} "
-          f"records to {GOLDEN}")
+    print(f"wrote {write_records_csv(golden_run(), GOLDEN)} records to {GOLDEN}")

@@ -29,6 +29,9 @@ property_settings = settings(max_examples=60, deadline=None)
 
 unit = st.floats(0.0, 1.0)
 grids = st.lists(unit, min_size=1, max_size=3).map(tuple)
+# a training prevalence lies strictly inside (0, 1): both classes are fitted
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+train_grids = st.lists(open_unit, min_size=1, max_size=3).map(tuple)
 shape = dict(train_size=st.integers(2, 400), test_size=st.integers(2, 200),
              repetitions=st.integers(1, 2), samples_per_config=st.integers(1, 3))
 
@@ -93,7 +96,7 @@ def check_sizes(cfg, steps):
 
 
 @property_settings
-@given(train=grids, test=grids, data=st.data())
+@given(train=train_grids, test=grids, data=st.data())
 def test_prior_parts(pool_names, train, test, data):
     cfg = ProtocolConfig(PRIOR, prior_train_prevalences=train, prior_test_prevalences=test,
                          **{k: data.draw(v) for k, v in shape.items()})
@@ -103,7 +106,7 @@ def test_prior_parts(pool_names, train, test, data):
 
 
 @property_settings
-@given(prevalences=grids, mixtures=grids, data=st.data())
+@given(prevalences=train_grids, mixtures=grids, data=st.data())
 def test_global_covariate_parts(pool_names, prevalences, mixtures, data):
     cfg = ProtocolConfig(GLOBAL_COVARIATE, covariate_class_prevalences=prevalences,
                          covariate_mixtures=mixtures,
@@ -116,7 +119,7 @@ def test_global_covariate_parts(pool_names, prevalences, mixtures, data):
 @property_settings
 @given(cuts=st.lists(st.sampled_from((1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5)), min_size=1,
                      max_size=3, unique=True).map(tuple),
-       forced=st.none() | st.tuples(unit, unit), data=st.data())
+       forced=st.none() | st.tuples(open_unit, unit), data=st.data())
 def test_concept_parts(pool_names, cuts, forced, data):
     cfg = ProtocolConfig(CONCEPT, concept_cut_points=cuts, concept_force_prevalence=forced,
                          **{k: data.draw(v) for k, v in shape.items()})

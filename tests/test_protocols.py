@@ -6,6 +6,7 @@ import pytest
 from shiftbench import protocols
 from shiftbench.core import PoolExhaustionError
 from shiftbench.datagen import ClusterSpec, generate_mixture
+from shiftbench.evaluation import RecordTable
 from shiftbench.protocols import (
     _PLANS,
     CONCEPT,
@@ -21,6 +22,19 @@ from shiftbench.protocols import (
     run_protocol,
 )
 from shiftbench.quantifiers import MLPE, quantifier_factory
+
+
+def config_field(table, name):
+    """Each row's value of ``name`` in its config, e.g. "pU" of "pL=0.5;pU=0.25;r=0"."""
+    return np.array([float(dict(kv.split("=") for kv in config.split(";"))[name])
+                     for config in table.config.tolist()])
+
+
+def same_records(a, b):
+    """Whether two tables hold the same rows in the same order, column by column."""
+    return len(a) == len(b) and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in RecordTable.COLUMNS
+    )
 
 
 def binary_ab_dataset(n=6000, seed=0):
@@ -174,14 +188,14 @@ class TestDrawArithmetic:
             methods=("MLPE",),
         )
         records = run_protocol(cfg, binary_ab_dataset(n=12000))
-        by_cfg = {r.config: r for r in records}
+        by_cfg = dict(zip(records.config.tolist(), records.true_prev.tolist()))
         base = 83 + 250
         shift_50 = by_cfg["pU=0.5;arm=shift;r=0"]
-        assert abs(shift_50.true_prevalence - 0.5) <= 0.5 / (base + 167) + 1e-12
+        assert abs(shift_50 - 0.5) <= 0.5 / (base + 167) + 1e-12
         control_50 = by_cfg["pU=0.5;arm=control;r=0;d=0"]
-        assert abs(control_50.true_prevalence - 0.5) <= 0.5 / (base + 167) + 1e-12
+        assert abs(control_50 - 0.5) <= 0.5 / (base + 167) + 1e-12
         shift_25 = by_cfg["pU=0.25;arm=shift;r=0"]
-        assert abs(shift_25.true_prevalence - 0.25) <= 0.5 / base + 2e-3
+        assert abs(shift_25 - 0.25) <= 0.5 / base + 2e-3
 
     def test_concept_uniform_stars_give_grid_prevalences(self):
         cfg = tiny_config(
@@ -190,10 +204,8 @@ class TestDrawArithmetic:
         )
         records = run_protocol(cfg, star_dataset())
         # test draws are star-stratified, so binarised prevalence is exact
-        for r in records:
-            c_u = float(dict(kv.split("=") for kv in r.config.split(";"))["cU"])
-            expected = len([s for s in (1, 2, 3, 4, 5) if s > c_u]) / 5
-            assert r.true_prevalence == pytest.approx(expected, abs=1e-12)
+        expected = (np.arange(1, 6) > config_field(records, "cU")[:, None]).sum(axis=1) / 5
+        assert np.abs(records.true_prev - expected).max() <= 1e-12
 
     def test_concept_forced_prevalence(self):
         cfg = tiny_config(
@@ -205,27 +217,26 @@ class TestDrawArithmetic:
             concept_force_prevalence=(0.5, 0.75),
         )
         records = run_protocol(cfg, star_dataset())
-        for r in records:
-            assert r.true_prevalence == pytest.approx(0.75, abs=1e-12)
-            assert r.estimate == pytest.approx(0.5, abs=0.02)  # MLPE returns p_L
+        assert np.abs(records.true_prev - 0.75).max() <= 1e-12
+        assert np.abs(records.estimate - 0.5).max() <= 0.02  # MLPE returns p_L
 
 
 class TestDeterminismAndParallelism:
     def test_same_seed_same_records(self):
         cfg = tiny_config(PRIOR)
         data = binary_ab_dataset()
-        assert list(run_protocol(cfg, data)) == list(run_protocol(cfg, data))
+        assert same_records(run_protocol(cfg, data), run_protocol(cfg, data))
 
     def test_different_seed_different_records(self):
         data = binary_ab_dataset()
         a = run_protocol(tiny_config(PRIOR), data)
         b = run_protocol(tiny_config(PRIOR, master_seed=8), data)
-        assert list(a) != list(b)
+        assert not same_records(a, b)
 
     def test_worker_count_does_not_change_stream(self):
         cfg = tiny_config(PRIOR, repetitions=2)
         data = binary_ab_dataset()
-        assert list(run_protocol(cfg, data, jobs=1)) == list(run_protocol(cfg, data, jobs=2))
+        assert same_records(run_protocol(cfg, data, jobs=1), run_protocol(cfg, data, jobs=2))
 
     @pytest.mark.parametrize("jobs, repetitions, workers", [(8, 2, 2), (2, 3, 2), (1, 3, None)])
     def test_pool_has_at_most_one_worker_per_repetition(
@@ -337,9 +348,8 @@ class TestSampleIntegrity:
     def test_realized_prevalence_close_to_nominal(self):
         cfg = tiny_config(PRIOR, methods=("MLPE",))
         records = run_protocol(cfg, binary_ab_dataset())
-        for r in records:
-            nominal = float(dict(kv.split("=") for kv in r.config.split(";"))["pU"])
-            assert abs(r.true_prevalence - nominal) <= 0.5 / cfg.test_size + 1e-12
+        nominal = config_field(records, "pU")
+        assert np.abs(records.true_prev - nominal).max() <= 0.5 / cfg.test_size + 1e-12
 
     def test_train_and_test_pools_disjoint(self):
         # identical draws from train and test pools can never overlap, because

@@ -1,16 +1,16 @@
 """``write_records_csv`` of a table writes the bytes the row-by-row writer wrote.
 
-The oracle, ``oracle_write_records_csv``, is the earlier writer: it took a
-list of :class:`ExperimentRecord` and wrote each through the record's own
-``csv_row`` (copied here as ``oracle_csv_row``).  One rule is added to it: a
-record with a carriage return in a text field is written with every text
-field quoted, because the csv module leaves a field holding a lone CR
-unquoted and no reader can tell it from a line break.  The table writer must
-match it byte for byte on any valid rows, including configs with commas,
-quotes and line breaks and floats such as ±0.0, subnormals and 1/3, and
-``read_records_csv`` must read every such file back to the same table.
-Building a table from estimates must reject the rows the old records
-rejected: a NaN or out-of-range prevalence.
+The oracle, ``oracle_write_records_csv``, is the earlier writer: it wrote
+one row at a time, each value through ``str`` or ``repr`` and the absolute
+error as ``abs(true - estimate)`` (``oracle_csv_row``), here over plain row
+tuples.  One rule is added to it: a row with a carriage return in a text
+field is written with every text field quoted, because the csv module
+leaves a field holding a lone CR unquoted and no reader can tell it from a
+line break.  The table writer must match it byte for byte on any valid rows,
+including configs with commas, quotes and line breaks and floats such as
+±0.0, subnormals and 1/3, and ``read_records_csv`` must read every such file
+back to the same table.  Building a table from estimates must reject a NaN
+or out-of-range prevalence with a message naming the value.
 """
 
 import csv
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from shiftbench.evaluation import (
     CSV_HEADER,
-    ExperimentRecord,
     RecordTable,
     read_records_csv,
     write_records_csv,
@@ -33,33 +32,35 @@ property_settings = settings(
 )
 
 
-def oracle_csv_row(self) -> list[str]:
+def oracle_csv_row(row) -> list[str]:
+    protocol, method, repetition, config, degree, true_prev, estimate = row
     return [
-        self.protocol,
-        self.method,
-        str(self.repetition),
-        self.config,
-        repr(self.degree),
-        repr(self.true_prevalence),
-        repr(self.estimate),
-        repr(self.ae),
+        protocol,
+        method,
+        str(repetition),
+        config,
+        repr(degree),
+        repr(true_prev),
+        repr(estimate),
+        repr(abs(true_prev - estimate)),
     ]
 
 
-def oracle_write_records_csv(records, path) -> int:
-    """Write records as UTF-8 CSV with LF line endings; returns the row count."""
+def oracle_write_records_csv(rows, path) -> int:
+    """Write row tuples as UTF-8 CSV with LF line endings; returns the row count."""
     n = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for rec in records:
-            if "\r" in rec.protocol + rec.method + rec.config:
+        for row in rows:
+            protocol, method, _, config = row[:4]
+            if "\r" in protocol + method + config:
                 fh.write(",".join(
                     field if k in (2, 4, 5, 6, 7) else '"' + field.replace('"', '""') + '"'
-                    for k, field in enumerate(oracle_csv_row(rec))
+                    for k, field in enumerate(oracle_csv_row(row))
                 ) + "\n")
             else:
-                writer.writerow(oracle_csv_row(rec))
+                writer.writerow(oracle_csv_row(row))
             n += 1
     return n
 
@@ -101,8 +102,7 @@ def table_of(rows) -> RecordTable:
 def test_table_writer_matches_row_writer(tmp_path, rows):
     ours, oracle = tmp_path / "table.csv", tmp_path / "rows.csv"
     table = table_of(rows)
-    records = [ExperimentRecord(*row) for row in rows]
-    assert write_records_csv(table, ours) == oracle_write_records_csv(records, oracle) == len(rows)
+    assert write_records_csv(table, ours) == oracle_write_records_csv(rows, oracle) == len(rows)
     assert ours.read_bytes() == oracle.read_bytes()
 
 
@@ -140,11 +140,10 @@ def test_bad_prevalence_rejected_like_a_record(rows, data):
     row = list(rows[at])
     row[field] = bad
     rows = rows[:at] + [tuple(row)] + rows[at + 1:]
-    with pytest.raises(ValueError) as record_error:
-        ExperimentRecord(*row)
     with pytest.raises(ValueError) as table_error:
         table_of(rows)
-    assert str(table_error.value) == str(record_error.value)
+    name = "true prevalence" if field == 5 else "estimate"
+    assert str(table_error.value) == f"{name} out of [0, 1]: {bad}"
 
 
 @pytest.mark.parametrize("degree", [math.nan, math.inf, -math.inf])

@@ -60,7 +60,7 @@ def test_prior_protocol_on_text_corpus(review_dataset):
     records = run_protocol(cfg, review_dataset)
     assert len(records) == 2 * 2 * 2 * 3
     # word usage separates the classes, so even CC must far outperform chance
-    mean_ae = float(np.mean([r.ae for r in records]))
+    mean_ae = float(np.mean(records.ae))
     assert mean_ae < 0.15
 
 
@@ -82,7 +82,7 @@ def test_vocabulary_is_per_training_draw(review_dataset):
     )
     records = run_protocol(cfg, review_dataset)
     assert len(records) == 2
-    assert all(0 <= r.estimate <= 1 for r in records)
+    assert ((records.estimate >= 0) & (records.estimate <= 1)).all()
 
 
 def test_cli_run_on_reviews_file(tmp_path):
@@ -139,4 +139,4 @@ def test_grid_search_inside_protocol(review_dataset):
     )
     records = run_protocol(cfg, review_dataset)
     assert len(records) == 1
-    assert 0 <= records[0].estimate <= 1
+    assert 0 <= records.estimate[0] <= 1
