@@ -83,14 +83,23 @@ class TermCounts:
 
 
 def _as_payload(x: Any) -> Any:
-    if isinstance(x, (np.ndarray, TermCounts)):
+    """``x`` as a dataset holds it; a numeric payload with a NaN or an inf
+    raises ``ValueError`` naming the first row that holds one."""
+    if isinstance(x, TermCounts):
         return x
-    if hasattr(x, "tocsr"):  # scipy sparse matrix
-        return x.tocsr()
-    arr = np.asarray(x)
-    if arr.dtype.kind in ("U", "S", "O"):
-        return arr.astype(object)
-    return arr.astype(float)
+    if hasattr(x, "tocsr"):  # scipy sparse matrix: check its stored values
+        x = x.tocsr()
+        rows = np.searchsorted(x.indptr, np.flatnonzero(~np.isfinite(x.data)), side="right") - 1
+    else:
+        if not isinstance(x, np.ndarray):
+            x = np.asarray(x)
+            x = x.astype(object if x.dtype.kind in ("U", "S", "O") else float)
+        if x.dtype.kind not in ("f", "c"):
+            return x
+        rows = np.flatnonzero(~np.isfinite(x).all(axis=tuple(range(1, x.ndim))))
+    if len(rows):
+        raise ValueError(f"x: row {rows[0]} holds a non-finite feature value")
+    return x
 
 
 def is_text_payload(x: Any) -> bool:
@@ -280,6 +289,26 @@ def split_stratified(
     return Pool(data, first), Pool(data, second)
 
 
+def draw_stratified(strata, seed: int) -> np.ndarray:
+    """Indices drawn from each stratum in turn, then shuffled together.
+
+    ``strata`` lists (label name, indices, count): ``count`` of ``indices``
+    are drawn uniformly without replacement, by one ``default_rng(seed)`` in
+    stratum order; a zero count draws nothing (a choice of none consumes no
+    randomness).  The first count above its stratum's size raises
+    ``PoolExhaustionError`` naming its label, before any draw.
+    """
+    for label_name, indices, count in strata:
+        if count > len(indices):
+            raise PoolExhaustionError(label_name, count, len(indices))
+    rng = np.random.default_rng(seed)
+    chosen = np.concatenate([
+        rng.choice(indices, count, replace=False) for _, indices, count in strata if count
+    ]).astype(int)
+    rng.shuffle(chosen)
+    return chosen
+
+
 def draw_indices(pool: Pool, prevalence: float, size: int, seed: int) -> np.ndarray:
     """Indices of ``size`` items drawn at a controlled positive prevalence.
 
@@ -292,20 +321,8 @@ def draw_indices(pool: Pool, prevalence: float, size: int, seed: int) -> np.ndar
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
     n_pos = round_half_up(prevalence * size)
-    n_neg = size - n_pos
-    if n_pos > pool.n_positive:
-        raise PoolExhaustionError("positive", n_pos, pool.n_positive)
-    if n_neg > pool.n_negative:
-        raise PoolExhaustionError("negative", n_neg, pool.n_negative)
-    rng = np.random.default_rng(seed)
-    chosen = np.concatenate(
-        [
-            rng.choice(pool.positive_index, n_pos, replace=False),
-            rng.choice(pool.negative_index, n_neg, replace=False),
-        ]
-    ).astype(int)
-    rng.shuffle(chosen)
-    return chosen
+    return draw_stratified((("positive", pool.positive_index, n_pos),
+                            ("negative", pool.negative_index, size - n_pos)), seed)
 
 
 def sample_at_prevalence(pool: Pool, prevalence: float, size: int, seed: int) -> Sample:

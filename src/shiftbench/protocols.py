@@ -20,23 +20,24 @@ Pools are index sets over the one dataset of a run (binarised, or
 star-balanced for concept).  A sample is data: a tuple of parts, each naming
 a pool, a prevalence, a size, its seed coordinates and an error context;
 ``_draw`` draws each part's indices and gathers all their rows at once.  A
-protocol's plan yields, per repetition, a cell (the training parts and the
-seed coordinates of the fit on them) and then the tests scored against that
-fit (parts, config string, degree).  Prior, global-covariate
-and concept share one crossed-grid plan over named axes; local-covariate
-has its own plan of shift and control arms.
+protocol's plan yields, per repetition, the tests (parts, config string,
+degree), each naming the cell it is scored against: the training parts and
+the seed coordinates of the fit on them.  A cell's tests are contiguous in
+the plan.  Prior, global-covariate and concept share one crossed-grid plan
+over named axes; local-covariate has its own plan of shift and control arms.
 
-One executor, ``_repetition_worker``, walks the plan of one repetition.  At
-each cell it fits every method on the training draw, with one classifier per
-distinct set of classifier hyperparameters; with ``grid_search`` on, each
-method first picks its own hyperparameters on validation draws from a
-held-out part of that training draw, through the same fit, score and
-estimate steps.  At each test it draws the sample and scores it once per
-classifier.  Once a cell's tests are scored, each classifier's posteriors
-are stacked into one matrix per test size, each method estimates them all in
-one ``aggregate_many`` call, and the cell becomes one :class:`RecordTable`, a row per test and method in plan order.
-Every seed derives from the master seed, so ``run_protocol(cfg, dataset,
-jobs)`` writes the same table for any number of pool workers.
+``_run_cell`` runs one cell: it fits every method on the training draw, with
+one classifier per distinct set of classifier hyperparameters (with
+``grid_search`` on, each method first picks its own hyperparameters on
+validation draws from a held-out part of that training draw, through the
+same fit, score and estimate steps), then draws each test and scores it once
+per classifier.  Each classifier's posteriors are stacked into one matrix per
+test size, each method estimates them all in one ``aggregate_many`` call,
+and the cell becomes one :class:`RecordTable`, a row per test and method in
+plan order.  ``_repetition_worker``, the task of a pool worker, runs the
+cells of one repetition's plan in order.  Every seed derives from the master
+seed, so ``run_protocol(cfg, dataset, jobs)`` writes the same table for any
+number of pool workers.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -64,6 +66,7 @@ from .core import (
     TermCounts,
     binarise_dataset,
     draw_indices,
+    draw_stratified,
     is_text_payload,
     round_half_up,
     split_stratified,
@@ -476,38 +479,28 @@ def _star_indices(half: _StarHalf, prevalence, size: int, cut: float, seed: int)
             **_star_allocation(n_pos, [s for s in _STARS if s > cut]),
             **_star_allocation(size - n_pos, [s for s in _STARS if s < cut]),
         }
-    rng = np.random.default_rng(seed)
-    chosen = []
-    for s in sorted(allocation):
-        want = allocation[s]
-        if want == 0:
-            continue
-        available = half.by_star[s]
-        if want > len(available):
-            raise PoolExhaustionError(f"{s}-star", want, len(available))
-        chosen.append(rng.choice(available, want, replace=False))
-    idx = np.concatenate(chosen)
-    rng.shuffle(idx)
-    return idx
+    return draw_stratified([(f"{s}-star", half.by_star[s], allocation[s])
+                            for s in sorted(allocation)], seed)
 
 
 # ---------------------------------------------------------------------------
-# cell plans: each protocol as a generator that yields each cell's training
-# parts, then the parts of the test samples scored against it
+# plans: each protocol as a generator of test samples, each naming the cell
+# (training draw and fit) it is scored against; a cell's tests are contiguous
 # ---------------------------------------------------------------------------
 
 
 class _Cell(NamedTuple):
-    """One training draw and the seed coordinates of the fit on it; the tests
-    that follow it in the plan are scored against that fit."""
+    """One training draw and the seed coordinates of the fit on it."""
 
     parts: tuple[_Part, ...]
     fit_coords: tuple
 
 
 class _Test(NamedTuple):
-    """One test sample: ``parts`` fix its draw; the rest labels its records."""
+    """One test sample, scored against the fit of ``cell``: ``parts`` fix its
+    draw; the rest labels its records."""
 
+    cell: _Cell
     parts: tuple[_Part, ...]
     config: str
     degree: float
@@ -523,8 +516,8 @@ def _points(axes) -> list[tuple]:
     ]
 
 
-def _crossed_plan(cfg, rep, train_axes, test_axes, draw, degree) -> Iterator[_Cell | _Test]:
-    """A cell per point of the training axes; after each, per round, a test
+def _crossed_plan(cfg, rep, train_axes, test_axes, draw, degree) -> Iterator[_Test]:
+    """A cell per point of the training axes; against each, per round, a test
     per point of the test axes.
 
     ``draw(side, values, size, coords, ctx)`` gives the parts of the draw at
@@ -535,7 +528,7 @@ def _crossed_plan(cfg, rep, train_axes, test_axes, draw, degree) -> Iterator[_Ce
     test_points = _points(test_axes)
     for i_l, v_l, ctx_l, cfg_l in _points(train_axes):
         ctx = f"{proto} rep={rep} {ctx_l}"
-        yield _Cell(
+        cell = _Cell(
             draw("train", v_l, cfg.train_size, (proto, rep, "train", *i_l), ctx),
             (proto, rep, "fit", *i_l),
         )
@@ -543,6 +536,7 @@ def _crossed_plan(cfg, rep, train_axes, test_axes, draw, degree) -> Iterator[_Ce
         for r in range(cfg.samples_per_config):
             for (i_u, v_u, ctx_u, cfg_u), deg in zip(test_points, degrees):
                 yield _Test(
+                    cell,
                     draw("test", v_u, cfg.test_size, (proto, rep, "test", *i_l, r, *i_u),
                          f"{ctx} {ctx_u} round={r}"),
                     f"{cfg_l};{cfg_u};r={r}",
@@ -550,7 +544,7 @@ def _crossed_plan(cfg, rep, train_axes, test_axes, draw, degree) -> Iterator[_Ce
                 )
 
 
-def _prior_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
+def _prior_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Test]:
     return _crossed_plan(
         cfg, rep, [("pL", cfg.prior_train_prevalences)], [("pU", cfg.prior_test_prevalences)],
         lambda side, v, size, coords, ctx: (_Part(side, v[0], size, (coords,), ctx),),
@@ -558,7 +552,7 @@ def _prior_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
     )
 
 
-def _global_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
+def _global_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Test]:
     prevalences, mixtures = cfg.covariate_class_prevalences, cfg.covariate_mixtures
     return _crossed_plan(
         cfg, rep, [("pL", prevalences), ("aL", mixtures)], [("pU", prevalences), ("aU", mixtures)],
@@ -567,7 +561,7 @@ def _global_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _T
     )
 
 
-def _concept_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
+def _concept_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Test]:
     forced = dict(zip(("train", "test"), cfg.concept_force_prevalence or (None, None)))
     return _crossed_plan(
         cfg, rep, [("cL", cfg.concept_cut_points)], [("cU", cfg.concept_cut_points)],
@@ -578,7 +572,7 @@ def _concept_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
     )
 
 
-def _local_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Test]:
+def _local_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Test]:
     """One training draw at prevalence 1/2 (positives 2/3 A, negatives 2/3 B),
     then per round the shift arm at each p_U, each followed by its control
     draws.  The shift samples of one round list the same base parts, so they
@@ -587,7 +581,7 @@ def _local_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Te
     half = cfg.train_size // 2
     p_train = 0.5
     ctx = f"{proto} rep={rep} train"
-    yield _Cell(
+    cell = _Cell(
         (
             _Part("train_a", 2.0 / 3.0, half, ((proto, rep, "trainA"),), f"{ctx} A"),
             _Part("train_b", 1.0 / 3.0, half, ((proto, rep, "trainB"),), f"{ctx} B"),
@@ -608,12 +602,14 @@ def _local_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Cell | _Te
             degree = _round_degree(p_u - p_train, 2)
             positives = (_Part("test_a", 1.0, pos_a, ((proto, rep, "posA", r, i_pu),),
                                f"{ctx} pU={f_pu}"),)
-            yield _Test(base + positives if pos_a else base, f"pU={f_pu};arm=shift;r={r}", degree)
+            yield _Test(cell, base + positives if pos_a else base, f"pU={f_pu};arm=shift;r={r}",
+                        degree)
             # control arm: same size and nominal prevalence, but drawn with the
             # training class-conditionals
             size = neg_a_size + base_b_size + pos_a
             for d in range(cfg.local_control_draws):
                 yield _Test(
+                    cell,
                     _control_parts(p_u, size, (proto, rep, "control", r, i_pu, d),
                                    f"{ctx} pU={f_pu} control={d}"),
                     f"pU={f_pu};arm=control;r={r};d={d}",
@@ -744,50 +740,41 @@ def _select_settings(cfg: ProtocolConfig, x, labels, fit_seed: int) -> dict[str,
     return settings
 
 
+def _run_cell(cfg: ProtocolConfig, pools, rep: int, cell: _Cell, tests) -> RecordTable:
+    """Fit every method on the cell's training draw, then draw and score each
+    test against that fit and estimate them all together: one table, a row
+    per test and method in plan order."""
+    train = _draw(cell.parts, cfg.master_seed, pools)
+    x, featurise = _featurise_train(train.x)
+    fit_seed = derive_seed(cfg.master_seed, *cell.fit_coords)
+    settings = _select_settings(cfg, x, train.labels, fit_seed)
+    score, aggregate = _fitted(cfg, x, train.labels, settings, fit_seed)
+    del train, x  # hold no training data while the cell's tests run
+    scored = []  # (config, degree, true prevalence, scores) per test
+    for test in tests:
+        sample = _draw(test.parts, cfg.master_seed, pools)
+        scored.append((test.config, test.degree, sample.true_prevalence,
+                       score(featurise(sample.x))))
+    configs, degrees, true_prevs, scores = zip(*scored)
+    estimates = aggregate(scores)
+    k, n = len(cfg.methods), len(scored) * len(cfg.methods)
+    return RecordTable.from_estimates(
+        protocol=np.full(n, cfg.protocol, dtype=object),
+        method=np.tile(np.array(cfg.methods, dtype=object), len(scored)),
+        repetition=np.full(n, rep),
+        config=np.repeat(np.array(configs, dtype=object), k),
+        degree=np.repeat(degrees, k),
+        true_prev=np.repeat(true_prevs, k),
+        estimate=np.column_stack([estimates[name] for name in cfg.methods]).ravel(),
+    )
+
+
 def _repetition_worker(args) -> RecordTable:
-    """Walk the plan of one repetition: fit at each cell; draw and score at
-    each test; estimate the tests of a cell together once it is complete.
-
-    Only the scored tests of the current cell are held, as (config, degree,
-    true prevalence, scores); at the next cell or at the end of the plan they
-    become one table, a row per test and method in plan order.
-    """
+    """The records of one repetition: each cell of its plan run in turn."""
     cfg, pools, rep = args
-    tables: list[RecordTable] = []
-    pending: list[tuple] = []
-
-    def finish_cell():
-        if not pending:
-            return
-        configs, degrees, true_prevs, scores = zip(*pending)
-        estimates = aggregate(scores)
-        k, n = len(cfg.methods), len(pending) * len(cfg.methods)
-        tables.append(RecordTable.from_estimates(
-            protocol=np.full(n, cfg.protocol, dtype=object),
-            method=np.tile(np.array(cfg.methods, dtype=object), len(pending)),
-            repetition=np.full(n, rep),
-            config=np.repeat(np.array(configs, dtype=object), k),
-            degree=np.repeat(degrees, k),
-            true_prev=np.repeat(true_prevs, k),
-            estimate=np.column_stack([estimates[name] for name in cfg.methods]).ravel(),
-        ))
-        pending.clear()
-
-    for step in _PLANS[cfg.protocol](cfg, rep):
-        if isinstance(step, _Cell):
-            finish_cell()
-            train = _draw(step.parts, cfg.master_seed, pools)
-            x, featurise = _featurise_train(train.x)
-            fit_seed = derive_seed(cfg.master_seed, *step.fit_coords)
-            settings = _select_settings(cfg, x, train.labels, fit_seed)
-            score, aggregate = _fitted(cfg, x, train.labels, settings, fit_seed)
-            del train, x  # hold no training data while the cell's tests run
-        else:
-            sample = _draw(step.parts, cfg.master_seed, pools)
-            pending.append((step.config, step.degree, sample.true_prevalence,
-                            score(featurise(sample.x))))
-    finish_cell()
-    return RecordTable.concat(tables)
+    plan = _PLANS[cfg.protocol](cfg, rep)
+    return RecordTable.concat(_run_cell(cfg, pools, rep, cell, tests)
+                              for cell, tests in itertools.groupby(plan, key=attrgetter("cell")))
 
 
 def run_protocol(cfg: ProtocolConfig, dataset, jobs: int = 1) -> RecordTable:

@@ -517,7 +517,9 @@ class Quantifier:
 
     Subclasses implement ``_prepare`` (fitted state from evidence) and
     ``_estimate`` (one estimate per row of a matrix of posteriors, one
-    sample per row).
+    sample per row).  Every method takes the same keywords: the classifier
+    settings ``C``, ``class_weight`` and ``folds``, the histogram ``bins``
+    (read by DyS and HDy only) and the fit ``seed``.
     """
 
     method: str = "?"
@@ -526,14 +528,19 @@ class Quantifier:
 
     def __init__(
         self,
+        *,
         C: float = 1.0,
         class_weight: str | None = None,
         folds: int = 10,
+        bins: int = 10,
         seed: int = 0,
     ):
+        if bins < 2:
+            raise ValueError(f"bins must be >= 2, got {bins}")
         self.C = C
         self.class_weight = class_weight
         self.folds = folds
+        self.bins = bins
         self.seed = seed
         self._fitted = False
 
@@ -689,12 +696,6 @@ class DyS(Quantifier):
     needs_oof = True
     distance = "topsoe"
 
-    def __init__(self, bins: int = 10, **kwargs):
-        super().__init__(**kwargs)
-        if bins < 2:
-            raise ValueError(f"bins must be >= 2, got {bins}")
-        self.bins = bins
-
     def _prepare(self, evidence: TrainedEvidence):
         super()._prepare(evidence)
         oof, labels = evidence.oof_posteriors, evidence.labels
@@ -765,12 +766,5 @@ def quantifier_factory(
     bins: int = 10,
     seed: int = 0,
 ) -> Quantifier:
-    """Build an unfitted quantifier by method name (case-insensitive).
-
-    ``bins`` applies to the histogram methods (DyS, HDy).
-    """
-    cls = method_class(method)
-    common = dict(C=C, class_weight=class_weight, folds=folds, seed=seed)
-    if issubclass(cls, DyS):
-        return cls(bins=bins, **common)
-    return cls(**common)
+    """Build an unfitted quantifier by method name (case-insensitive)."""
+    return method_class(method)(C=C, class_weight=class_weight, folds=folds, bins=bins, seed=seed)

@@ -12,10 +12,12 @@ from shiftbench.core import (
     StarDataset,
     StratificationError,
     binarise_dataset,
+    TermCounts,
     round_half_up,
     sample_at_prevalence,
     split_stratified,
 )
+from scipy import sparse
 
 
 def star_dataset(stars, categories=None):
@@ -43,6 +45,39 @@ class TestRoundHalfUp:
         assert round_half_up(2 / 3 * 2500) == 1667
         assert round_half_up(1 / 3 * 2500) == 833
         assert round_half_up(250 / 3) == 83
+
+
+class TestNonFiniteFeatures:
+    """A numeric payload holding NaN or inf fails when the dataset is built,
+    naming its first such row, not later as a fit or an estimate."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_dense_names_first_bad_row(self, bad, as_list):
+        x = np.ones((200, 3))
+        x[49::50, 1] = bad  # rows 49, 99, 149 and 199
+        payload = x.tolist() if as_list else x
+        with pytest.raises(ValueError, match=r"^x: row 49 holds a non-finite feature value$"):
+            BinaryDataset(payload, np.arange(200) % 2)
+        with pytest.raises(ValueError, match=r"^x: row 49 holds"):
+            StarDataset(payload, np.arange(200) % 5 + 1, np.full(200, "A"))
+
+    def test_one_dimensional_payload(self):
+        with pytest.raises(ValueError, match=r"^x: row 2 holds"):
+            BinaryDataset(np.array([0.0, 1.0, np.nan, np.nan]), [0, 1, 0, 1])
+
+    def test_sparse_names_first_bad_row(self):
+        x = sparse.lil_matrix((6, 4))
+        x[1, 0], x[3, 2], x[5, 1] = 1.0, np.inf, np.nan
+        with pytest.raises(ValueError, match=r"^x: row 3 holds"):
+            BinaryDataset(x.tocsc(), [0, 1, 0, 1, 0, 1])
+
+    def test_finite_and_text_payloads_pass(self):
+        BinaryDataset(np.zeros((3, 2)), [0, 1, 0])
+        BinaryDataset(sparse.csr_matrix((3, 2)), [0, 1, 0])
+        BinaryDataset(np.array(["nan", "inf", np.nan], dtype=object), [0, 1, 0])
+        counts = TermCounts(sparse.csr_matrix(np.array([[1.0, np.nan], [0.0, 2.0]])), ("a", "b"))
+        assert BinaryDataset(counts, [0, 1]).x is counts
 
 
 class TestBinarise:

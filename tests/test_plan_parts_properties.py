@@ -1,9 +1,13 @@
-"""The draw arithmetic of every plan, read from the parts its steps list.
+"""The draw arithmetic of every plan, read from the parts its tests list.
 
 Nothing is drawn: each protocol's plan is walked over small random grids
-and sizes, and the parts of its cells and tests are checked for their
-sizes, their prevalences and the pools they name.
+and sizes, and the parts of its tests and of the cells they name are
+checked for their sizes, their prevalences and the pools they name; the
+cells are checked to be contiguous and one per training point.
 """
+
+import itertools
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +23,8 @@ from shiftbench.protocols import (
     PRIOR,
     PROTOCOLS,
     ProtocolConfig,
-    _Cell,
     _local_positive_count,
     _prepare_pools,
-    _Test,
 )
 
 property_settings = settings(max_examples=60, deadline=None)
@@ -63,36 +65,38 @@ def pool_names():
 
 
 def walk(cfg):
-    return [step for rep in range(cfg.repetitions) for step in _PLANS[cfg.protocol](cfg, rep)]
+    return [test for rep in range(cfg.repetitions) for test in _PLANS[cfg.protocol](cfg, rep)]
 
 
-def check_parts(cfg, steps, pool_names, uniform_ok=False):
+def cells(tests):
+    """The distinct cells the tests are scored against, in plan order."""
+    return list(dict.fromkeys(test.cell for test in tests))
+
+
+def check_parts(cfg, tests, pool_names, uniform_ok=False):
     """Every part names a pool of its protocol, a training pool in a cell and
     a test pool in a test, holds at least one item, and has a prevalence in
-    [0, 1] (or None, for an even draw over the stars); a step holds nothing
-    mutable."""
-    for step in steps:
-        hash(step)
-        side = "train" if isinstance(step, _Cell) else "test"
-        for part in step.parts:
-            assert part.pool in pool_names[cfg.protocol]
-            assert part.pool.startswith(side)
-            assert part.size >= 1
-            if part.prevalence is None:
-                assert uniform_ok and part.cut is not None
-            else:
-                assert 0.0 <= part.prevalence <= 1.0
+    [0, 1] (or None, for an even draw over the stars); a cell or a test holds
+    nothing mutable."""
+    for side, steps in (("train", cells(tests)), ("test", tests)):
+        for step in steps:
+            hash(step)
+            for part in step.parts:
+                assert part.pool in pool_names[cfg.protocol]
+                assert part.pool.startswith(side)
+                assert part.size >= 1
+                if part.prevalence is None:
+                    assert uniform_ok and part.cut is not None
+                else:
+                    assert 0.0 <= part.prevalence <= 1.0
 
 
-def check_sizes(cfg, steps):
+def check_sizes(cfg, tests):
     """Each cell's parts sum to the training size, each test's to the test size."""
-    for step in steps:
-        total = sum(part.size for part in step.parts)
-        if isinstance(step, _Cell):
-            assert total == cfg.train_size
-        else:
-            assert isinstance(step, _Test)
-            assert total == cfg.test_size
+    for cell in cells(tests):
+        assert sum(part.size for part in cell.parts) == cfg.train_size
+    for test in tests:
+        assert sum(part.size for part in test.parts) == cfg.test_size
 
 
 @property_settings
@@ -100,9 +104,9 @@ def check_sizes(cfg, steps):
 def test_prior_parts(pool_names, train, test, data):
     cfg = ProtocolConfig(PRIOR, prior_train_prevalences=train, prior_test_prevalences=test,
                          **{k: data.draw(v) for k, v in shape.items()})
-    steps = walk(cfg)
-    check_parts(cfg, steps, pool_names)
-    check_sizes(cfg, steps)
+    tests = walk(cfg)
+    check_parts(cfg, tests, pool_names)
+    check_sizes(cfg, tests)
 
 
 @property_settings
@@ -111,22 +115,25 @@ def test_global_covariate_parts(pool_names, prevalences, mixtures, data):
     cfg = ProtocolConfig(GLOBAL_COVARIATE, covariate_class_prevalences=prevalences,
                          covariate_mixtures=mixtures,
                          **{k: data.draw(v) for k, v in shape.items()})
-    steps = walk(cfg)
-    check_parts(cfg, steps, pool_names)
-    check_sizes(cfg, steps)
+    tests = walk(cfg)
+    check_parts(cfg, tests, pool_names)
+    check_sizes(cfg, tests)
+
+
+CUTS = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5)
 
 
 @property_settings
-@given(cuts=st.lists(st.sampled_from((1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5)), min_size=1,
+@given(cuts=st.lists(st.sampled_from(CUTS), min_size=1,
                      max_size=3, unique=True).map(tuple),
        forced=st.none() | st.tuples(open_unit, unit), data=st.data())
 def test_concept_parts(pool_names, cuts, forced, data):
     cfg = ProtocolConfig(CONCEPT, concept_cut_points=cuts, concept_force_prevalence=forced,
                          **{k: data.draw(v) for k, v in shape.items()})
-    steps = walk(cfg)
-    check_parts(cfg, steps, pool_names, uniform_ok=forced is None)
-    check_sizes(cfg, steps)
-    assert {part.cut for step in steps for part in step.parts} == set(cuts)
+    tests = walk(cfg)
+    check_parts(cfg, tests, pool_names, uniform_ok=forced is None)
+    check_sizes(cfg, tests)
+    assert {part.cut for step in cells(tests) + tests for part in step.parts} == set(cuts)
 
 
 # the sizes a local-covariate config accepts: an even training size (two
@@ -142,10 +149,9 @@ def test_local_covariate_parts(pool_names, prevalences, controls, data):
     cfg = ProtocolConfig(LOCAL_COVARIATE, local_test_prevalences=prevalences,
                          local_control_draws=controls,
                          **{k: data.draw(v) for k, v in local_shape.items()})
-    steps = walk(cfg)
-    check_parts(cfg, steps, pool_names)
-    cells = [step for step in steps if isinstance(step, _Cell)]
-    assert [sum(p.size for p in cell.parts) for cell in cells] == (
+    tests = walk(cfg)
+    check_parts(cfg, tests, pool_names)
+    assert [sum(p.size for p in cell.parts) for cell in cells(tests)] == (
         [cfg.train_size] * cfg.repetitions
     )
     # both arms at one p_U hold the base mixture's size plus the added positives
@@ -156,5 +162,50 @@ def test_local_covariate_parts(pool_names, prevalences, controls, data):
         for p_u in prevalences
         for _ in range(1 + controls)
     ]
-    tests = [step for step in steps if isinstance(step, _Test)]
     assert [sum(p.size for p in test.parts) for test in tests] == expected
+
+
+@st.composite
+def configs(draw):
+    """A config of any protocol over small grids and sizes, and the number of
+    training points of its plan."""
+    protocol = draw(st.sampled_from(PROTOCOLS))
+    sizes = {k: draw(v) for k, v in (local_shape if protocol == LOCAL_COVARIATE else shape).items()}
+    if protocol == PRIOR:
+        grid = dict(prior_train_prevalences=draw(train_grids), prior_test_prevalences=draw(grids))
+        points = len(grid["prior_train_prevalences"])
+    elif protocol == GLOBAL_COVARIATE:
+        grid = dict(covariate_class_prevalences=draw(train_grids), covariate_mixtures=draw(grids))
+        points = len(grid["covariate_class_prevalences"]) * len(grid["covariate_mixtures"])
+    elif protocol == CONCEPT:
+        grid = dict(concept_cut_points=draw(st.lists(st.sampled_from(CUTS),
+                                                     min_size=1, max_size=3).map(tuple)))
+        points = len(grid["concept_cut_points"])
+    else:
+        grid = dict(local_test_prevalences=draw(st.lists(st.floats(0.0, 0.95), min_size=1,
+                                                         max_size=3).map(tuple)),
+                    local_control_draws=draw(st.integers(0, 3)))
+        points = 1
+    return ProtocolConfig(protocol, **grid, **sizes), points
+
+
+@property_settings
+@given(case=configs())
+def test_each_cells_tests_are_contiguous(case):
+    """``groupby`` over the plan yields every cell once: a cell's tests are
+    never split by another cell's."""
+    cfg, _ = case
+    runs = [cell for cell, _ in itertools.groupby(walk(cfg), key=attrgetter("cell"))]
+    assert len(set(runs)) == len(runs)
+
+
+@property_settings
+@given(case=configs())
+def test_one_distinct_cell_per_training_point_per_repetition(case):
+    """Each repetition's tests name one cell per training point, each with
+    its own fit coordinates, which carry the repetition."""
+    cfg, points = case
+    for rep in range(cfg.repetitions):
+        fits = {test.cell.fit_coords for test in _PLANS[cfg.protocol](cfg, rep)}
+        assert len(fits) == points
+        assert all(fit[:3] == (cfg.protocol, rep, "fit") for fit in fits)
