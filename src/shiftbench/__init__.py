@@ -52,6 +52,7 @@ from .protocols import (
     ProtocolConfig,
     count_records,
     count_records_per_method,
+    repetition_tables,
     run_protocol,
 )
 from .quantifiers import (

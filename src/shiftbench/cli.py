@@ -8,6 +8,7 @@ overrides the config's master seed; the --seed flag overrides both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -28,7 +29,7 @@ from .datagen import (
     reviews_to_dataset,
 )
 from .evaluation import read_records_csv, write_records_csv
-from .protocols import PROTOCOLS, ProtocolConfig, count_records, run_protocol
+from .protocols import PROTOCOLS, ProtocolConfig, count_records, repetition_tables
 from .quantifiers import (
     PACC,
     SMM,
@@ -78,15 +79,7 @@ def cmd_gen_data(args) -> int:
         dataset = generate_mixture(specs, args.n, args.seed)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"cannot generate dataset: {exc}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(len(dataset)):
-            row = {"features": [float(v) for v in dataset.x[i]]}
-            if isinstance(dataset, StarDataset):
-                row["stars"] = int(dataset.stars[i])
-            else:
-                row["label"] = int(dataset.labels[i])
-            row["category"] = str(dataset.category[i])
-            fh.write(json.dumps(row) + "\n")
+    _write_datapoints(dataset, args.out)
     print(f"wrote {len(dataset)} datapoints to {args.out}")
     for cat in ("A", "B"):
         share = float((dataset.category == cat).mean())
@@ -98,6 +91,23 @@ def cmd_gen_data(args) -> int:
     else:
         print(f"  positive prevalence: {dataset.prevalence:.3f}")
     return EXIT_OK
+
+
+def _write_datapoints(dataset, path):
+    """Write ``dataset`` as JSONL, one ``{"features": [...], "label" or
+    "stars": ..., "category": ...}`` object per line, the bytes ``json.dumps``
+    writes for it.  A dataset's features are finite, so ``repr`` writes each
+    as ``json.dumps`` does."""
+    if isinstance(dataset, StarDataset):
+        key, labels = "stars", dataset.stars.tolist()
+    else:
+        key, labels = "label", dataset.labels.tolist()
+    categories = dataset.category.tolist()
+    quoted = {category: json.dumps(category) for category in set(categories)}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for features, label, category in zip(dataset.x.tolist(), labels, categories):
+            fh.write(f'{{"features": [{", ".join(map(repr, features))}], '
+                     f'"{key}": {label}, "category": {quoted[category]}}}\n')
 
 
 def _load_dataset(path: str):
@@ -118,16 +128,23 @@ def _load_dataset(path: str):
             raise ValueError(f"{path}: every review was filtered out")
         return reviews_to_dataset(reviews)
     label = "stars" if "stars" in probe else "label"
+    # each line's fields are kept and its parsed object dropped
+    features, labels, categories = [], [], []
     try:
         with open(path, encoding="utf-8") as fh:
-            rows = [json.loads(line) for line in fh if line.strip()]
-        x = np.array([r["features"] for r in rows], dtype=float)
-        y = np.array([r[label] for r in rows])
+            for line in fh:
+                if line.strip():
+                    row = json.loads(line)
+                    features.append(row["features"])
+                    labels.append(row[label])
+                    categories.append(row.get("category", "A"))
+        x = np.array(features, dtype=float)
+        y = np.array(labels)
     except (ValueError, KeyError, TypeError):
         raise ValueError(_first_bad_row(path, label)) from None
     if not np.isfinite(x).all():
         raise ValueError(_first_bad_row(path, label))
-    category = np.array([r.get("category", "A") for r in rows])
+    category = np.array(categories)
     if label == "stars":
         return StarDataset(x, y, category)
     return BinaryDataset(x, y, category)
@@ -220,14 +237,17 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _timestamp()
+    records_path = out_dir / "records.csv"
+    # each repetition's table is written as it arrives and then let go; a run
+    # that fails part-way leaves no records.csv, and an older one untouched
+    tables = repetition_tables(cfg, dataset, jobs=args.jobs)
     try:
-        records = run_protocol(cfg, dataset, jobs=args.jobs)
+        with contextlib.closing(tables):
+            n = write_records_csv(tables, records_path)
     except PoolExhaustionError as exc:
         return _fail(str(exc), EXIT_EXHAUSTED)
     except (TypeError, ValueError) as exc:
         return _fail(str(exc))
-    records_path = out_dir / "records.csv"
-    n = write_records_csv(records, records_path)
     expected = count_records(cfg)
     if n != expected:
         return _fail(f"internal error: wrote {n} records, expected {expected}", EXIT_FAIL)

@@ -44,6 +44,10 @@ class PoolExhaustionError(ValueError):
             f"only {available} available"
         )
 
+    def __reduce__(self):
+        # rebuilt from its fields, so it survives the trip back from a pool worker
+        return type(self), (self.label_name, self.requested, self.available)
+
 
 def round_half_up(value: float) -> int:
     """Round to the nearest integer, with .5 going up.

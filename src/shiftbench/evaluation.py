@@ -18,6 +18,7 @@ import contextlib
 import csv
 import itertools
 import math
+import os
 import warnings
 from enum import Enum
 from pathlib import Path
@@ -31,27 +32,60 @@ CSV_HEADER = ("protocol", "method", "repetition", "config",
               "degree", "true_prev", "est_prev", "ae")
 
 
-def write_records_csv(table: RecordTable, path: str | Path) -> int:
-    """Write a table as UTF-8 CSV with LF line endings; returns the row count.
+#: Rows turned into Python values at a time by :func:`write_records_csv`.
+RECORDS_CHUNK_ROWS = 65_536
 
-    The columns become Python ints, floats and strings first, which the csv
-    module writes with ``str``: the shortest repr of each float, so every
-    value reads back exactly.  The csv module quotes a field holding a LF but
-    not one holding a lone CR, which a reader would take for a line break, so
-    a row with a CR in a text field is written with every text field quoted.
+
+def write_records_csv(tables: RecordTable | Iterable[RecordTable], path: str | Path) -> int:
+    """Write a table, or the rows of several in order, as UTF-8 CSV with LF
+    line endings; returns the row count.
+
+    The rows go out ``RECORDS_CHUNK_ROWS`` at a time, and each table is let
+    go once written, so the writer holds one table and one chunk's Python
+    values at most.  A chunk's columns become Python ints, floats and
+    strings, which the csv module writes with ``str``: the shortest repr of
+    each float, so every value reads back exactly.  The csv module quotes a
+    field holding a LF but not one holding a lone CR, which a reader would
+    take for a line break, so a row with a CR in a text field is written with
+    every text field quoted.
+
+    The file is written to a temporary sibling and moved onto ``path`` only
+    once every row is written; if anything fails on the way, the temporary
+    file is removed and a file already at ``path`` keeps its bytes.
     """
-    rows = zip(*(getattr(table, name).tolist() for name in RecordTable.COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        texts = (table.protocol, table.method, table.config)
-        if any("\r" in text for column in texts for text in set(column)):
+    if isinstance(tables, RecordTable):
+        tables = (tables,)
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    n = 0
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
             quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-            for row in rows:
-                (quoted if "\r" in row[0] + row[1] + row[3] else writer).writerow(row)
-        else:
-            writer.writerows(rows)
-    return len(table)
+            writer.writerow(CSV_HEADER)
+            for table in tables:
+                for start in range(0, len(table), RECORDS_CHUNK_ROWS):
+                    chunk = slice(start, start + RECORDS_CHUNK_ROWS)
+                    _write_chunk(writer, quoted, [getattr(table, name)[chunk]
+                                                  for name in RecordTable.COLUMNS])
+                n += len(table)
+                del table
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    return n
+
+
+def _write_chunk(writer, quoted, columns: list[np.ndarray]):
+    """Write the rows of ``columns`` (in ``RecordTable.COLUMNS`` order)."""
+    rows = zip(*(column.tolist() for column in columns))
+    texts = (columns[0], columns[1], columns[3])  # protocol, method, config
+    if any("\r" in text for column in texts for text in set(column)):
+        for row in rows:
+            (quoted if "\r" in row[0] + row[1] + row[3] else writer).writerow(row)
+    else:
+        writer.writerows(rows)
 
 
 class RecordTable:

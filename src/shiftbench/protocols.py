@@ -35,9 +35,10 @@ per classifier.  Each classifier's posteriors are stacked into one matrix per
 test size, each method estimates them all in one ``aggregate_many`` call,
 and the cell becomes one :class:`RecordTable`, a row per test and method in
 plan order.  ``_repetition_worker``, the task of a pool worker, runs the
-cells of one repetition's plan in order.  Every seed derives from the master
-seed, so ``run_protocol(cfg, dataset, jobs)`` writes the same table for any
-number of pool workers.
+cells of one repetition's plan in order, and ``repetition_tables`` yields
+each repetition's table in turn.  Every seed derives from the master seed, so
+``run_protocol(cfg, dataset, jobs)`` returns the same table for any number of
+pool workers.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def _tenths(lo: int, hi: int) -> tuple[float, ...]:
 #: prevalence), and so must the fraction of the pool split off for training;
 #: test prevalences and mixtures in [0, 1] (a local-covariate shift cannot
 #: reach 1); star cut points strictly between the lowest and the highest
-#: star; and C positive and finite.  A bool is not a number here.
+#: star; and C positive and finite.  A bool is not a number here, and a
+#: list-valued field holds at least one value.
 _RANGES = (
     ("(0, 1)", lambda v: 0.0 < v < 1.0,
      ("prior_train_prevalences", "covariate_class_prevalences", "split_fraction")),
@@ -189,6 +191,9 @@ class ProtocolConfig:
                     continue
                 elif not isinstance(values, (tuple, list)):
                     raise ValueError(f"{name}: expected a list of numbers, got {values!r}")
+                elif not values:
+                    # an empty grid would plan no tests and write no records
+                    raise ValueError(f"{name}: must hold at least one value")
                 for v in values:
                     if isinstance(v, bool) or not (isinstance(v, numbers.Real) and inside(v)):
                         raise ValueError(f"{name}: {v!r} is outside {interval}")
@@ -777,19 +782,27 @@ def _repetition_worker(args) -> RecordTable:
                               for cell, tests in itertools.groupby(plan, key=attrgetter("cell")))
 
 
-def run_protocol(cfg: ProtocolConfig, dataset, jobs: int = 1) -> RecordTable:
-    """Run one protocol end to end and return its records.
+def repetition_tables(cfg: ProtocolConfig, dataset, jobs: int = 1) -> Iterator[RecordTable]:
+    """Each repetition's records, one table per repetition, in repetition order.
 
     With ``jobs`` > 1 repetitions run in separate processes, at most one per
-    repetition; their tables are concatenated in repetition order, so the
-    output is identical for any worker count.
+    repetition; a table is yielded as soon as it and every earlier one are
+    done, so a caller can write it and let it go while later repetitions run.
+    The tables are the same for any worker count.  Closing the generator
+    early cancels the repetitions that have not started.
     """
     pools = _prepare_pools(cfg, dataset)
     tasks = [(cfg, pools, rep) for rep in range(cfg.repetitions)]
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        tables = [_repetition_worker(task) for task in tasks]
+        for task in tasks:
+            yield _repetition_worker(task)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(_repetition_worker, tasks))
-    return RecordTable.concat(tables)
+            yield from pool.map(_repetition_worker, tasks)
+
+
+def run_protocol(cfg: ProtocolConfig, dataset, jobs: int = 1) -> RecordTable:
+    """Run one protocol end to end and return its records: the tables of
+    :func:`repetition_tables`, concatenated."""
+    return RecordTable.concat(repetition_tables(cfg, dataset, jobs))

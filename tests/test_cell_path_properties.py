@@ -12,6 +12,7 @@ import functools
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,14 +181,11 @@ def test_cell_path_equals_step_walk(case):
                 assert np.array_equal(getattr(table, name), getattr(expected, name)), name
 
 
-def test_a_cell_without_tests_is_not_fitted(monkeypatch):
-    """An empty test grid writes no records and fits nothing."""
-    import shiftbench.protocols as protocols
-
-    def no_fit(*args):
-        raise AssertionError("a cell without tests was fitted")
-
-    monkeypatch.setattr(protocols, "_fitted", no_fit)
-    cfg = ProtocolConfig(PRIOR, train_size=40, test_size=10, prior_test_prevalences=())
-    table = _repetition_worker((cfg, _prepare_pools(cfg, dataset("dense", PRIOR)), 0))
-    assert len(table) == 0 and count_records(cfg) == 0
+@pytest.mark.parametrize("grid", ["prior_train_prevalences", "prior_test_prevalences",
+                                  "covariate_class_prevalences", "covariate_mixtures",
+                                  "local_test_prevalences", "concept_cut_points"])
+def test_an_empty_grid_is_refused(grid):
+    """A grid with no values would plan cells without tests, or no cells at
+    all, and write no records; the config is refused instead."""
+    with pytest.raises(ValueError, match=f"^{grid}: must hold at least one value$"):
+        ProtocolConfig(PRIOR, train_size=40, test_size=10, **{grid: ()})

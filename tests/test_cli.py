@@ -7,7 +7,9 @@ import pytest
 
 from shiftbench.classifier import ClassRates
 from shiftbench.cli import main
+from shiftbench.core import PoolExhaustionError
 from shiftbench.evaluation import read_records_csv
+from shiftbench.protocols import _repetition_worker
 from shiftbench.quantifiers import PACC
 from shiftbench.reporting import boxplot_stats, render_markdown, render_plotdata
 
@@ -246,12 +248,19 @@ class TestRun:
         ("prior", "class_weight", "weird", "expected null or 'balanced', got 'weird'"),
         ("local-covariate", "test_size", 2, "must be at least 3 for local-covariate shift, got 2"),
         ("local-covariate", "train_size", 301, "must be even for local-covariate shift, got 301"),
+        ("prior", "prior_train_prevalences", [], "must hold at least one value"),
+        ("prior", "prior_test_prevalences", [], "must hold at least one value"),
+        ("global-covariate", "covariate_class_prevalences", [], "must hold at least one value"),
+        ("global-covariate", "covariate_mixtures", [], "must hold at least one value"),
+        ("local-covariate", "local_test_prevalences", [], "must hold at least one value"),
+        ("concept", "concept_cut_points", [], "must hold at least one value"),
+        ("concept", "concept_force_prevalence", [], "must hold at least one value"),
     ])
     def test_out_of_range_field_exits_2_before_running(
         self, tmp_path, run_config, capsys, monkeypatch, protocol, field, value, message
     ):
         runs = []
-        monkeypatch.setattr("shiftbench.cli.run_protocol", lambda *a, **k: runs.append(a))
+        monkeypatch.setattr("shiftbench.cli.repetition_tables", lambda *a, **k: runs.append(a))
         raw = json.loads(run_config.read_text())
         raw[field] = value
         cfg = run_config.parent / "range.json"
@@ -303,13 +312,62 @@ class TestRun:
                   "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
 
-    def test_pool_exhaustion_exits_3(self, tmp_path, run_config):
+    def test_pool_exhaustion_exits_3(self, tmp_path, run_config, capsys, jobs=1):
         raw = json.loads(run_config.read_text())
         raw["train_size"] = 3000  # far beyond what 4000 points split in half allow
+        raw["repetitions"] = 2
         cfg = run_config.parent / "big.json"
         cfg.write_text(json.dumps(raw))
-        assert main(["run", "prior", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 3
+        out = tmp_path / "o"
+        assert main(["run", "prior", "--config", str(cfg), "--out", str(out),
+                     "--jobs", str(jobs)]) == 3
+        assert "error: pool exhausted: need 2400 negative" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+        assert list(out.iterdir()) == []
+
+    def test_pool_exhaustion_in_a_pool_worker_exits_3(self, tmp_path, run_config, capsys):
+        """The error crosses back from the worker process whole, with its message."""
+        self.test_pool_exhaustion_exits_3(tmp_path, run_config, capsys, jobs=2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_in_a_later_repetition_leaves_nothing(
+        self, tmp_path, run_config, capsys, monkeypatch, jobs
+    ):
+        """Repetition 0 is written before repetition 1 fails; the run exits 3
+        and leaves neither records.csv nor its temporary file."""
+        raw = json.loads(run_config.read_text())
+        raw["repetitions"] = 2
+        cfg = run_config.parent / "two.json"
+        cfg.write_text(json.dumps(raw))
+        monkeypatch.setattr("shiftbench.protocols._repetition_worker", fail_in_repetition_1)
+        out = tmp_path / "o"
+        assert main(["run", "prior", "--config", str(cfg), "--out", str(out),
+                     "--jobs", str(jobs)]) == 3
+        assert "error: pool exhausted: need 9 injected items" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_run_keeps_an_earlier_records_file(
+        self, tmp_path, run_config, monkeypatch, jobs
+    ):
+        raw = json.loads(run_config.read_text())
+        raw["repetitions"] = 2
+        cfg = run_config.parent / "two.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["run", "prior", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        monkeypatch.setattr("shiftbench.protocols._repetition_worker", fail_in_repetition_1)
+        assert main(["run", "prior", "--config", str(cfg), "--out", str(out),
+                     "--jobs", str(jobs)]) == 3
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def fail_in_repetition_1(task):
+    """``_repetition_worker``, but repetition 1 runs its pool dry."""
+    if task[2] == 1:
+        raise PoolExhaustionError("injected", 9, 0)
+    return _repetition_worker(task)
 
 
 def drop_first_pcc_row(rows):

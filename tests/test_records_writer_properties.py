@@ -9,8 +9,11 @@ leaves a field holding a lone CR unquoted and no reader can tell it from a
 line break.  The table writer must match it byte for byte on any valid rows,
 including configs with commas, quotes and line breaks and floats such as
 ±0.0, subnormals and 1/3, and ``read_records_csv`` must read every such file
-back to the same table.  Building a table from estimates must reject a NaN
-or out-of-range prevalence with a message naming the value.
+back to the same table.  Several tables, written in chunks of any size, must
+give the oracle's bytes for their rows in order, and a write that fails
+part-way must leave no file behind and an earlier file as it was.  Building a
+table from estimates must reject a NaN or out-of-range prevalence with a
+message naming the value.
 """
 
 import csv
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from shiftbench import evaluation
 from shiftbench.evaluation import (
     CSV_HEADER,
     RecordTable,
@@ -122,6 +126,45 @@ def test_written_table_reads_back(tmp_path, rows, configs):
         assert getattr(loaded, name).tolist() == getattr(table, name).tolist(), name
     write_records_csv(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+@property_settings
+@given(rows=st.lists(rows, max_size=40), cuts=st.lists(st.integers(0, 40), max_size=4),
+       cr_rows=st.lists(st.integers(0, 39), max_size=3), chunk=st.integers(1, 7))
+def test_tables_written_in_chunks_match_row_writer(tmp_path, monkeypatch, rows, cuts,
+                                                   cr_rows, chunk):
+    """The rows of several tables, cut at arbitrary points and written through
+    a small chunk size, are the oracle's bytes for all the rows in order; a
+    CR in some rows quotes those rows only."""
+    monkeypatch.setattr(evaluation, "RECORDS_CHUNK_ROWS", chunk)
+    rows = [row[:3] + ("r=1\rpL=0.5",) + row[4:] if k in cr_rows else row
+            for k, row in enumerate(rows)]
+    bounds = sorted({min(cut, len(rows)) for cut in cuts})
+    pieces = [rows[a:b] for a, b in zip([0, *bounds], [*bounds, len(rows)])]
+    ours, oracle = tmp_path / "tables.csv", tmp_path / "rows.csv"
+    written = write_records_csv((table_of(piece) for piece in pieces), ours)
+    assert written == oracle_write_records_csv(rows, oracle) == len(rows)
+    assert ours.read_bytes() == oracle.read_bytes()
+
+
+def test_failed_write_leaves_an_earlier_file_as_it_was(tmp_path, monkeypatch):
+    monkeypatch.setattr(evaluation, "RECORDS_CHUNK_ROWS", 1)
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"an earlier run\n")
+    row = ("prior", "CC", 0, "r=0", 0.0, 0.5, 0.25)
+
+    def tables():
+        yield table_of([row, row])
+        raise RuntimeError("the run failed")
+
+    with pytest.raises(RuntimeError, match="the run failed"):
+        write_records_csv(tables(), path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"an earlier run\n"
+    path.unlink()
+    with pytest.raises(RuntimeError):
+        write_records_csv(tables(), path)
+    assert list(tmp_path.iterdir()) == []
 
 
 out_of_range = st.one_of(
