@@ -1,8 +1,9 @@
 """Command-line harness: dataset generation, protocol runs, reports, selftest.
 
-Exit codes: 0 success, 1 selftest failure, 2 usage/validation problems,
-3 pool exhaustion during a run.  The environment variable SHIFTBENCH_SEED
-overrides the config's master seed; the --seed flag overrides both.
+Exit codes: 0 success, 1 selftest failure, 2 usage/validation problems and
+output paths that cannot be written, 3 pool exhaustion during a run.  The
+environment variable SHIFTBENCH_SEED overrides the config's master seed; the
+--seed flag overrides both.
 """
 
 from __future__ import annotations
@@ -207,7 +208,12 @@ def cmd_run(args) -> int:
         return _fail("config must name a 'dataset' file")
     if not isinstance(dataset_path, str):
         return _fail(f"bad config: dataset: expected a file path, got {dataset_path!r}")
-    raw["protocol"] = _CLI_PROTOCOLS[args.protocol]
+    protocol = _CLI_PROTOCOLS[args.protocol]
+    named = raw.get("protocol", protocol)
+    if not (isinstance(named, str) and named.replace("-", "_") == protocol):
+        return _fail(f"bad config: protocol: the config names {named!r}, "
+                     f"but the command runs {args.protocol!r}")
+    raw["protocol"] = protocol
     if args.methods:
         raw["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
     try:
@@ -233,6 +239,8 @@ def cmd_run(args) -> int:
         dataset = _load_dataset(dataset_file)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"cannot load dataset: {exc}")
+    # the bytes just loaded, not whatever the file holds once the run is done
+    dataset_sha256 = _file_sha256(dataset_file)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -252,7 +260,7 @@ def cmd_run(args) -> int:
     if n != expected:
         return _fail(f"internal error: wrote {n} records, expected {expected}", EXIT_FAIL)
     cfg_digest = hashlib.sha256(
-        json.dumps({**cfg.to_dict(), "dataset": _file_sha256(dataset_file)},
+        json.dumps({**cfg.to_dict(), "dataset": dataset_sha256},
                    sort_keys=True).encode()
     ).hexdigest()
     RunManifest(
@@ -412,7 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an output path that cannot be written, named in the message
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

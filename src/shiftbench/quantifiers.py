@@ -38,9 +38,9 @@ The mixture search (``mixture_fit_alphas``) is a ternary search to 1e-6,
 run for all samples at once, whose answer is checked against a window of the
 1e-4 grid around it.  The objective is convex (Topsoe) or quasi-convex
 (Hellinger) in the mixture weight, so when the window's edges rise, no grid
-point outside it can win; a sample whose window does not certify that is
-checked against the whole grid.  Either way the answer equals the answer of
-a full grid scan, bit for bit.
+point outside it can win; a sample whose window does not certify that has
+its window widened to the whole grid.  Either way the answer equals the
+answer of a full grid scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -96,10 +96,6 @@ class PosteriorHistogram:
             raise ValueError("a histogram needs at least 2 bins")
         if (masses < 0).any() or abs(masses.sum() - 1.0) > 1e-12:
             raise ValueError("histogram masses must be >= 0 and sum to 1")
-
-    @property
-    def bins(self) -> int:
-        return len(self.masses)
 
     @classmethod
     def from_scores(cls, scores: np.ndarray, bins: int) -> "PosteriorHistogram":
@@ -193,17 +189,26 @@ WINDOW_HALF_WIDTH = 8
 CERTIFICATE_MARGIN = 1e-9
 
 
-def _mixtures(alphas: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """alpha*pos + (1-alpha)*neg, one row per alpha."""
-    return alphas[:, None] * pos + (1.0 - alphas)[:, None] * neg
+def _score(pos, neg, tests: np.ndarray, alphas: np.ndarray, rows) -> np.ndarray:
+    """The distance of each mixture alpha*pos + (1-alpha)*neg to its row's
+    test: ``alphas`` holds one row of candidate weights per test, and so does
+    the result."""
+    mixtures = alphas[:, :, None] * pos + (1.0 - alphas)[:, :, None] * neg
+    return rows(mixtures, tests[:, None, :])
 
 
-def _grid_scan(pos, neg, test, ternary: float, rows) -> float:
-    """The ternary answer against the whole grid; the lowest distance wins, the
-    ternary answer on a tie."""
-    alphas = np.concatenate(([ternary], _GRID))
-    values = rows(_mixtures(alphas, pos, neg), test)
-    return float(alphas[int(np.argmin(values))])
+def _select(pos, neg, tests, ternary, start, width: int, rows):
+    """Each row's ternary answer scored with the ``width`` grid points from its
+    ``start``; the lowest distance wins, the ternary answer on a tie, then the
+    lowest alpha.  Returns the winners and the scores, the ternary answer's
+    in column 0."""
+    # column 0 is the ternary answer, so that it wins a tie with the grid;
+    # columns 1..width are grid points in ascending alpha
+    candidates = np.concatenate(
+        (ternary[:, None], _GRID[start[:, None] + np.arange(width)]), axis=1
+    )
+    values = _score(pos, neg, tests, candidates, rows)
+    return candidates[np.arange(len(candidates)), np.argmin(values, axis=1)], values
 
 
 def mixture_fit_alphas(h_pos, h_neg, tests, distance: str = "topsoe") -> np.ndarray:
@@ -214,12 +219,12 @@ def mixture_fit_alphas(h_pos, h_neg, tests, distance: str = "topsoe") -> np.ndar
     A ternary search narrows [0, 1] down to 1e-6 for all rows at once.  Each
     row keeps stepping while its own interval is wider than the tolerance, so
     its probes and comparisons are those of a search run on it alone.  Each
-    row's answer is then scored together with a window of the
-    ``WINDOW_HALF_WIDTH`` grid points on each side of it on the 1e-4 grid,
-    in one call; the lowest distance wins, the ternary answer on a tie, then
-    the lowest alpha.
+    row's answer is then selected against a window of the
+    ``WINDOW_HALF_WIDTH`` grid points on each side of it on the 1e-4 grid
+    (:func:`_select`); every candidate, probes included, is scored by
+    :func:`_score`.
 
-    That equals scoring the answer against the whole grid whenever the
+    That equals selecting against the whole grid whenever the
     window is certified: on each side where it stops short of the grid's
     end, its outermost value exceeds both its inner neighbour and the
     ternary value by more than ``CERTIFICATE_MARGIN``.  Topsoe is an
@@ -228,8 +233,9 @@ def mixture_fit_alphas(h_pos, h_neg, tests, distance: str = "topsoe") -> np.ndar
     function, so it is quasi-convex.  Either way, a value that rises at the
     window's edge keeps rising beyond it, so every grid point outside a
     certified window lies strictly above the ternary value.  A row whose
-    window is not certified (a flat objective, say) is scored against the
-    whole grid instead.  The result is bit-identical to the full scan.
+    window is not certified (a flat objective, say) takes the same selection
+    widened to the whole grid, one row at a time.  The result is
+    bit-identical to the full scan.
     """
     if distance not in _DISTANCES:
         raise ValueError(f"unknown distance {distance!r}; use one of {sorted(_DISTANCES)}")
@@ -251,9 +257,8 @@ def mixture_fit_alphas(h_pos, h_neg, tests, distance: str = "topsoe") -> np.ndar
         a_lo, a_hi = lo[active], hi[active]
         m1 = a_lo + (a_hi - a_lo) / 3.0
         m2 = a_hi - (a_hi - a_lo) / 3.0
-        probes = np.stack((m1, m2), axis=1).ravel()
-        d = rows(_mixtures(probes, pos, neg), np.repeat(tests[active], 2, axis=0))
-        left = d[0::2] <= d[1::2]
+        d = _score(pos, neg, tests[active], np.stack((m1, m2), axis=1), rows)
+        left = d[:, 0] <= d[:, 1]
         hi[active[left]] = m2[left]
         lo[active[~left]] = m1[~left]
         active = np.flatnonzero(hi - lo > TERNARY_TOL)
@@ -263,14 +268,7 @@ def mixture_fit_alphas(h_pos, h_neg, tests, distance: str = "topsoe") -> np.ndar
     last = len(_GRID) - 1
     centre = np.rint(ternary / GRID_STEP).astype(int)
     start = np.clip(centre - WINDOW_HALF_WIDTH, 0, last + 1 - width)
-    window = _GRID[start[:, None] + np.arange(width)]
-    # column 0 is the ternary answer, so that it wins a tie with the window;
-    # columns 1..width are the window in ascending alpha
-    candidates = np.concatenate((ternary[:, None], window), axis=1)
-    values = rows(
-        _mixtures(candidates.ravel(), pos, neg), np.repeat(tests, width + 1, axis=0)
-    ).reshape(n, width + 1)
-    best = candidates[np.arange(n), np.argmin(values, axis=1)]
+    best, values = _select(pos, neg, tests, ternary, start, width, rows)
 
     def rises(outer, inner):
         return (values[:, outer] > values[:, inner] + CERTIFICATE_MARGIN) & (
@@ -279,8 +277,10 @@ def mixture_fit_alphas(h_pos, h_neg, tests, distance: str = "topsoe") -> np.ndar
 
     certified = (start == 0) | rises(1, 2)
     certified &= (start + width - 1 == last) | rises(width, width - 1)
-    for i in np.flatnonzero(~certified):
-        best[i] = _grid_scan(pos, neg, tests[i], ternary[i], rows)
+    for i in np.flatnonzero(~certified):  # the window widened to the whole grid
+        row = slice(i, i + 1)
+        winner, _ = _select(pos, neg, tests[row], ternary[row], np.zeros(1, int), last + 1, rows)
+        best[i] = winner[0]
     return best
 
 
@@ -758,13 +758,7 @@ def method_class(method: str) -> type[Quantifier]:
     return cls
 
 
-def quantifier_factory(
-    method: str,
-    C: float = 1.0,
-    class_weight: str | None = None,
-    folds: int = 10,
-    bins: int = 10,
-    seed: int = 0,
-) -> Quantifier:
-    """Build an unfitted quantifier by method name (case-insensitive)."""
-    return method_class(method)(C=C, class_weight=class_weight, folds=folds, bins=bins, seed=seed)
+def quantifier_factory(method: str, **settings) -> Quantifier:
+    """Build an unfitted quantifier by method name (case-insensitive); the
+    keywords are those of :class:`Quantifier`."""
+    return method_class(method)(**settings)

@@ -9,7 +9,7 @@ from shiftbench.classifier import ClassRates
 from shiftbench.cli import main
 from shiftbench.core import PoolExhaustionError
 from shiftbench.evaluation import read_records_csv
-from shiftbench.protocols import _repetition_worker
+from shiftbench.protocols import _repetition_worker, repetition_tables
 from shiftbench.quantifiers import PACC
 from shiftbench.reporting import boxplot_stats, render_markdown, render_plotdata
 
@@ -58,6 +58,12 @@ def run_config(tmp_path, dataset):
     return path
 
 
+def assert_one_error_naming(err, path):
+    """``err`` is one ``error:`` line, naming ``path``."""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err
+
+
 class TestGenData:
     def test_writes_requested_line_count(self, dataset):
         with open(dataset) as lines:
@@ -78,6 +84,12 @@ class TestGenData:
         )
         assert main(["gen-data", "--spec", str(spec), "--out",
                      str(tmp_path / "x.jsonl")]) == 2
+
+    def test_out_in_a_missing_directory_exits_2(self, tmp_path, cluster_spec, capsys):
+        out = tmp_path / "missing" / "x.jsonl"
+        assert main(["gen-data", "--spec", str(cluster_spec), "--out", str(out)]) == 2
+        assert_one_error_naming(capsys.readouterr().err, out)
+        assert not out.parent.exists()
 
 
 class TestRun:
@@ -306,6 +318,91 @@ class TestRun:
         assert "error: bad config: dataset: expected a file path, got 5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("named", ["concept", "global-covariate", "PRIOR", 5])
+    def test_config_naming_another_protocol_exits_2(
+        self, tmp_path, run_config, capsys, monkeypatch, named
+    ):
+        runs = []
+        monkeypatch.setattr("shiftbench.cli.repetition_tables", lambda *a, **k: runs.append(a))
+        raw = json.loads(run_config.read_text())
+        raw["protocol"] = named
+        cfg = run_config.parent / "other.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "p"
+        assert main(["run", "prior", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (f"error: bad config: protocol: the config names {named!r}, "
+                f"but the command runs 'prior'") in capsys.readouterr().err
+        assert runs == [] and not out.exists()
+
+    @pytest.mark.parametrize("protocol, named", [
+        ("prior", "prior"),
+        ("global-covariate", "global_covariate"),
+        ("global-covariate", "global-covariate"),
+    ])
+    def test_config_naming_its_own_protocol_runs(self, tmp_path, capsys, protocol, named):
+        spec = tmp_path / "ab.json"
+        spec.write_text(json.dumps([
+            {"mean": [-1.2, 0.0], "variance": [1, 1], "weight": 0.25, "label": 0, "category": c}
+            for c in "AB"
+        ] + [
+            {"mean": [1.2, 0.0], "variance": [1, 1], "weight": 0.25, "label": 1, "category": c}
+            for c in "AB"
+        ]))
+        assert main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "ab.jsonl"),
+                     "--n", "3000"]) == 0
+        cfg = tmp_path / "own.json"
+        cfg.write_text(json.dumps({
+            "dataset": "ab.jsonl", "protocol": named, "train_size": 300, "test_size": 60,
+            "repetitions": 1, "samples_per_config": 1, "methods": ["CC"], "folds": 3,
+            "prior_train_prevalences": [0.5], "prior_test_prevalences": [0.5],
+            "covariate_class_prevalences": [0.5], "covariate_mixtures": [0.5],
+        }))
+        out = tmp_path / "own"
+        assert main(["run", protocol, "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["protocol"] == named.replace(
+            "-", "_")
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, run_config, capsys):
+        out = tmp_path / "taken"
+        out.write_text("an earlier file\n")
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 2
+        assert_one_error_naming(capsys.readouterr().err, out)
+        assert out.read_text() == "an earlier file\n"
+
+    def test_records_path_holding_a_directory_exits_2(self, tmp_path, run_config, capsys):
+        """The finished records cannot be moved onto a directory; the run
+        exits 2 and the out dir keeps what an earlier run left."""
+        out = tmp_path / "o"
+        (out / "records.csv").mkdir(parents=True)
+        (out / "records.csv" / "kept.txt").write_text("kept\n")
+        (out / "manifest.json").write_text("{}\n")
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 2
+        assert_one_error_naming(capsys.readouterr().err, out / "records.csv")
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "records.csv"]
+        assert [path.name for path in (out / "records.csv").iterdir()] == ["kept.txt"]
+        assert (out / "records.csv" / "kept.txt").read_text() == "kept\n"
+        assert (out / "manifest.json").read_text() == "{}\n"
+
+    def test_config_hash_is_of_the_dataset_bytes_loaded(
+        self, tmp_path, run_config, dataset, monkeypatch
+    ):
+        """A dataset rewritten while the run is going is not credited to it."""
+        def config_hash(out):
+            assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 0
+            return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+        original = dataset.read_bytes()
+        expected = config_hash(tmp_path / "before")
+
+        def rewrite_mid_run(*args, **kwargs):
+            for table in repetition_tables(*args, **kwargs):
+                dataset.write_bytes(original.replace(b'"category": "A"', b'"category": "B"', 1))
+                yield table
+
+        monkeypatch.setattr("shiftbench.cli.repetition_tables", rewrite_mid_run)
+        assert config_hash(tmp_path / "during") == expected
+        assert dataset.read_bytes() != original
+
     def test_unknown_protocol_exits_2(self, tmp_path, run_config):
         with pytest.raises(SystemExit) as exc:
             main(["run", "bogus", "--config", str(run_config),
@@ -433,6 +530,14 @@ class TestReport:
         assert main(["report", str(records), "--format", "plotdata"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header == "degree,method,min,q1,median,q3,max,outliers"
+
+    def test_out_in_a_missing_directory_exits_2(self, tmp_path, run_config, capsys):
+        records = self.make_records(tmp_path, run_config)
+        capsys.readouterr()
+        out = tmp_path / "missing" / "r.md"
+        assert main(["report", str(records), "--out", str(out)]) == 2
+        assert_one_error_naming(capsys.readouterr().err, out)
+        assert not out.parent.exists()
 
     def test_empty_records_exit_2(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -216,6 +216,18 @@ class TestRecords:
         write_records_csv(table, path)
         assert same_records(read_records_csv(path), table)
 
+    def test_csv_names_the_file_line_of_a_bad_row_after_quoted_line_breaks(self, tmp_path):
+        """Row 0's config spans file lines 2-4, so row 2 sits on line 6."""
+        table = records(config=["a\nb\nc", "r=1", "r=2"], rep=[0, 1, 2])
+        path = tmp_path / "records.csv"
+        write_records_csv(table, path)
+        head, last = path.read_text().rstrip("\n").rsplit("\n", 1)
+        fields = last.split(",")
+        fields[5] = "1.5"
+        path.write_text(head + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(ValueError, match=r": line 6: true prevalence out of \[0, 1\]: 1.5$"):
+            read_records_csv(path)
+
     def test_table_columns_are_read_only(self):
         table = records(method=["CC", "SLD"], rep=[0, 1], est=[0.1, 0.9])
         assert len(table) == 2

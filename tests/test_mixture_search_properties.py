@@ -3,7 +3,7 @@
 The oracle, ``oracle_mixture_fit_alpha``, is the one-sample search that
 scored every ternary answer against the whole 1e-4 grid, copied verbatim.
 ``mixture_fit_alphas`` scores only a window of the grid around each answer
-and falls back to the whole grid when the window does not certify itself;
+and widens it to the whole grid when the window does not certify itself;
 its answers must equal the oracle's with ``==``.  The certificate relies on
 the objective being convex (Topsoe) or the square root of a convex function
 (Hellinger) in the mixture weight, which the convexity properties check.
@@ -119,19 +119,20 @@ def test_batched_search_equals_full_grid_scan(case):
 @pytest.mark.parametrize("distance", DISTANCES)
 def test_flat_objective_takes_the_full_grid_fallback(monkeypatch, distance):
     """With pos == neg every alpha scores the same, so no window certifies
-    itself and the answer comes from the whole-grid scan."""
+    itself and each row's window is widened to the whole grid: one scoring
+    call per row with its ternary answer and every grid point."""
     calls = []
-    scan = quantifiers._grid_scan
+    score = quantifiers._score
 
-    def spy(*args):
-        calls.append(args)
-        return scan(*args)
+    def spy(pos, neg, tests, alphas, rows):
+        calls.append(alphas.shape)
+        return score(pos, neg, tests, alphas, rows)
 
-    monkeypatch.setattr(quantifiers, "_grid_scan", spy)
+    monkeypatch.setattr(quantifiers, "_score", spy)
     pos = np.array([0.1, 0.2, 0.3, 0.4])
     tests = [pos, np.array([0.4, 0.3, 0.2, 0.1])]
     found = mixture_fit_alphas(pos, pos, tests, distance)
-    assert len(calls) == len(tests)
+    assert calls.count((1, len(_GRID) + 1)) == len(tests)
     assert found.tolist() == [oracle_mixture_fit_alpha(pos, pos, t, distance) for t in tests]
 
 
