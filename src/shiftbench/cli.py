@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -46,6 +47,10 @@ EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
 _CLI_PROTOCOLS = {p.replace("_", "-"): p for p in PROTOCOLS}
+
+#: rows of a dense dataset file whose features are parsed before they become
+#: one float array, so a load holds at most this many per-row feature lists
+LOAD_BLOCK_ROWS = 1024
 
 
 @dataclasses.dataclass
@@ -129,8 +134,12 @@ def _load_dataset(path: str):
             raise ValueError(f"{path}: every review was filtered out")
         return reviews_to_dataset(reviews)
     label = "stars" if "stars" in probe else "label"
-    # each line's fields are kept and its parsed object dropped
-    features, labels, categories = [], [], []
+    # each line's label and category are kept and its parsed object dropped;
+    # its features wait for a block of LOAD_BLOCK_ROWS rows to become one
+    # float array.  np.array refuses ragged rows within a block and
+    # np.concatenate across blocks, so a file loads if and only if one
+    # np.array of all its rows would.
+    blocks, features, labels, categories = [], [], [], []
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
@@ -139,7 +148,13 @@ def _load_dataset(path: str):
                     features.append(row["features"])
                     labels.append(row[label])
                     categories.append(row.get("category", "A"))
-        x = np.array(features, dtype=float)
+                    if len(features) == LOAD_BLOCK_ROWS:
+                        blocks.append(np.array(features, dtype=float))
+                        features = []
+        if features:
+            blocks.append(np.array(features, dtype=float))
+        x = np.concatenate(blocks)
+        del features, blocks
         y = np.array(labels)
     except (ValueError, KeyError, TypeError):
         raise ValueError(_first_bad_row(path, label)) from None
@@ -245,36 +260,55 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _timestamp()
-    records_path = out_dir / "records.csv"
-    # each repetition's table is written as it arrives and then let go; a run
-    # that fails part-way leaves no records.csv, and an older one untouched
+    records_path, manifest_path = out_dir / "records.csv", out_dir / "manifest.json"
+    # both files are written beside their final names and published together
+    # once the run is done and its record count checked; a run that fails
+    # leaves the out dir as it found it
+    staged = {path: path.with_name(path.name + ".partial")
+              for path in (records_path, manifest_path)}
+    # each repetition's table is written as it arrives and then let go
     tables = repetition_tables(cfg, dataset, jobs=args.jobs)
     try:
         with contextlib.closing(tables):
-            n = write_records_csv(tables, records_path)
+            n = write_records_csv(tables, staged[records_path])
+        expected = count_records(cfg)
+        if n != expected:
+            return _fail(f"internal error: wrote {n} records, expected {expected}", EXIT_FAIL)
+        cfg_digest = hashlib.sha256(
+            json.dumps({**cfg.to_dict(), "dataset": dataset_sha256},
+                       sort_keys=True).encode()
+        ).hexdigest()
+        RunManifest(
+            config_hash=cfg_digest,
+            master_seed=cfg.master_seed,
+            methods=list(cfg.methods),
+            protocol=cfg.protocol,
+            started=started,
+            finished=_timestamp(),
+            record_count=n,
+            artifacts={"records": str(records_path)},
+        ).write(staged[manifest_path])
+        _publish(staged)
     except PoolExhaustionError as exc:
         return _fail(str(exc), EXIT_EXHAUSTED)
     except (TypeError, ValueError) as exc:
         return _fail(str(exc))
-    expected = count_records(cfg)
-    if n != expected:
-        return _fail(f"internal error: wrote {n} records, expected {expected}", EXIT_FAIL)
-    cfg_digest = hashlib.sha256(
-        json.dumps({**cfg.to_dict(), "dataset": dataset_sha256},
-                   sort_keys=True).encode()
-    ).hexdigest()
-    RunManifest(
-        config_hash=cfg_digest,
-        master_seed=cfg.master_seed,
-        methods=list(cfg.methods),
-        protocol=cfg.protocol,
-        started=started,
-        finished=_timestamp(),
-        record_count=n,
-        artifacts={"records": str(records_path)},
-    ).write(out_dir / "manifest.json")
+    finally:
+        for partial in staged.values():
+            partial.unlink(missing_ok=True)
     print(f"wrote {n} records to {records_path}")
     return EXIT_OK
+
+
+def _publish(staged: dict[Path, Path]):
+    """Move each staged file onto its final path, all or none.  A file moves
+    onto a sibling path unless a directory is in the way, so a directory at
+    any final path is refused before anything moves."""
+    for final in staged:
+        if final.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(final))
+    for final, partial in staged.items():
+        os.replace(partial, final)
 
 
 def cmd_report(args) -> int:

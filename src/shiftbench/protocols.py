@@ -34,9 +34,10 @@ same fit, score and estimate steps), then draws each test and scores it once
 per classifier.  Each classifier's posteriors are stacked into one matrix per
 test size, each method estimates them all in one ``aggregate_many`` call,
 and the cell becomes one :class:`RecordTable`, a row per test and method in
-plan order.  ``_repetition_worker``, the task of a pool worker, runs the
-cells of one repetition's plan in order, and ``repetition_tables`` yields
-each repetition's table in turn.  Every seed derives from the master seed, so
+plan order.  ``_repetition_worker`` runs the cells of one repetition's plan
+in order, and ``repetition_tables`` yields each repetition's table in turn.
+A pool worker gets the config and pools once, when it starts, and then
+one repetition number per task.  Every seed derives from the master seed, so
 ``run_protocol(cfg, dataset, jobs)`` returns the same table for any number of
 pool workers.
 """
@@ -782,24 +783,43 @@ def _repetition_worker(args) -> RecordTable:
                               for cell, tests in itertools.groupby(plan, key=attrgetter("cell")))
 
 
+_served = None  # in a pool worker, the (cfg, pools) of the run it serves
+
+
+def _serve(cfg: ProtocolConfig, pools):
+    """Pool initializer: keep the run's config and pools for every task."""
+    global _served
+    _served = (cfg, pools)
+
+
+def _served_repetition(rep: int) -> RecordTable:
+    """A pool worker's task: one repetition of the run it serves."""
+    cfg, pools = _served
+    return _repetition_worker((cfg, pools, rep))
+
+
 def repetition_tables(cfg: ProtocolConfig, dataset, jobs: int = 1) -> Iterator[RecordTable]:
     """Each repetition's records, one table per repetition, in repetition order.
 
     With ``jobs`` > 1 repetitions run in separate processes, at most one per
     repetition; a table is yielded as soon as it and every earlier one are
     done, so a caller can write it and let it go while later repetitions run.
-    The tables are the same for any worker count.  Closing the generator
-    early cancels the repetitions that have not started.
+    The config and pools reach each worker once, through the pool
+    initializer (inherited under fork, pickled once per worker otherwise),
+    and each task is a repetition number.  The tables are the same for any
+    worker count.  Closing the generator early cancels the repetitions that
+    have not started.
     """
     pools = _prepare_pools(cfg, dataset)
-    tasks = [(cfg, pools, rep) for rep in range(cfg.repetitions)]
-    workers = min(jobs, len(tasks))
+    repetitions = range(cfg.repetitions)
+    workers = min(jobs, len(repetitions))
     if workers <= 1:
-        for task in tasks:
-            yield _repetition_worker(task)
+        for rep in repetitions:
+            yield _repetition_worker((cfg, pools, rep))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_repetition_worker, tasks)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_serve,
+                                 initargs=(cfg, pools)) as pool:
+            yield from pool.map(_served_repetition, repetitions)
 
 
 def run_protocol(cfg: ProtocolConfig, dataset, jobs: int = 1) -> RecordTable:

@@ -383,6 +383,32 @@ class TestRun:
         assert (out / "records.csv" / "kept.txt").read_text() == "kept\n"
         assert (out / "manifest.json").read_text() == "{}\n"
 
+    def test_manifest_path_holding_a_directory_publishes_nothing(
+        self, tmp_path, run_config, capsys
+    ):
+        """The manifest cannot be published, so neither are the new records:
+        an earlier records.csv keeps its bytes and no .partial file is left."""
+        out = tmp_path / "o"
+        (out / "manifest.json").mkdir(parents=True)
+        (out / "records.csv").write_text("an earlier run\n")
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 2
+        assert_one_error_naming(capsys.readouterr().err, out / "manifest.json")
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "records.csv"]
+        assert list((out / "manifest.json").iterdir()) == []
+        assert (out / "records.csv").read_text() == "an earlier run\n"
+
+    def test_record_count_mismatch_publishes_nothing(
+        self, tmp_path, run_config, capsys, monkeypatch
+    ):
+        out = tmp_path / "o"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        monkeypatch.setattr("shiftbench.cli.count_records", lambda cfg: 1)
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out),
+                     "--seed", "6"]) == 1
+        assert capsys.readouterr().err.startswith("error: internal error: wrote ")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_config_hash_is_of_the_dataset_bytes_loaded(
         self, tmp_path, run_config, dataset, monkeypatch
     ):

@@ -7,7 +7,10 @@ star datasets with any finite features.  ``oracle_load`` is the earlier
 ``_load_dataset``, which parsed every line into a dict before building any
 array; ``_load_dataset`` must give equal arrays of equal dtypes, or the same
 error message, on files with malformed JSON, missing fields, ragged or
-non-numeric features, non-finite values and blank lines.
+non-numeric features, rows shorter or longer than the first, non-finite
+values and blank lines.  Some files are loaded with ``LOAD_BLOCK_ROWS``
+set to a few rows, so that their bad rows fall in a later block than the
+first.
 """
 
 import json
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from shiftbench import cli
 from shiftbench.cli import _first_bad_row, _json_problem, _load_dataset, _write_datapoints
 from shiftbench.core import BinaryDataset, StarDataset
 from shiftbench.datagen import filter_reviews, load_reviews_jsonl, reviews_to_dataset
@@ -108,6 +112,10 @@ def good_row(width, label):
 
 def bad_line(width, label):
     """One line that no loader accepts as a datapoint, or a blank one."""
+    # fewer features than the first row: a one-feature row is what filling
+    # rows into a preallocated array would silently broadcast
+    short = [st.lists(finite, min_size=1, max_size=width - 1).map(
+        lambda f: json.dumps({"features": f, label: 1, "category": "B"}))] if width > 1 else []
     return st.one_of(
         st.sampled_from(["", "   ", "\t", "{", '{"features": [1.0] "label": 1}', "[1, 2]",
                          '"row"', "7", "nul", f'{{"{label}": 1}}', '{"features": [1.0, 2.0]}',
@@ -116,6 +124,7 @@ def bad_line(width, label):
                          '{"features": [1.0, null], "label": 1, "stars": 2}']),
         st.lists(finite, min_size=width + 1, max_size=width + 2).map(
             lambda f: json.dumps({"features": f, label: 1, "category": "A"})),
+        *short,
         st.tuples(st.lists(finite, min_size=width, max_size=width),
                   st.integers(0, max(width - 1, 0)),
                   st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"])).map(
@@ -133,7 +142,7 @@ def _with_non_finite(features, at, token, label):
 def dataset_files(draw):
     width = draw(st.integers(1, 3))
     label = draw(st.sampled_from(["label", "stars"]))
-    lines = draw(st.lists(good_row(width, label), min_size=1, max_size=10))
+    lines = draw(st.lists(good_row(width, label), min_size=1, max_size=12))
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(lines)))
         lines.insert(at, draw(bad_line(width, label)))
@@ -142,8 +151,9 @@ def dataset_files(draw):
 
 
 @property_settings
-@given(text=dataset_files())
-def test_loader_matches_parse_everything_first(tmp_path, text):
+@given(text=dataset_files(), block_rows=st.sampled_from([1, 2, 3, cli.LOAD_BLOCK_ROWS]))
+def test_loader_matches_parse_everything_first(tmp_path, monkeypatch, text, block_rows):
+    monkeypatch.setattr(cli, "LOAD_BLOCK_ROWS", block_rows)
     path = tmp_path / "data.jsonl"
     path.write_text(text, encoding="utf-8")
     try:

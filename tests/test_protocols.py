@@ -1,10 +1,12 @@
 """Protocol loop structure, degree conventions, draw arithmetic, determinism."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from shiftbench import protocols
-from shiftbench.core import PoolExhaustionError
+from shiftbench.core import Pool, PoolExhaustionError
 from shiftbench.datagen import ClusterSpec, generate_mixture
 from shiftbench.evaluation import RecordTable
 from shiftbench.protocols import (
@@ -243,28 +245,60 @@ class TestDeterminismAndParallelism:
         self, monkeypatch, jobs, repetitions, workers
     ):
         started = []
-
-        class SerialPool:
-            """Records the worker count it is asked for and maps in-process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(protocols, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(protocols, "ProcessPoolExecutor", serial_pool(started, []))
+        monkeypatch.setattr(protocols, "_served", None)
         cfg = tiny_config(PRIOR, repetitions=repetitions, prior_train_prevalences=(0.5,),
                           prior_test_prevalences=(0.5,), samples_per_config=1)
         records = run_protocol(cfg, binary_ab_dataset(), jobs=jobs)
         assert started == ([] if workers is None else [workers])
         assert len(records) == count_records(cfg)
+
+    def test_pool_tasks_are_repetition_numbers(self, monkeypatch):
+        """The config and pools go to the initializer; each task the executor
+        receives is one repetition number, and the tables are the serial ones."""
+        tasks = []
+        monkeypatch.setattr(protocols, "ProcessPoolExecutor", serial_pool([], tasks))
+        monkeypatch.setattr(protocols, "_served", None, raising=False)
+        cfg = tiny_config(PRIOR, repetitions=3)
+        data = binary_ab_dataset()
+        pooled = run_protocol(cfg, data, jobs=2)
+        assert tasks == [0, 1, 2] and all(type(task) is int for task in tasks)
+        assert same_records(pooled, run_protocol(cfg, data, jobs=1))
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers inherit the pools only under fork")
+    def test_forked_workers_inherit_the_pools_unpickled(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a pool was pickled")
+
+        monkeypatch.setattr(Pool, "__reduce__", refuse, raising=False)
+        cfg = tiny_config(PRIOR, repetitions=2)
+        data = binary_ab_dataset()
+        assert same_records(run_protocol(cfg, data, jobs=2), run_protocol(cfg, data, jobs=1))
+
+
+def serial_pool(started, tasks):
+    """A ``ProcessPoolExecutor`` stand-in that records the worker count it is
+    asked for and each task it maps, runs the initializer and maps in-process."""
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            started.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            for item in items:
+                tasks.append(item)
+                yield fn(item)
+
+    return SerialPool
 
 
 class TestValidationAndErrors:
