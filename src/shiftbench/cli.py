@@ -1,7 +1,8 @@
 """Command-line harness: dataset generation, protocol runs, reports, selftest.
 
 Exit codes: 0 success, 1 selftest failure, 2 usage/validation problems and
-output paths that cannot be written, 3 pool exhaustion during a run.  The
+output paths that cannot be written, 3 pool exhaustion during a run, 141
+(128 + SIGPIPE) when standard output is a pipe that its reader closed.  The
 environment variable SHIFTBENCH_SEED overrides the config's master seed; the
 --seed flag overrides both.
 """
@@ -10,26 +11,21 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import errno
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .classifier import loss_and_grad
-from .core import BinaryDataset, PoolExhaustionError, StarDataset
-from .datagen import (
-    filter_reviews,
-    generate_mixture,
-    load_cluster_specs,
-    load_reviews_jsonl,
-    reviews_to_dataset,
-)
+from .core import PoolExhaustionError, StarDataset
+from .datagen import generate_mixture, load_cluster_specs, load_dataset, write_dataset
 from .evaluation import read_records_csv, write_records_csv
 from .protocols import PROTOCOLS, ProtocolConfig, count_records, repetition_tables
 from .quantifiers import (
@@ -45,29 +41,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
+EXIT_BROKEN_PIPE = 128 + 13  # as a process killed by SIGPIPE
 
 _CLI_PROTOCOLS = {p.replace("_", "-"): p for p in PROTOCOLS}
-
-#: rows of a dense dataset file whose features are parsed before they become
-#: one float array, so a load holds at most this many per-row feature lists
-LOAD_BLOCK_ROWS = 1024
-
-
-@dataclasses.dataclass
-class RunManifest:
-    """Provenance of one protocol run, written next to records.csv."""
-
-    config_hash: str
-    master_seed: int
-    methods: list[str]
-    protocol: str
-    started: str
-    finished: str
-    record_count: int
-    artifacts: dict[str, str]
-
-    def write(self, path: Path):
-        path.write_text(json.dumps(dataclasses.asdict(self), indent=2) + "\n")
 
 
 def _timestamp() -> str:
@@ -85,7 +61,7 @@ def cmd_gen_data(args) -> int:
         dataset = generate_mixture(specs, args.n, args.seed)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"cannot generate dataset: {exc}")
-    _write_datapoints(dataset, args.out)
+    write_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} datapoints to {args.out}")
     for cat in ("A", "B"):
         share = float((dataset.category == cat).mean())
@@ -97,116 +73,6 @@ def cmd_gen_data(args) -> int:
     else:
         print(f"  positive prevalence: {dataset.prevalence:.3f}")
     return EXIT_OK
-
-
-def _write_datapoints(dataset, path):
-    """Write ``dataset`` as JSONL, one ``{"features": [...], "label" or
-    "stars": ..., "category": ...}`` object per line, the bytes ``json.dumps``
-    writes for it.  A dataset's features are finite, so ``repr`` writes each
-    as ``json.dumps`` does."""
-    if isinstance(dataset, StarDataset):
-        key, labels = "stars", dataset.stars.tolist()
-    else:
-        key, labels = "label", dataset.labels.tolist()
-    categories = dataset.category.tolist()
-    quoted = {category: json.dumps(category) for category in set(categories)}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for features, label, category in zip(dataset.x.tolist(), labels, categories):
-            fh.write(f'{{"features": [{", ".join(map(repr, features))}], '
-                     f'"{key}": {label}, "category": {quoted[category]}}}\n')
-
-
-def _load_dataset(path: str):
-    """Sniff a JSONL dataset: reviews (text), star vectors, or binary vectors."""
-    with open(path, encoding="utf-8") as fh:
-        first_no, first = next(((i, line) for i, line in enumerate(fh, 1) if line.strip()), (0, ""))
-    if not first:
-        raise ValueError(f"{path}: empty dataset")
-    try:
-        probe = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line {first_no}: {_json_problem(exc)}") from None
-    if not isinstance(probe, dict):
-        raise ValueError(f"{path}: line {first_no}: expected a JSON object")
-    if "text" in probe:
-        reviews = filter_reviews(load_reviews_jsonl(path))
-        if not reviews:
-            raise ValueError(f"{path}: every review was filtered out")
-        return reviews_to_dataset(reviews)
-    label = "stars" if "stars" in probe else "label"
-    # each line's label and category are kept and its parsed object dropped;
-    # its features wait for a block of LOAD_BLOCK_ROWS rows to become one
-    # float array.  np.array refuses ragged rows within a block and
-    # np.concatenate across blocks, so a file loads if and only if one
-    # np.array of all its rows would.
-    blocks, features, labels, categories = [], [], [], []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    row = json.loads(line)
-                    features.append(row["features"])
-                    labels.append(row[label])
-                    categories.append(row.get("category", "A"))
-                    if len(features) == LOAD_BLOCK_ROWS:
-                        blocks.append(np.array(features, dtype=float))
-                        features = []
-        if features:
-            blocks.append(np.array(features, dtype=float))
-        x = np.concatenate(blocks)
-        del features, blocks
-        y = np.array(labels)
-    except (ValueError, KeyError, TypeError):
-        raise ValueError(_first_bad_row(path, label)) from None
-    if not np.isfinite(x).all():
-        raise ValueError(_first_bad_row(path, label))
-    category = np.array(categories)
-    if label == "stars":
-        return StarDataset(x, y, category)
-    return BinaryDataset(x, y, category)
-
-
-def _json_problem(exc: json.JSONDecodeError) -> str:
-    return f"malformed JSON: {exc.msg} at column {exc.colno}"
-
-
-def _first_bad_row(path: str, label: str) -> str:
-    """'<path>: line N: <problem>' for the first row that is not a datapoint.
-
-    Rescans the file, so line numbers cost nothing on a dataset that loads."""
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {line_no}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                return f"{where}: {_json_problem(exc)}"
-            for key in ("features", label):
-                if not isinstance(row, dict) or key not in row:
-                    return f"{where}: missing field {key!r}"
-            try:
-                features = np.array(row["features"], dtype=float)
-            except (TypeError, ValueError):
-                features = None
-            if features is None or features.ndim != 1:
-                return f"{where}: features must be a list of numbers"
-            if width is not None and len(features) != width:
-                return f"{where}: {len(features)} features, expected {width}"
-            width = len(features)
-            if not np.isfinite(features).all():
-                return f"{where}: non-finite feature value"
-    return f"{path}: malformed dataset"
-
-
-def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def cmd_run(args) -> int:
@@ -247,15 +113,11 @@ def cmd_run(args) -> int:
     if args.desk:
         cfg = cfg.desk()
 
-    dataset_file = Path(dataset_path)
-    if not dataset_file.is_absolute():
-        dataset_file = Path(args.config).parent / dataset_file
+    dataset_file = Path(args.config).parent / dataset_path  # an absolute path stays as it is
     try:
-        dataset = _load_dataset(dataset_file)
+        dataset, dataset_sha256 = load_dataset(dataset_file)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"cannot load dataset: {exc}")
-    # the bytes just loaded, not whatever the file holds once the run is done
-    dataset_sha256 = _file_sha256(dataset_file)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -278,16 +140,20 @@ def cmd_run(args) -> int:
             json.dumps({**cfg.to_dict(), "dataset": dataset_sha256},
                        sort_keys=True).encode()
         ).hexdigest()
-        RunManifest(
-            config_hash=cfg_digest,
-            master_seed=cfg.master_seed,
-            methods=list(cfg.methods),
-            protocol=cfg.protocol,
-            started=started,
-            finished=_timestamp(),
-            record_count=n,
-            artifacts={"records": str(records_path)},
-        ).write(staged[manifest_path])
+        manifest = {
+            "config_hash": cfg_digest,
+            "master_seed": cfg.master_seed,
+            "methods": list(cfg.methods),
+            "protocol": cfg.protocol,
+            "started": started,
+            "finished": _timestamp(),
+            "record_count": n,
+            "artifacts": {"records": str(records_path)},
+            "dataset": {"path": str(dataset_file), "sha256": dataset_sha256},
+            "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                         "scipy": scipy.__version__},
+        }
+        staged[manifest_path].write_text(json.dumps(manifest, indent=2) + "\n")
         _publish(staged)
     except PoolExhaustionError as exc:
         return _fail(str(exc), EXIT_EXHAUSTED)
@@ -455,7 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``| head -1``): what is left to print goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except OSError as exc:  # an output path that cannot be written, named in the message
         return _fail(str(exc))
 

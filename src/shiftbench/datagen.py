@@ -1,8 +1,10 @@
 """Synthetic Gaussian-mixture generation and star-rated review ingestion.
 
 Synthetic datasets are mixtures of axis-aligned Gaussian clusters, each
-carrying a class label (binary or 1..5 stars) and a category tag.  Review
-corpora are read from line-delimited JSON.  ``count_terms`` tokenises each
+carrying a class label (binary or 1..5 stars) and a category tag.  Dataset
+files are line-delimited JSON: ``write_dataset`` writes feature rows and
+``load_dataset`` reads feature rows or reviews, taking the sha256 of the
+bytes it parses.  ``count_terms`` tokenises each
 document once into a row of raw term counts, with columns in sorted term
 order; ``fit_vocabulary`` and ``vectorise`` then work on rows of those
 counts, turning each draw into L2-normalised tf-idf vectors with a
@@ -19,6 +21,9 @@ correctly rounded square root that ``np.linalg.norm`` computes.
 
 from __future__ import annotations
 
+import hashlib
+import io
+import itertools
 import json
 import math
 from array import array
@@ -40,6 +45,10 @@ _TOKEN_BYTES = bytes(
 COUNT_BLOCK = 100
 
 MIN_REVIEW_CHARS = 200
+
+#: Rows of a dense dataset file parsed before they become one float array,
+#: so a load holds at most this many per-row feature lists.
+LOAD_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -163,27 +172,143 @@ def reviews_to_dataset(reviews: Sequence[RawReview]) -> StarDataset:
     )
 
 
-def load_reviews_jsonl(path: str | Path) -> list[RawReview]:
-    """Read one JSON review per line: text, stars, category, useful_votes."""
-    reviews = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+def write_dataset(dataset: StarDataset | BinaryDataset, path: str | Path):
+    """Write ``dataset`` as JSONL, one ``{"features": [...], "label" or
+    "stars": ..., "category": ...}`` object per line, the bytes ``json.dumps``
+    writes for it.  A dataset's features are finite, so ``repr`` writes each
+    as ``json.dumps`` does."""
+    if isinstance(dataset, StarDataset):
+        key, labels = "stars", dataset.stars.tolist()
+    else:
+        key, labels = "label", dataset.labels.tolist()
+    categories = dataset.category.tolist()
+    quoted = {category: json.dumps(category) for category in set(categories)}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for features, label, category in zip(dataset.x.tolist(), labels, categories):
+            fh.write(f'{{"features": [{", ".join(map(repr, features))}], '
+                     f'"{key}": {label}, "category": {quoted[category]}}}\n')
+
+
+class _Sha256Reader(io.RawIOBase):
+    """Reads a binary file, adding every byte read to ``sha256``."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = self._raw.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+
+def load_dataset(path: str | Path) -> tuple[StarDataset | BinaryDataset, str]:
+    """Load a JSONL dataset file and the sha256 of its bytes.
+
+    Blank lines are skipped and the first other line tells the kind: ``text``
+    starts a review corpus, kept through ``filter_reviews``; otherwise rows
+    hold ``features`` and ``stars`` (if the first row has them) or ``label``.
+    The file is read once, as UTF-8 with universal newlines, and the digest
+    is of exactly the bytes decoded.
+    """
+    with open(path, "rb", buffering=0) as raw:
+        reader = _Sha256Reader(raw)
+        with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
+            lines = ((i, line) for i, line in enumerate(fh, 1) if line.strip())
+            first_no, first = next(lines, (0, ""))
+            if not first:
+                raise ValueError(f"{path}: empty dataset")
             try:
-                d = json.loads(line)
-                reviews.append(
-                    RawReview(
-                        text=d["text"],
-                        stars=int(d["stars"]),
-                        category=d["category"],
-                        useful_votes=int(d["useful_votes"]),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed review record: {exc}")
-    return reviews
+                probe = json.loads(first)
+            except json.JSONDecodeError:
+                raise ValueError(_first_bad_row(path, "label")) from None
+            if not isinstance(probe, dict):
+                raise ValueError(f"{path}: line {first_no}: expected a JSON object")
+            lines = itertools.chain([(first_no, first)], lines)
+            if "text" in probe:
+                reviews = filter_reviews(_reviews(path, lines))
+                if not reviews:
+                    raise ValueError(f"{path}: every review was filtered out")
+                dataset = reviews_to_dataset(reviews)
+            else:
+                dataset = _vectors(path, lines, "stars" if "stars" in probe else "label")
+    return dataset, reader.sha256.hexdigest()
+
+
+def _reviews(path, lines):
+    """Each review line as a ``RawReview``: text, stars, category, useful_votes."""
+    for line_no, line in lines:
+        try:
+            d = json.loads(line.strip())
+            review = RawReview(d["text"], int(d["stars"]), d["category"], int(d["useful_votes"]))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ValueError(f"{path}:{line_no}: malformed review record: {exc}") from None
+        yield review
+
+
+def _vectors(path, lines, label: str) -> StarDataset | BinaryDataset:
+    # each line's label and category are kept and its parsed object dropped;
+    # its features wait for a block of LOAD_BLOCK_ROWS rows to become one
+    # float array.  np.array refuses ragged rows within a block and
+    # np.concatenate across blocks, so a file loads if and only if one
+    # np.array of all its rows would.
+    blocks, features, labels, categories = [], [], [], []
+    try:
+        for _, line in lines:
+            row = json.loads(line)
+            features.append(row["features"])
+            labels.append(row[label])
+            categories.append(row.get("category", "A"))
+            if len(features) == LOAD_BLOCK_ROWS:
+                blocks.append(np.array(features, dtype=float))
+                features = []
+        if features:
+            blocks.append(np.array(features, dtype=float))
+        x = np.concatenate(blocks)
+        del features, blocks
+        y = np.array(labels)
+    except (ValueError, KeyError, TypeError):
+        raise ValueError(_first_bad_row(path, label)) from None
+    if not np.isfinite(x).all():
+        raise ValueError(_first_bad_row(path, label))
+    category = np.array(categories)
+    if label == "stars":
+        return StarDataset(x, y, category)
+    return BinaryDataset(x, y, category)
+
+
+def _first_bad_row(path, label: str) -> str:
+    """'<path>: line N: <problem>' for the first row that is not a datapoint.
+
+    Rescans the file, so line numbers cost nothing on a dataset that loads."""
+    width = None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}: line {line_no}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                return f"{where}: malformed JSON: {exc.msg} at column {exc.colno}"
+            for key in ("features", label):
+                if not isinstance(row, dict) or key not in row:
+                    return f"{where}: missing field {key!r}"
+            try:
+                features = np.array(row["features"], dtype=float)
+            except (TypeError, ValueError):
+                features = None
+            if features is None or features.ndim != 1:
+                return f"{where}: features must be a list of numbers"
+            if width is not None and len(features) != width:
+                return f"{where}: {len(features)} features, expected {width}"
+            width = len(features)
+            if not np.isfinite(features).all():
+                return f"{where}: non-finite feature value"
+    return f"{path}: malformed dataset"
 
 
 def tokenise(text: str) -> list[str]:

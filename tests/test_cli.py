@@ -1,9 +1,20 @@
 """Command-line surface: gen-data, run, report, selftest, exit codes."""
 
+import builtins
+import hashlib
+import io
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
+
+import shiftbench
 
 from shiftbench.classifier import ClassRates
 from shiftbench.cli import main
@@ -56,6 +67,11 @@ def run_config(tmp_path, dataset):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+#: config_hash of ``run_config`` on the dataset that
+#: ``test_config_hash_is_unchanged_for_the_same_inputs`` writes
+CONFIG_HASH = "de16ebcef4fba39053773ce448540dce63a4487c05ac19cd38972819da3b5f33"
 
 
 def assert_one_error_naming(err, path):
@@ -234,6 +250,44 @@ class TestRun:
         at = text.rindex('"category": "A"') + len('"category": "')
         copy.write_text(text[:at] + "B" + text[at + 1:])  # one byte changed
         assert config_hash(copy, "changed") != original
+
+    def test_config_hash_is_unchanged_for_the_same_inputs(self, tmp_path, run_config, dataset):
+        """The hash written for this config and these dataset bytes before the
+        dataset reader moved into ``datagen``."""
+        lines = []
+        for i in range(4000):
+            label = i % 2
+            features = [(i * 37 % 101) / 25 - 2 + (1.2 if label else -1.2), (i * 53 % 89) / 22 - 2]
+            lines.append(json.dumps({"features": features, "label": label, "category": "A"}))
+        dataset.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_hash"] == CONFIG_HASH
+
+    def test_manifest_names_the_dataset_bytes_and_versions(self, tmp_path, run_config, dataset):
+        out = tmp_path / "out"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["dataset"] == {
+            "path": str(dataset), "sha256": hashlib.sha256(dataset.read_bytes()).hexdigest()}
+        assert manifest["versions"] == {"python": platform.python_version(),
+                                        "numpy": np.__version__, "scipy": scipy.__version__}
+
+    def test_run_opens_its_dataset_once(self, tmp_path, run_config, dataset, monkeypatch):
+        opened = []
+        real_open = builtins.open
+
+        def spy(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == dataset.resolve():
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spy)
+        monkeypatch.setattr(io, "open", spy)
+        out = tmp_path / "out"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 0
+        assert len(opened) == 1
 
     @pytest.mark.parametrize("protocol, field, value, message", [
         ("prior", "prior_train_prevalences", [0.2, 1.5], "1.5 is outside (0, 1)"),
@@ -684,3 +738,35 @@ class TestSelftest:
         monkeypatch.setattr(PACC, "_prepare", swap_rates)
         assert main(["selftest"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+
+def shiftbench_process(*argv, unbuffered):
+    """``shiftbench *argv`` in a fresh interpreter, its stdout a pipe."""
+    paths = [str(Path(shiftbench.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+           "PYTHONUNBUFFERED": "1" if unbuffered else ""}
+    return subprocess.Popen(
+        [sys.executable, "-c", "import sys; from shiftbench.cli import main; sys.exit(main())",
+         *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+class TestClosedStdout:
+    """A reader that stops early (``| head -1``) ends the command as SIGPIPE
+    would: exit 141 with nothing on stderr, and files already written keep
+    their bytes."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_gen_data_exits_141_quietly(self, tmp_path, cluster_spec, dataset, unbuffered):
+        out = tmp_path / "piped.jsonl"
+        proc = shiftbench_process("gen-data", "--spec", str(cluster_spec), "--out", str(out),
+                                  "--seed", "3", "--n", "4000", unbuffered=unbuffered)
+        proc.stdout.close()  # the reader is gone before the first line is printed
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+        assert out.read_bytes() == dataset.read_bytes()
+
+    def test_selftest_exits_141_quietly(self):
+        proc = shiftbench_process("selftest", unbuffered=True)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")

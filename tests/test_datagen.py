@@ -16,8 +16,7 @@ from shiftbench.datagen import (
     fit_vocabulary,
     generate_mixture,
     load_cluster_specs,
-    load_reviews_jsonl,
-    reviews_to_dataset,
+    load_dataset,
     tokenise,
     vectorise,
 )
@@ -184,9 +183,8 @@ class TestIngestion:
             {"text": "bad " * 60, "stars": 1, "category": "B", "useful_votes": 1},
         ]
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-        reviews = load_reviews_jsonl(path)
-        assert [r.stars for r in reviews] == [5, 1]
-        data = reviews_to_dataset(reviews)
+        data, _ = load_dataset(path)
+        assert list(data.stars) == [5, 1]
         assert list(data.category) == ["A", "B"]
         assert data.x.dtype == object
 
@@ -194,7 +192,7 @@ class TestIngestion:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"text": "x", "stars": 5, "category": "A"}\n')
         with pytest.raises(ValueError, match="bad.jsonl:1"):
-            load_reviews_jsonl(path)
+            load_dataset(path)
 
     def test_cluster_spec_file(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -2,28 +2,41 @@
 the earlier row-by-row code did.
 
 ``oracle_write`` is the earlier ``gen-data`` body, one ``json.dumps`` of a
-dict per row, and ``_write_datapoints`` must write its bytes for binary and
+dict per row, and ``write_dataset`` must write its bytes for binary and
 star datasets with any finite features.  ``oracle_load`` is the earlier
-``_load_dataset``, which parsed every line into a dict before building any
-array; ``_load_dataset`` must give equal arrays of equal dtypes, or the same
-error message, on files with malformed JSON, missing fields, ragged or
+loader: it sniffed the first line in one pass, then parsed every dense line
+into a dict before building any array, or read reviews with
+``oracle_load_reviews_jsonl`` and filtered them, in another.
+``load_dataset`` reads the file once; it must give equal arrays of equal
+dtypes, or raise the same exception type with the same message, and its
+digest must be the sha256 of the file's bytes.  The files are dense, star
+and review corpora with malformed JSON, missing fields, ragged or
 non-numeric features, rows shorter or longer than the first, non-finite
-values and blank lines.  Some files are loaded with ``LOAD_BLOCK_ROWS``
+values, bad review fields, blank and indented lines, LF, CRLF and CR line
+endings, and bytes that are not UTF-8, some after a blank line long enough
+to put them in a later decoded chunk.  Some files are loaded with ``LOAD_BLOCK_ROWS``
 set to a few rows, so that their bad rows fall in a later block than the
 first.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from shiftbench import cli
-from shiftbench.cli import _first_bad_row, _json_problem, _load_dataset, _write_datapoints
+from shiftbench import datagen
 from shiftbench.core import BinaryDataset, StarDataset
-from shiftbench.datagen import filter_reviews, load_reviews_jsonl, reviews_to_dataset
+from shiftbench.datagen import (
+    RawReview,
+    _first_bad_row,
+    filter_reviews,
+    load_dataset,
+    reviews_to_dataset,
+    write_dataset,
+)
 
 property_settings = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -42,6 +55,32 @@ def oracle_write(dataset, path):
             fh.write(json.dumps(row) + "\n")
 
 
+def _json_problem(exc: json.JSONDecodeError) -> str:
+    return f"malformed JSON: {exc.msg} at column {exc.colno}"
+
+
+def oracle_load_reviews_jsonl(path):
+    reviews = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                d = json.loads(line)
+                reviews.append(
+                    RawReview(
+                        text=d["text"],
+                        stars=int(d["stars"]),
+                        category=d["category"],
+                        useful_votes=int(d["useful_votes"]),
+                    )
+                )
+            except (KeyError, ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{line_no}: malformed review record: {exc}")
+    return reviews
+
+
 def oracle_load(path: str):
     with open(path, encoding="utf-8") as fh:
         first_no, first = next(((i, line) for i, line in enumerate(fh, 1) if line.strip()), (0, ""))
@@ -54,7 +93,7 @@ def oracle_load(path: str):
     if not isinstance(probe, dict):
         raise ValueError(f"{path}: line {first_no}: expected a JSON object")
     if "text" in probe:
-        reviews = filter_reviews(load_reviews_jsonl(path))
+        reviews = filter_reviews(oracle_load_reviews_jsonl(path))
         if not reviews:
             raise ValueError(f"{path}: every review was filtered out")
         return reviews_to_dataset(reviews)
@@ -97,7 +136,7 @@ def datasets(draw):
 @given(dataset=datasets())
 def test_written_datapoints_match_one_dumps_per_row(tmp_path, dataset):
     ours, oracle = tmp_path / "ours.jsonl", tmp_path / "oracle.jsonl"
-    _write_datapoints(dataset, ours)
+    write_dataset(dataset, ours)
     oracle_write(dataset, oracle)
     assert ours.read_bytes() == oracle.read_bytes()
 
@@ -110,6 +149,11 @@ def good_row(width, label):
     ).map(json.dumps)
 
 
+#: a blank line that ends past the first chunk the UTF-8 decoder is given
+LONG_BLANK = " " * 8200
+BLANK = ["", "   ", "\t", "\x85"]
+
+
 def bad_line(width, label):
     """One line that no loader accepts as a datapoint, or a blank one."""
     # fewer features than the first row: a one-feature row is what filling
@@ -117,7 +161,7 @@ def bad_line(width, label):
     short = [st.lists(finite, min_size=1, max_size=width - 1).map(
         lambda f: json.dumps({"features": f, label: 1, "category": "B"}))] if width > 1 else []
     return st.one_of(
-        st.sampled_from(["", "   ", "\t", "{", '{"features": [1.0] "label": 1}', "[1, 2]",
+        st.sampled_from([*BLANK, "{", '{"features": [1.0] "label": 1}', "[1, 2]",
                          '"row"', "7", "nul", f'{{"{label}": 1}}', '{"features": [1.0, 2.0]}',
                          '{"features": "1.0", "label": 0, "stars": 3}',
                          '{"features": [[1.0]], "label": 1, "stars": 2}',
@@ -139,35 +183,102 @@ def _with_non_finite(features, at, token, label):
 
 
 @st.composite
-def dataset_files(draw):
+def dense_lines(draw):
     width = draw(st.integers(1, 3))
     label = draw(st.sampled_from(["label", "stars"]))
     lines = draw(st.lists(good_row(width, label), min_size=1, max_size=12))
     for _ in range(draw(st.integers(0, 2))):
-        at = draw(st.integers(0, len(lines)))
-        lines.insert(at, draw(bad_line(width, label)))
-    end = draw(st.sampled_from(["\n", "", "\n\n"]))
-    return "\n".join(lines) + end
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad_line(width, label)))
+    return lines
 
 
-@property_settings
-@given(text=dataset_files(), block_rows=st.sampled_from([1, 2, 3, cli.LOAD_BLOCK_ROWS]))
-def test_loader_matches_parse_everything_first(tmp_path, monkeypatch, text, block_rows):
-    monkeypatch.setattr(cli, "LOAD_BLOCK_ROWS", block_rows)
-    path = tmp_path / "data.jsonl"
-    path.write_text(text, encoding="utf-8")
-    try:
-        want = oracle_load(path)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            _load_dataset(path)
-        assert str(got.value) == str(exc)
-        return
-    got = _load_dataset(path)
+def review_text():
+    # filter_reviews keeps texts of at least 200 characters
+    return st.builds(lambda head, n: head + "ab " * n, st.text(max_size=6), st.integers(64, 69))
+
+
+@st.composite
+def review_lines(draw):
+    """Review rows, most of them well formed, some of them filtered out."""
+    ensure_ascii = draw(st.booleans())
+    review = st.fixed_dictionaries({
+        "text": review_text(),
+        "stars": st.one_of(st.integers(1, 5), st.sampled_from([0, 6, "4", 2.5, "x", None])),
+        "category": st.sampled_from(["A", "A", "B", "C"]),
+        "useful_votes": st.one_of(st.integers(0, 3), st.sampled_from([-1, "2", "many"])),
+    }).map(lambda d: json.dumps(d, ensure_ascii=ensure_ascii))
+    good = st.builds(
+        lambda text, stars, category, votes: json.dumps(
+            {"text": text, "stars": stars, "category": category, "useful_votes": votes},
+            ensure_ascii=ensure_ascii),
+        review_text(), st.integers(1, 5), st.sampled_from("AB"), st.integers(0, 2))
+    lines = draw(st.lists(good, min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.one_of(
+            review,
+            st.sampled_from([*BLANK, "{", "[1, 2]", '"row"', '{"text": "", "stars": 3}',
+                             '{"stars": 3, "category": "A", "useful_votes": 1}',
+                             '{"features": [1.0], "label": 1}']))))
+    return lines
+
+
+@st.composite
+def dataset_files(draw):
+    """The bytes of a dense, star or review file, with indented lines, mixed
+    line endings and perhaps one byte sequence that is not UTF-8."""
+    lines = draw(st.one_of(dense_lines(), review_lines()))
+    indents = draw(st.lists(st.sampled_from(["", " ", "\t "]),
+                            min_size=len(lines), max_size=len(lines)))
+    lines = [indent + line for indent, line in zip(indents, lines)]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), LONG_BLANK)
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                            min_size=len(lines), max_size=len(lines)))
+    endings[-1] = draw(st.sampled_from(["", endings[-1], endings[-1] * 2]))
+    data = "".join(line + end for line, end in zip(lines, endings)).encode("utf-8")
+    if draw(st.integers(0, 9)) == 9:
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+def assert_same_dataset(got, want):
     assert type(got) is type(want)
     labels = "stars" if isinstance(want, StarDataset) else "labels"
     for name in ("x", labels, "category"):
         ours, theirs = getattr(got, name), getattr(want, name)
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+        if ours.dtype == object:  # review texts
+            assert ours.tolist() == theirs.tolist(), name
+            continue
         assert np.array_equal(ours, theirs), name
         assert ours.tobytes() == theirs.tobytes(), name  # -0.0 keeps its sign
+
+
+REVIEW = json.dumps({"text": "ab " * 70, "stars": 4, "category": "B", "useful_votes": 1})
+DENSE = json.dumps({"features": [1.5, -2.0], "label": 1, "category": "A"})
+
+
+@property_settings
+@given(data=dataset_files(), block_rows=st.sampled_from([1, 2, 3, datagen.LOAD_BLOCK_ROWS]))
+@example(data=f"{REVIEW}\n{LONG_BLANK}\n{REVIEW}\xff\n".encode("latin-1"), block_rows=2)
+@example(data=f"{REVIEW}\r\n  {{\r\n".encode(), block_rows=2)
+@example(data=f"{DENSE}\r\n{LONG_BLANK}\r\n\xc3{DENSE}\r\n".encode("latin-1"), block_rows=1)
+@example(data=f'{DENSE}\n{{"features": [3.0], "label": 0}}\n{LONG_BLANK}\n\xff\n'.encode(
+    "latin-1"), block_rows=datagen.LOAD_BLOCK_ROWS)
+def test_loader_matches_parse_everything_first(tmp_path, monkeypatch, data, block_rows):
+    monkeypatch.setattr(datagen, "LOAD_BLOCK_ROWS", block_rows)
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(data)
+    try:
+        want = oracle_load(path)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            load_dataset(path)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    got, digest = load_dataset(path)
+    assert_same_dataset(got, want)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
