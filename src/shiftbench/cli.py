@@ -76,72 +76,92 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_run(args) -> int:
+    try:
+        cfg, dataset_file = _effective_config(args)
+        try:
+            dataset, dataset_sha256 = load_dataset(dataset_file)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"cannot load dataset: {exc}") from None
+        # each repetition's table is written as it arrives and then let go
+        tables = repetition_tables(cfg, dataset, jobs=args.jobs)
+        records_path, n = _publish_run(Path(args.out), cfg, tables,
+                                       {"path": str(dataset_file), "sha256": dataset_sha256})
+    except PoolExhaustionError as exc:
+        return _fail(str(exc), EXIT_EXHAUSTED)
+    except _RecordCountError as exc:
+        return _fail(str(exc), EXIT_FAIL)
+    except (TypeError, ValueError) as exc:
+        return _fail(str(exc))
+    print(f"wrote {n} records to {records_path}")
+    return EXIT_OK
+
+
+def _effective_config(args) -> tuple[ProtocolConfig, Path]:
+    """The run's config, after the flags and ``SHIFTBENCH_SEED``, and its
+    dataset file; a ``ValueError`` says what is wrong with them."""
     if args.jobs < 1:
-        return _fail(f"--jobs must be at least 1, got {args.jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         raw = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read config: {exc}")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config: {exc}") from None
     if not isinstance(raw, dict):
-        return _fail("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     dataset_path = raw.pop("dataset", None)
     if dataset_path is None:
-        return _fail("config must name a 'dataset' file")
+        raise ValueError("config must name a 'dataset' file")
     if not isinstance(dataset_path, str):
-        return _fail(f"bad config: dataset: expected a file path, got {dataset_path!r}")
+        raise ValueError(f"bad config: dataset: expected a file path, got {dataset_path!r}")
     protocol = _CLI_PROTOCOLS[args.protocol]
     named = raw.get("protocol", protocol)
     if not (isinstance(named, str) and named.replace("-", "_") == protocol):
-        return _fail(f"bad config: protocol: the config names {named!r}, "
-                     f"but the command runs {args.protocol!r}")
+        raise ValueError(f"bad config: protocol: the config names {named!r}, "
+                         f"but the command runs {args.protocol!r}")
     raw["protocol"] = protocol
     if args.methods:
         raw["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
     try:
         cfg = ProtocolConfig.from_dict(raw)
     except (TypeError, ValueError) as exc:
-        return _fail(f"bad config: {exc}")
-    if os.environ.get("SHIFTBENCH_SEED"):
+        raise ValueError(f"bad config: {exc}") from None
+    seed = os.environ.get("SHIFTBENCH_SEED")
+    if seed:
         try:
-            cfg.master_seed = int(os.environ["SHIFTBENCH_SEED"])
+            cfg.master_seed = int(seed)
         except ValueError:
-            return _fail(
-                f"SHIFTBENCH_SEED must be an integer, got {os.environ['SHIFTBENCH_SEED']!r}"
-            )
+            raise ValueError(f"SHIFTBENCH_SEED must be an integer, got {seed!r}") from None
     if args.seed is not None:
         cfg.master_seed = args.seed
     if args.desk:
         cfg = cfg.desk()
+    return cfg, Path(args.config).parent / dataset_path  # an absolute path stays as it is
 
-    dataset_file = Path(args.config).parent / dataset_path  # an absolute path stays as it is
-    try:
-        dataset, dataset_sha256 = load_dataset(dataset_file)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail(f"cannot load dataset: {exc}")
 
-    out_dir = Path(args.out)
+class _RecordCountError(Exception):
+    """A run wrote another number of records than its config implies."""
+
+
+def _publish_run(out_dir: Path, cfg: ProtocolConfig, tables, dataset: dict) -> tuple[Path, int]:
+    """Stage the records of ``tables`` and the run's manifest (``dataset`` is
+    its ``{"path", "sha256"}`` entry) as ``.partial`` files in ``out_dir``, and
+    move both into place once the record count is checked and no directory is
+    in the way.  On any failure both partial files go, and files an earlier
+    run left keep their bytes."""
     out_dir.mkdir(parents=True, exist_ok=True)
     started = _timestamp()
     records_path, manifest_path = out_dir / "records.csv", out_dir / "manifest.json"
-    # both files are written beside their final names and published together
-    # once the run is done and its record count checked; a run that fails
-    # leaves the out dir as it found it
     staged = {path: path.with_name(path.name + ".partial")
               for path in (records_path, manifest_path)}
-    # each repetition's table is written as it arrives and then let go
-    tables = repetition_tables(cfg, dataset, jobs=args.jobs)
     try:
         with contextlib.closing(tables):
             n = write_records_csv(tables, staged[records_path])
         expected = count_records(cfg)
         if n != expected:
-            return _fail(f"internal error: wrote {n} records, expected {expected}", EXIT_FAIL)
-        cfg_digest = hashlib.sha256(
-            json.dumps({**cfg.to_dict(), "dataset": dataset_sha256},
-                       sort_keys=True).encode()
-        ).hexdigest()
+            raise _RecordCountError(f"internal error: wrote {n} records, expected {expected}")
+        digest = hashlib.sha256(json.dumps({**cfg.to_dict(), "dataset": dataset["sha256"]},
+                                           sort_keys=True).encode()).hexdigest()
         manifest = {
-            "config_hash": cfg_digest,
+            "config_hash": digest,
             "master_seed": cfg.master_seed,
             "methods": list(cfg.methods),
             "protocol": cfg.protocol,
@@ -149,32 +169,20 @@ def cmd_run(args) -> int:
             "finished": _timestamp(),
             "record_count": n,
             "artifacts": {"records": str(records_path)},
-            "dataset": {"path": str(dataset_file), "sha256": dataset_sha256},
+            "dataset": dataset,
             "versions": {"python": platform.python_version(), "numpy": np.__version__,
                          "scipy": scipy.__version__},
         }
         staged[manifest_path].write_text(json.dumps(manifest, indent=2) + "\n")
-        _publish(staged)
-    except PoolExhaustionError as exc:
-        return _fail(str(exc), EXIT_EXHAUSTED)
-    except (TypeError, ValueError) as exc:
-        return _fail(str(exc))
+        for final in staged:  # a file moves onto anything but a directory: check both first
+            if final.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(final))
+        for final, partial in staged.items():
+            os.replace(partial, final)
     finally:
         for partial in staged.values():
             partial.unlink(missing_ok=True)
-    print(f"wrote {n} records to {records_path}")
-    return EXIT_OK
-
-
-def _publish(staged: dict[Path, Path]):
-    """Move each staged file onto its final path, all or none.  A file moves
-    onto a sibling path unless a directory is in the way, so a directory at
-    any final path is refused before anything moves."""
-    for final in staged:
-        if final.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(final))
-    for final, partial in staged.items():
-        os.replace(partial, final)
+    return records_path, n
 
 
 def cmd_report(args) -> int:

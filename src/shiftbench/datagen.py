@@ -143,6 +143,8 @@ class RawReview:
     useful_votes: int
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise ValueError(f"review text must be a string, got {type(self.text).__name__}")
         if not self.text:
             raise ValueError("review text must be non-empty")
         if self.stars not in (1, 2, 3, 4, 5):
@@ -212,30 +214,51 @@ def load_dataset(path: str | Path) -> tuple[StarDataset | BinaryDataset, str]:
     starts a review corpus, kept through ``filter_reviews``; otherwise rows
     hold ``features`` and ``stars`` (if the first row has them) or ``label``.
     The file is read once, as UTF-8 with universal newlines, and the digest
-    is of exactly the bytes decoded.
+    is of exactly the bytes decoded.  A file with bytes that are not UTF-8
+    is refused naming the line of the first.
     """
-    with open(path, "rb", buffering=0) as raw:
-        reader = _Sha256Reader(raw)
-        with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
-            lines = ((i, line) for i, line in enumerate(fh, 1) if line.strip())
-            first_no, first = next(lines, (0, ""))
-            if not first:
-                raise ValueError(f"{path}: empty dataset")
-            try:
-                probe = json.loads(first)
-            except json.JSONDecodeError:
-                raise ValueError(_first_bad_row(path, "label")) from None
-            if not isinstance(probe, dict):
-                raise ValueError(f"{path}: line {first_no}: expected a JSON object")
-            lines = itertools.chain([(first_no, first)], lines)
-            if "text" in probe:
-                reviews = filter_reviews(_reviews(path, lines))
-                if not reviews:
-                    raise ValueError(f"{path}: every review was filtered out")
-                dataset = reviews_to_dataset(reviews)
-            else:
-                dataset = _vectors(path, lines, "stars" if "stars" in probe else "label")
+    try:
+        with open(path, "rb", buffering=0) as raw:
+            reader = _Sha256Reader(raw)
+            with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
+                lines = ((i, line) for i, line in enumerate(fh, 1) if line.strip())
+                first_no, first = next(lines, (0, ""))
+                if not first:
+                    raise ValueError(f"{path}: empty dataset")
+                try:
+                    probe = json.loads(first)
+                except json.JSONDecodeError:
+                    raise ValueError(_first_bad_row(path, "label")) from None
+                if not isinstance(probe, dict):
+                    raise ValueError(f"{path}: line {first_no}: expected a JSON object")
+                lines = itertools.chain([(first_no, first)], lines)
+                if "text" in probe:
+                    reviews = filter_reviews(_reviews(path, lines))
+                    if not reviews:
+                        raise ValueError(f"{path}: every review was filtered out")
+                    dataset = reviews_to_dataset(reviews)
+                else:
+                    dataset = _vectors(path, lines, "stars" if "stars" in probe else "label")
+    except UnicodeDecodeError:
+        raise ValueError(_first_undecodable_line(path)) from None
     return dataset, reader.sha256.hexdigest()
+
+
+def _first_undecodable_line(path) -> str:
+    """'<path>: line N: not UTF-8: <reason>' for the first byte of the file
+    that is not UTF-8, N counting LF, CRLF and CR line breaks alike.
+
+    Rescans the file, so line numbers cost nothing on a dataset that loads."""
+    line_no = 1
+    with open(path, "rb") as fh:
+        for piece in fh:  # a piece ends at LF, which no multi-byte sequence holds
+            try:
+                piece.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line_no += piece.count(b"\r", 0, exc.start)
+                return f"{path}: line {line_no}: not UTF-8: {exc.reason}"
+            line_no += piece.count(b"\n") + piece.count(b"\r") - piece.count(b"\r\n")
+    return f"{path}: not UTF-8"
 
 
 def _reviews(path, lines):

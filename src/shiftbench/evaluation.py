@@ -4,12 +4,13 @@ A :class:`RecordTable` holds evaluated test samples as columns, from the
 executor that builds them to ``records.csv`` and back.  It is the one form
 a record takes: :meth:`RecordTable.from_estimates` computes each row's
 absolute error and rejects a bad row by the rule :func:`read_records_csv`
-applies.  The Wilcoxon signed-rank test pairs records of two methods by
-(repetition, configuration), uses the exact sign-flip distribution for up to
-25 non-zero differences, and a tie- and continuity-corrected normal
-approximation beyond that.  Its average ranks come from :func:`rankdata`,
-written in numpy so that importing the package does not load
-``scipy.stats``.
+applies.  :func:`write_records_csv` writes one file, which its caller
+stages and publishes.  The Wilcoxon signed-rank test pairs records of two
+methods by (repetition, configuration), uses the exact sign-flip
+distribution for up to 25 non-zero differences, and a tie- and
+continuity-corrected normal approximation beyond that.  Its average ranks
+come from :func:`rankdata`, written in numpy so that importing the package
+does not load ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import contextlib
 import csv
 import itertools
 import math
-import os
 import warnings
 from enum import Enum
 from pathlib import Path
@@ -38,7 +38,8 @@ RECORDS_CHUNK_ROWS = 65_536
 
 def write_records_csv(tables: RecordTable | Iterable[RecordTable], path: str | Path) -> int:
     """Write a table, or the rows of several in order, as UTF-8 CSV with LF
-    line endings; returns the row count.
+    line endings to ``path`` and nowhere else, for the caller to stage and
+    publish; returns the row count.
 
     The rows go out ``RECORDS_CHUNK_ROWS`` at a time, and each table is let
     go once written, so the writer holds one table and one chunk's Python
@@ -48,32 +49,21 @@ def write_records_csv(tables: RecordTable | Iterable[RecordTable], path: str | P
     field holding a LF but not one holding a lone CR, which a reader would
     take for a line break, so a row with a CR in a text field is written with
     every text field quoted.
-
-    The file is written to a temporary sibling and moved onto ``path`` only
-    once every row is written; if anything fails on the way, the temporary
-    file is removed and a file already at ``path`` keeps its bytes.
     """
     if isinstance(tables, RecordTable):
         tables = (tables,)
-    path = Path(path)
-    partial = path.with_name(path.name + ".partial")
     n = 0
-    try:
-        with open(partial, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
-            writer.writerow(CSV_HEADER)
-            for table in tables:
-                for start in range(0, len(table), RECORDS_CHUNK_ROWS):
-                    chunk = slice(start, start + RECORDS_CHUNK_ROWS)
-                    _write_chunk(writer, quoted, [getattr(table, name)[chunk]
-                                                  for name in RecordTable.COLUMNS])
-                n += len(table)
-                del table
-        os.replace(partial, path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
+        writer.writerow(CSV_HEADER)
+        for table in tables:
+            for start in range(0, len(table), RECORDS_CHUNK_ROWS):
+                chunk = slice(start, start + RECORDS_CHUNK_ROWS)
+                _write_chunk(writer, quoted, [getattr(table, name)[chunk]
+                                              for name in RecordTable.COLUMNS])
+            n += len(table)
+            del table
     return n
 
 

@@ -183,6 +183,13 @@ class TestRun:
                      "--out", str(tmp_path / "o")]) == 2
         assert "config must be a JSON object" in capsys.readouterr().err
 
+    def test_config_bytes_not_utf8_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"dataset": "\xff.jsonl"}')
+        assert main(["run", "prior", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config: 'utf-8' codec")
+
     def test_non_finite_feature_exits_2_naming_first_bad_line(
         self, tmp_path, run_config, dataset, capsys
     ):
@@ -288,6 +295,53 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 0
         assert len(opened) == 1
+
+    def test_each_output_is_renamed_once(self, tmp_path, run_config, monkeypatch):
+        renames = []
+        real_replace = os.replace
+
+        def spy(src, dst, *args, **kwargs):
+            renames.append((str(src), str(dst)))
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", spy)
+        out = tmp_path / "out"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 0
+        assert renames == [(f"{out / name}.partial", str(out / name))
+                           for name in ("records.csv", "manifest.json")]
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "records.csv"]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_bytes_not_utf8_exit_2_naming_their_line(
+        self, tmp_path, run_config, dataset, capsys, newline
+    ):
+        """The message names the line of the first bad byte, here well past
+        the first block of bytes the decoder is given."""
+        lines = dataset.read_bytes().splitlines()
+        lines[300] = lines[300].replace(b'"category"', b'"\xffcategory"')
+        dataset.write_bytes(newline.encode().join(lines) + newline.encode())
+        out = tmp_path / "o"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_naming(err, dataset)
+        assert f"{dataset}: line 301: not UTF-8: invalid start byte" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [12345, ["a long review " * 20]], ids=["int", "list"])
+    def test_review_text_that_is_not_a_string_exits_2_naming_its_line(
+        self, tmp_path, capsys, text
+    ):
+        good = {"text": "a long review " * 20, "stars": 4, "category": "A", "useful_votes": 2}
+        reviews = tmp_path / "reviews.jsonl"
+        reviews.write_text(json.dumps(good) + "\n" + json.dumps({**good, "text": text}) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": reviews.name}))
+        out = tmp_path / "o"
+        assert main(["run", "concept", "--desk", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_naming(err, f"{reviews}:2: malformed review record: ")
+        assert f"review text must be a string, got {type(text).__name__}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("protocol, field, value, message", [
         ("prior", "prior_train_prevalences", [0.2, 1.5], "1.5 is outside (0, 1)"),

@@ -14,13 +14,16 @@ and review corpora with malformed JSON, missing fields, ragged or
 non-numeric features, rows shorter or longer than the first, non-finite
 values, bad review fields, blank and indented lines, LF, CRLF and CR line
 endings, and bytes that are not UTF-8, some after a blank line long enough
-to put them in a later decoded chunk.  Some files are loaded with ``LOAD_BLOCK_ROWS``
+to put them in a later decoded chunk.  Where the oracle meets bytes that are
+not UTF-8, ``load_dataset`` must instead raise a ``ValueError`` naming the
+path and the line of the first such byte, counting LF, CRLF and CR breaks.  Some files are loaded with ``LOAD_BLOCK_ROWS``
 set to a few rows, so that their bad rows fall in a later block than the
 first.
 """
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -256,6 +259,16 @@ def assert_same_dataset(got, want):
         assert ours.tobytes() == theirs.tobytes(), name  # -0.0 keeps its sign
 
 
+def undecodable_line(data: bytes) -> int:
+    """The line, counted as universal newlines do, of the first byte of
+    ``data`` that is not UTF-8."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return 1 + len(re.findall(r"\r\n|\r|\n", data[:exc.start].decode("utf-8")))
+    raise AssertionError("data is UTF-8")
+
+
 REVIEW = json.dumps({"text": "ab " * 70, "stars": 4, "category": "B", "useful_votes": 1})
 DENSE = json.dumps({"features": [1.5, -2.0], "label": 1, "category": "A"})
 
@@ -273,6 +286,12 @@ def test_loader_matches_parse_everything_first(tmp_path, monkeypatch, data, bloc
     path.write_bytes(data)
     try:
         want = oracle_load(path)
+    except UnicodeDecodeError:
+        with pytest.raises(ValueError) as got:
+            load_dataset(path)
+        assert type(got.value) is ValueError
+        assert str(got.value).startswith(f"{path}: line {undecodable_line(data)}: not UTF-8: ")
+        return
     except Exception as exc:
         with pytest.raises(type(exc)) as got:
             load_dataset(path)

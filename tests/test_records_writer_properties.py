@@ -10,8 +10,8 @@ line break.  The table writer must match it byte for byte on any valid rows,
 including configs with commas, quotes and line breaks and floats such as
 ±0.0, subnormals and 1/3, and ``read_records_csv`` must read every such file
 back to the same table.  Several tables, written in chunks of any size, must
-give the oracle's bytes for their rows in order, and a write that fails
-part-way must leave no file behind and an earlier file as it was.  Building a
+give the oracle's bytes for their rows in order, and a write, finished or
+failed part-way, must create no file but the path it is given.  Building a
 table from estimates must reject a NaN or out-of-range prevalence with a
 message naming the value.
 """
@@ -147,24 +147,26 @@ def test_tables_written_in_chunks_match_row_writer(tmp_path, monkeypatch, rows, 
     assert ours.read_bytes() == oracle.read_bytes()
 
 
-def test_failed_write_leaves_an_earlier_file_as_it_was(tmp_path, monkeypatch):
+def test_writer_creates_no_file_but_its_path(tmp_path, monkeypatch):
+    """A write, finished or failed part-way, touches only ``path``: staging
+    it and publishing it are the caller's."""
     monkeypatch.setattr(evaluation, "RECORDS_CHUNK_ROWS", 1)
     path = tmp_path / "records.csv"
-    path.write_bytes(b"an earlier run\n")
     row = ("prior", "CC", 0, "r=0", 0.0, 0.5, 0.25)
 
-    def tables():
+    def tables(fail):
         yield table_of([row, row])
-        raise RuntimeError("the run failed")
+        if fail:
+            raise RuntimeError("the run failed")
 
     with pytest.raises(RuntimeError, match="the run failed"):
-        write_records_csv(tables(), path)
+        write_records_csv(tables(fail=True), path)
     assert list(tmp_path.iterdir()) == [path]
-    assert path.read_bytes() == b"an earlier run\n"
+    assert path.read_text().splitlines() == [",".join(CSV_HEADER),
+                                             *["prior,CC,0,r=0,0.0,0.5,0.25,0.25"] * 2]
     path.unlink()
-    with pytest.raises(RuntimeError):
-        write_records_csv(tables(), path)
-    assert list(tmp_path.iterdir()) == []
+    assert write_records_csv(tables(fail=False), path) == 2
+    assert list(tmp_path.iterdir()) == [path]
 
 
 out_of_range = st.one_of(
