@@ -82,8 +82,10 @@ def cmd_run(args) -> int:
             dataset, dataset_sha256 = load_dataset(dataset_file)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"cannot load dataset: {exc}") from None
-        # each repetition's table is written as it arrives and then let go
+        # each repetition's table is written as it arrives and then let go;
+        # the dataset goes once the pools are prepared
         tables = repetition_tables(cfg, dataset, jobs=args.jobs)
+        del dataset
         records_path, n = _publish_run(Path(args.out), cfg, tables,
                                        {"path": str(dataset_file), "sha256": dataset_sha256})
     except PoolExhaustionError as exc:

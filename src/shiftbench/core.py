@@ -1,11 +1,10 @@
 """Core data types: star-rated and binary datasets, pools, and controlled sampling.
 
-Datasets are column-oriented: a payload ``x`` (dense matrix, sparse matrix, an
-object array of raw texts, or the term counts of tokenised texts), plus
-parallel label/category arrays.  A pool is a set of indices into a dataset
-it shares, and a draw's rows are gathered once, with ``x[idx]``.  Sampling is
-pure in (pool, seed) and mutates nothing, so pools can be shared freely
-across concurrent tasks.
+Datasets are column-oriented: a payload ``x`` (dense matrix, sparse matrix,
+or the term counts of tokenised texts), plus parallel label/category arrays.
+A pool is a set of indices into a dataset it shares, and a draw's rows are
+gathered once, with ``x[idx]``.  Sampling is pure in (pool, seed) and
+mutates nothing, so pools can be shared freely across concurrent tasks.
 """
 
 from __future__ import annotations
@@ -104,11 +103,6 @@ def _as_payload(x: Any) -> Any:
     if len(rows):
         raise ValueError(f"x: row {rows[0]} holds a non-finite feature value")
     return x
-
-
-def is_text_payload(x: Any) -> bool:
-    """True when the payload holds raw documents rather than feature vectors."""
-    return isinstance(x, np.ndarray) and x.dtype == object
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,21 @@ Synthetic datasets are mixtures of axis-aligned Gaussian clusters, each
 carrying a class label (binary or 1..5 stars) and a category tag.  Dataset
 files are line-delimited JSON: ``write_dataset`` writes feature rows and
 ``load_dataset`` reads feature rows or reviews, taking the sha256 of the
-bytes it parses.  ``count_terms`` tokenises each
-document once into a row of raw term counts, with columns in sorted term
-order; ``fit_vocabulary`` and ``vectorise`` then work on rows of those
-counts, turning each draw into L2-normalised tf-idf vectors with a
-vocabulary fitted on its training documents only.
+bytes it parses.  A review corpus is tokenised as it is read: each kept
+review's text goes straight into ``count_terms``, which turns it into a row
+of raw term counts, with columns in sorted term order; of the review, only
+its stars and category are kept besides.  ``fit_vocabulary`` and
+``vectorise`` then work on rows of those counts, turning each draw into
+L2-normalised tf-idf vectors with a vocabulary fitted on its training
+documents only.  Counting reviews that no draw holds adds only columns that
+no vocabulary selects, so the vectors do not depend on them.
 
 Tokens are the maximal runs of ASCII ``[0-9a-z]`` in the lowercased text;
 every other character, non-ASCII ones included, separates tokens.
 ``count_terms`` works through ``COUNT_BLOCK`` documents at a time, counting
 a block's tokens in a few array calls; the bound keeps only one block's
-token lists alive, so memory stays close to that of the counts themselves.
+texts and token lists alive, so memory stays close to that of the counts
+themselves, when loading a corpus too.
 A row's L2 norm is ``math.sqrt(row.dot(row))``: the dot product and the
 correctly rounded square root that ``np.linalg.norm`` computes.
 """
@@ -153,25 +157,32 @@ class RawReview:
             raise ValueError("useful_votes must be >= 0")
 
 
+def _kept(review: RawReview) -> bool:
+    return len(review.text) >= MIN_REVIEW_CHARS and review.useful_votes >= 1
+
+
 def filter_reviews(reviews: Iterable[RawReview]) -> list[RawReview]:
     """Keep reviews of at least 200 characters that got at least one vote."""
-    return [
-        r
-        for r in reviews
-        if len(r.text) >= MIN_REVIEW_CHARS and r.useful_votes >= 1
-    ]
+    return list(filter(_kept, reviews))
 
 
-def reviews_to_dataset(reviews: Sequence[RawReview]) -> StarDataset:
-    """Pack reviews into a star dataset whose payload is the raw texts."""
-    if not reviews:
+def reviews_to_dataset(reviews: Iterable[RawReview]) -> StarDataset:
+    """Pack reviews into a star dataset whose payload is their term counts.
+
+    Each text is counted as ``reviews`` yields it, ``COUNT_BLOCK`` at a
+    time, and then let go; only the stars and the category are kept."""
+    stars, categories = [], []
+
+    def texts():
+        for review in reviews:
+            stars.append(review.stars)
+            categories.append(review.category)
+            yield review.text
+
+    counts = count_terms(texts())
+    if not stars:
         raise EmptyDatasetError("no reviews to pack")
-    texts = np.array([r.text for r in reviews], dtype=object)
-    return StarDataset(
-        texts,
-        np.array([r.stars for r in reviews]),
-        np.array([r.category for r in reviews]),
-    )
+    return StarDataset(counts, np.array(stars), np.array(categories))
 
 
 def write_dataset(dataset: StarDataset | BinaryDataset, path: str | Path):
@@ -211,8 +222,9 @@ def load_dataset(path: str | Path) -> tuple[StarDataset | BinaryDataset, str]:
     """Load a JSONL dataset file and the sha256 of its bytes.
 
     Blank lines are skipped and the first other line tells the kind: ``text``
-    starts a review corpus, kept through ``filter_reviews``; otherwise rows
-    hold ``features`` and ``stars`` (if the first row has them) or ``label``.
+    starts a review corpus, filtered as ``filter_reviews`` does and counted
+    by ``reviews_to_dataset`` as it is read; otherwise rows hold
+    ``features`` and ``stars`` (if the first row has them) or ``label``.
     The file is read once, as UTF-8 with universal newlines, and the digest
     is of exactly the bytes decoded.  A file with bytes that are not UTF-8
     is refused naming the line of the first.
@@ -233,10 +245,10 @@ def load_dataset(path: str | Path) -> tuple[StarDataset | BinaryDataset, str]:
                     raise ValueError(f"{path}: line {first_no}: expected a JSON object")
                 lines = itertools.chain([(first_no, first)], lines)
                 if "text" in probe:
-                    reviews = filter_reviews(_reviews(path, lines))
-                    if not reviews:
-                        raise ValueError(f"{path}: every review was filtered out")
-                    dataset = reviews_to_dataset(reviews)
+                    try:
+                        dataset = reviews_to_dataset(filter(_kept, _reviews(path, lines)))
+                    except EmptyDatasetError:
+                        raise ValueError(f"{path}: every review was filtered out") from None
                 else:
                     dataset = _vectors(path, lines, "stars" if "stars" in probe else "label")
     except UnicodeDecodeError:
@@ -266,10 +278,25 @@ def _reviews(path, lines):
     for line_no, line in lines:
         try:
             d = json.loads(line.strip())
-            review = RawReview(d["text"], int(d["stars"]), d["category"], int(d["useful_votes"]))
+            review = RawReview(d["text"], _integer(d, "stars"), d["category"],
+                               _integer(d, "useful_votes"))
         except (KeyError, ValueError, TypeError) as exc:
             raise ValueError(f"{path}:{line_no}: malformed review record: {exc}") from None
         yield review
+
+
+def _integer(record: dict, key: str) -> int:
+    """``int(record[key])``, refusing a JSON boolean and a number with a
+    fractional part (or NaN or an infinity), which ``int`` would coerce."""
+    value = record[key]
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+#: Each dense label field's allowed values and the problem a row outside them has.
+_LABELS = {"label": ((0, 1), "label must be 0 or 1"),
+           "stars": ((1, 2, 3, 4, 5), "stars must be an integer in 1..5")}
 
 
 def _vectors(path, lines, label: str) -> StarDataset | BinaryDataset:
@@ -277,7 +304,8 @@ def _vectors(path, lines, label: str) -> StarDataset | BinaryDataset:
     # its features wait for a block of LOAD_BLOCK_ROWS rows to become one
     # float array.  np.array refuses ragged rows within a block and
     # np.concatenate across blocks, so a file loads if and only if one
-    # np.array of all its rows would.
+    # np.array of all its rows would.  The labels are checked once, all
+    # together: every one a JSON integer (no boolean, no float) in range.
     blocks, features, labels, categories = [], [], [], []
     try:
         for _, line in lines:
@@ -295,7 +323,8 @@ def _vectors(path, lines, label: str) -> StarDataset | BinaryDataset:
         y = np.array(labels)
     except (ValueError, KeyError, TypeError):
         raise ValueError(_first_bad_row(path, label)) from None
-    if not np.isfinite(x).all():
+    if (not np.isfinite(x).all() or set(map(type, labels)) != {int}
+            or not np.isin(y, _LABELS[label][0]).all()):
         raise ValueError(_first_bad_row(path, label))
     category = np.array(categories)
     if label == "stars":
@@ -331,6 +360,9 @@ def _first_bad_row(path, label: str) -> str:
             width = len(features)
             if not np.isfinite(features).all():
                 return f"{where}: non-finite feature value"
+            allowed, problem = _LABELS[label]
+            if type(row[label]) is not int or row[label] not in allowed:
+                return f"{where}: {problem}"
     return f"{path}: malformed dataset"
 
 
@@ -343,18 +375,18 @@ def tokenise(text: str) -> list[str]:
     return text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
-def count_terms(texts: Sequence[str]) -> TermCounts:
+def count_terms(texts: Iterable[str]) -> TermCounts:
     """Tokenise each document once into a row of raw term counts.
 
-    Columns are numbered by the terms in sorted order.  Each block of
-    ``COUNT_BLOCK`` documents is counted under provisional term ids with
-    one ``np.unique`` over (document, id) keys; the ids are renumbered at
-    the end.
+    Columns are numbered by the terms in sorted order.  ``texts`` is read
+    ``COUNT_BLOCK`` documents at a time, and each block is counted under
+    provisional term ids with one ``np.unique`` over (document, id) keys;
+    the ids are renumbered at the end.
     """
     ids: dict[str, int] = {}
     columns, counts, indptr = array("i"), array("i"), array("q", [0])
-    for start in range(0, len(texts), COUNT_BLOCK):
-        docs = [tokenise(text) for text in texts[start:start + COUNT_BLOCK]]
+    texts = iter(texts)
+    while docs := [tokenise(text) for text in itertools.islice(texts, COUNT_BLOCK)]:
         tokens = [t for doc in docs for t in doc]
         fresh = sorted(set(tokens).difference(ids))
         ids.update(zip(fresh, range(len(ids), len(ids) + len(fresh))))

@@ -69,12 +69,11 @@ from .core import (
     binarise_dataset,
     draw_indices,
     draw_stratified,
-    is_text_payload,
     round_half_up,
     split_stratified,
     stratified_split_indices,
 )
-from .datagen import count_terms, fit_vocabulary, vectorise
+from .datagen import fit_vocabulary, vectorise
 from .evaluation import RecordTable
 from .quantifiers import (
     BENCHMARK_METHODS,
@@ -316,31 +315,26 @@ class _StarHalf:
     by_star: dict[int, np.ndarray]
 
 
-def _counted(dataset):
-    """The dataset with raw texts replaced by their term counts."""
-    if is_text_payload(dataset.x):
-        return dataclasses.replace(dataset, x=count_terms(dataset.x))
-    return dataset
-
-
 def _prepare_pools(cfg: ProtocolConfig, dataset) -> dict:
     """The pools that draws name: train/test for prior, train_a/test_a/
     train_b/test_b for the covariate protocols, star-balanced train/test
     halves for concept, each an index set over the run's one dataset.
 
-    Texts are tokenised here, once per run: each document the pools hold
-    becomes a row of term counts, and draws take rows of those counts."""
+    A review corpus arrives as term counts, tokenised when it was loaded;
+    balancing and binarising take rows of those counts, so the pools hold
+    only the rows they name and ``dataset`` itself need not outlive this
+    call."""
     seed = derive_seed(cfg.master_seed, cfg.protocol, "split")
     if cfg.protocol == CONCEPT:
         if not isinstance(dataset, StarDataset):
             raise TypeError("the concept protocol needs star-labelled data")
-        balanced = _counted(_balance_stars(dataset, derive_seed(seed, "balance")))
+        balanced = _balance_stars(dataset, derive_seed(seed, "balance"))
         halves = stratified_split_indices(
             balanced.stars, cfg.split_fraction, derive_seed(seed, "halves")
         )
         return {name: _StarHalf(balanced, {s: idx[balanced.stars[idx] == s] for s in _STARS})
                 for name, idx in zip(("train", "test"), halves)}
-    binary = _counted(_ensure_binary(dataset, cfg.cut_point))
+    binary = _ensure_binary(dataset, cfg.cut_point)
     if cfg.protocol == PRIOR:
         return dict(zip(("train", "test"), split_stratified(binary, cfg.split_fraction, seed)))
     if binary.category is None:
@@ -808,9 +802,12 @@ def repetition_tables(cfg: ProtocolConfig, dataset, jobs: int = 1) -> Iterator[R
     initializer (inherited under fork, pickled once per worker otherwise),
     and each task is a repetition number.  The tables are the same for any
     worker count.  Closing the generator early cancels the repetitions that
-    have not started.
+    have not started.  The generator lets go of ``dataset`` once the pools
+    are prepared, so only the rows they hold outlive that step when the
+    caller holds no other reference.
     """
     pools = _prepare_pools(cfg, dataset)
+    del dataset
     repetitions = range(cfg.repetitions)
     workers = min(jobs, len(repetitions))
     if workers <= 1:

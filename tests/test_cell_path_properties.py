@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftbench.core import StarDataset
-from shiftbench.datagen import ClusterSpec, generate_mixture
+from shiftbench.datagen import ClusterSpec, count_terms, generate_mixture
 from shiftbench.evaluation import RecordTable
 from shiftbench.protocols import (
     _PLANS,
@@ -66,12 +66,13 @@ def dense_stars(n=800, seed=0):
 
 
 def text_stars(n=1200, seed=0):
-    """Star-rated texts whose words lean with the stars; every protocol runs
-    on them (the binary ones binarise at the config's cut point)."""
+    """The term counts of star-rated texts whose words lean with the stars;
+    every protocol runs on them (the binary ones binarise at the config's
+    cut point)."""
     rng = np.random.default_rng(seed)
     stars = rng.integers(1, 6, n)
     texts = [" ".join(rng.choice(WORDS[s - 1:s + 5], int(rng.integers(1, 12)))) for s in stars]
-    return StarDataset(np.array(texts, dtype=object), stars, rng.choice(["A", "B"], n))
+    return StarDataset(count_terms(texts), stars, rng.choice(["A", "B"], n))
 
 
 @functools.lru_cache(maxsize=None)

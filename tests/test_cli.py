@@ -343,6 +343,39 @@ class TestRun:
         assert f"review text must be a string, got {type(text).__name__}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("stars", True), ("stars", 4.5), ("useful_votes", 1.7), ("useful_votes", False),
+    ])
+    def test_review_integer_field_that_is_not_one_exits_2_naming_its_line(
+        self, tmp_path, capsys, field, value
+    ):
+        good = {"text": "a long review " * 20, "stars": 4, "category": "A", "useful_votes": 2}
+        reviews = tmp_path / "reviews.jsonl"
+        reviews.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": reviews.name}))
+        out = tmp_path / "o"
+        assert main(["run", "concept", "--desk", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_naming(err, f"{reviews}:2: malformed review record: ")
+        assert f"{field} must be an integer, got {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [1.5, 1.0, None, True, 2, "1"])
+    def test_dense_label_that_is_not_0_or_1_exits_2_naming_its_line(
+        self, tmp_path, run_config, dataset, capsys, value
+    ):
+        lines = dataset.read_text().splitlines(keepends=True)
+        row = json.loads(lines[2])
+        lines[2] = json.dumps({**row, "label": value}) + "\n"
+        dataset.write_text("".join(lines))
+        out = tmp_path / "o"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_naming(err, dataset)
+        assert f"{dataset}: line 3: label must be 0 or 1" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("protocol, field, value, message", [
         ("prior", "prior_train_prevalences", [0.2, 1.5], "1.5 is outside (0, 1)"),
         ("prior", "prior_train_prevalences", [0.5, 0.0], "0.0 is outside (0, 1)"),

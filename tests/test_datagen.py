@@ -186,7 +186,8 @@ class TestIngestion:
         data, _ = load_dataset(path)
         assert list(data.stars) == [5, 1]
         assert list(data.category) == ["A", "B"]
-        assert data.x.dtype == object
+        assert data.x.terms == ("bad", "great")
+        assert data.x.counts.toarray().tolist() == [[0, 50], [60, 0]]
 
     def test_malformed_line_raises_with_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"

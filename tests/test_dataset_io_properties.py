@@ -6,15 +6,18 @@ dict per row, and ``write_dataset`` must write its bytes for binary and
 star datasets with any finite features.  ``oracle_load`` is the earlier
 loader: it sniffed the first line in one pass, then parsed every dense line
 into a dict before building any array, or read reviews with
-``oracle_load_reviews_jsonl`` and filtered them, in another.
+``oracle_load_reviews_jsonl``, filtered them, and counted the terms of the
+list of texts kept, in another.  Beyond the earlier loader, the oracle
+refuses a JSON boolean or a fraction in a review's integer fields, and a
+dense label that is not a JSON integer in range, naming its row.
 ``load_dataset`` reads the file once; it must give equal arrays of equal
 dtypes, or raise the same exception type with the same message, and its
 digest must be the sha256 of the file's bytes.  The files are dense, star
 and review corpora with malformed JSON, missing fields, ragged or
 non-numeric features, rows shorter or longer than the first, non-finite
-values, bad review fields, blank and indented lines, LF, CRLF and CR line
-endings, and bytes that are not UTF-8, some after a blank line long enough
-to put them in a later decoded chunk.  Where the oracle meets bytes that are
+values, bad labels, bad review fields, blank and indented lines, LF, CRLF
+and CR line endings, and bytes that are not UTF-8, some after a blank line
+long enough to put them in a later decoded chunk.  Where the oracle meets bytes that are
 not UTF-8, ``load_dataset`` must instead raise a ``ValueError`` naming the
 path and the line of the first such byte, counting LF, CRLF and CR breaks.  Some files are loaded with ``LOAD_BLOCK_ROWS``
 set to a few rows, so that their bad rows fall in a later block than the
@@ -31,13 +34,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from shiftbench import datagen
-from shiftbench.core import BinaryDataset, StarDataset
+from shiftbench.core import BinaryDataset, StarDataset, TermCounts
 from shiftbench.datagen import (
     RawReview,
     _first_bad_row,
-    filter_reviews,
+    count_terms,
     load_dataset,
-    reviews_to_dataset,
     write_dataset,
 )
 
@@ -62,6 +64,13 @@ def _json_problem(exc: json.JSONDecodeError) -> str:
     return f"malformed JSON: {exc.msg} at column {exc.colno}"
 
 
+def oracle_integer(d, key):
+    value = d[key]
+    if isinstance(value, bool) or isinstance(value, float) and not value % 1 == 0:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def oracle_load_reviews_jsonl(path):
     reviews = []
     with open(path, encoding="utf-8") as fh:
@@ -74,9 +83,9 @@ def oracle_load_reviews_jsonl(path):
                 reviews.append(
                     RawReview(
                         text=d["text"],
-                        stars=int(d["stars"]),
+                        stars=oracle_integer(d, "stars"),
                         category=d["category"],
-                        useful_votes=int(d["useful_votes"]),
+                        useful_votes=oracle_integer(d, "useful_votes"),
                     )
                 )
             except (KeyError, ValueError, TypeError) as exc:
@@ -96,10 +105,12 @@ def oracle_load(path: str):
     if not isinstance(probe, dict):
         raise ValueError(f"{path}: line {first_no}: expected a JSON object")
     if "text" in probe:
-        reviews = filter_reviews(oracle_load_reviews_jsonl(path))
+        reviews = [r for r in oracle_load_reviews_jsonl(path)
+                   if len(r.text) >= 200 and r.useful_votes >= 1]
         if not reviews:
             raise ValueError(f"{path}: every review was filtered out")
-        return reviews_to_dataset(reviews)
+        return StarDataset(count_terms([r.text for r in reviews]),
+                           [r.stars for r in reviews], [r.category for r in reviews])
     label = "stars" if "stars" in probe else "label"
     try:
         with open(path, encoding="utf-8") as fh:
@@ -108,7 +119,9 @@ def oracle_load(path: str):
         y = np.array([r[label] for r in rows])
     except (ValueError, KeyError, TypeError):
         raise ValueError(_first_bad_row(path, label)) from None
-    if not np.isfinite(x).all():
+    allowed = (1, 2, 3, 4, 5) if label == "stars" else (0, 1)
+    if not np.isfinite(x).all() or not all(
+            type(r[label]) is int and r[label] in allowed for r in rows):
         raise ValueError(_first_bad_row(path, label))
     category = np.array([r.get("category", "A") for r in rows])
     if label == "stars":
@@ -172,6 +185,10 @@ def bad_line(width, label):
         st.lists(finite, min_size=width + 1, max_size=width + 2).map(
             lambda f: json.dumps({"features": f, label: 1, "category": "A"})),
         *short,
+        # a label that is not a JSON integer, or is one outside 0..1 or 1..5
+        st.tuples(st.lists(finite, min_size=width, max_size=width),
+                  st.sampled_from([1.5, 1.0, 3.0, None, True, False, "1", -1, 7, 10**30])).map(
+            lambda t: json.dumps({"features": t[0], label: t[1]})),
         st.tuples(st.lists(finite, min_size=width, max_size=width),
                   st.integers(0, max(width - 1, 0)),
                   st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"])).map(
@@ -206,9 +223,11 @@ def review_lines(draw):
     ensure_ascii = draw(st.booleans())
     review = st.fixed_dictionaries({
         "text": review_text(),
-        "stars": st.one_of(st.integers(1, 5), st.sampled_from([0, 6, "4", 2.5, "x", None])),
+        "stars": st.one_of(st.integers(1, 5), st.sampled_from(
+            [0, 6, "4", 2.5, 4.0, True, float("nan"), float("inf"), "x", None])),
         "category": st.sampled_from(["A", "A", "B", "C"]),
-        "useful_votes": st.one_of(st.integers(0, 3), st.sampled_from([-1, "2", "many"])),
+        "useful_votes": st.one_of(st.integers(0, 3), st.sampled_from(
+            [-1, "2", "many", 1.7, 2.0, True, False])),
     }).map(lambda d: json.dumps(d, ensure_ascii=ensure_ascii))
     good = st.builds(
         lambda text, stars, category, votes: json.dumps(
@@ -249,12 +268,14 @@ def dataset_files(draw):
 def assert_same_dataset(got, want):
     assert type(got) is type(want)
     labels = "stars" if isinstance(want, StarDataset) else "labels"
-    for name in ("x", labels, "category"):
-        ours, theirs = getattr(got, name), getattr(want, name)
+    pairs = [(name, getattr(got, name), getattr(want, name)) for name in ("x", labels, "category")]
+    if isinstance(want.x, TermCounts):  # review term counts: compare their CSR arrays
+        assert isinstance(got.x, TermCounts) and got.x.terms == want.x.terms
+        assert got.x.shape == want.x.shape
+        pairs[:1] = [(part, getattr(got.x.counts, part), getattr(want.x.counts, part))
+                     for part in ("data", "indices", "indptr")]
+    for name, ours, theirs in pairs:
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
-        if ours.dtype == object:  # review texts
-            assert ours.tolist() == theirs.tolist(), name
-            continue
         assert np.array_equal(ours, theirs), name
         assert ours.tobytes() == theirs.tobytes(), name  # -0.0 keeps its sign
 

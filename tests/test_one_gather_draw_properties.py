@@ -21,7 +21,7 @@ from shiftbench.core import (
     binarise_dataset,
     sample_at_prevalence,
 )
-from shiftbench.datagen import ClusterSpec, generate_mixture
+from shiftbench.datagen import ClusterSpec, count_terms, generate_mixture
 from shiftbench.protocols import (
     CONCEPT,
     GLOBAL_COVARIATE,
@@ -68,10 +68,10 @@ def dense_stars(n=800, seed=0):
 
 
 def text_stars(n=800, seed=0):
-    """Star-rated texts over a small vocabulary; pools hold their term counts."""
+    """The term counts of star-rated texts over a small vocabulary."""
     rng = np.random.default_rng(seed)
     texts = [" ".join(rng.choice(WORDS, int(rng.integers(1, 12)))) for _ in range(n)]
-    return StarDataset(np.array(texts, dtype=object), rng.integers(1, 6, n),
+    return StarDataset(count_terms(texts), rng.integers(1, 6, n),
                        rng.choice(["A", "B"], n))
 
 

@@ -4,7 +4,10 @@ The oracle is the featuriser that tokenised every document on each call:
 ``oracle_fit_vocabulary`` and ``oracle_vectorise`` below.  The program
 tokenises each document once into a term-count matrix and derives every
 vocabulary and every tf-idf matrix from its rows; the CSR arrays must
-equal the oracle's bit for bit.
+equal the oracle's bit for bit.  Rows taken from the counts of more
+documents than a draw holds, as a run takes them from the counts of every
+review it loaded, must give the same vocabulary and tf-idf arrays as
+counting the draw's documents alone.
 """
 
 import numpy as np
@@ -141,3 +144,44 @@ def test_wide_rows_equal_token_loops():
     assert max(np.diff(vectorise(test_rows, vocab).indptr)) > 100
     assert_same_csr(vectorise(train_rows, vocab), oracle_vectorise(texts[0::2], want))
     assert_same_csr(vectorise(test_rows, vocab), oracle_vectorise(texts[1::2], want))
+
+
+@st.composite
+def superset_draws(draw):
+    """(documents, training rows, test rows, min_count).
+
+    The rows are distinct indices into the documents, in any order; the
+    documents they leave out may hold terms no drawn row holds."""
+    extra_words = st.sampled_from(["x", "yy", "a0", "zz"])
+    docs = draw(st.lists(documents(train_words | test_only_words | extra_words) | separators,
+                         min_size=1, max_size=16))
+    rows = draw(st.permutations(range(len(docs))))
+    cut = draw(st.integers(0, len(rows)))
+    end = draw(st.integers(cut, len(rows)))
+    return docs, list(rows[:cut]), list(rows[cut:end]), draw(st.integers(1, 4))
+
+
+@property_settings
+@given(case=superset_draws())
+def test_rows_of_a_superset_equal_counts_of_the_subset(case):
+    # a run counts every loaded review, and each draw takes rows of those
+    # counts; its tf-idf must be that of counting the drawn documents alone
+    docs, train, test, min_count = case
+    superset = count_terms(docs)
+    alone = count_terms([docs[i] for i in train + test])
+    ours = superset[np.array(train, dtype=int)], superset[np.array(test, dtype=int)]
+    theirs = (alone[np.arange(len(train))],
+              alone[np.arange(len(train), len(train) + len(test))])
+    try:
+        want = fit_vocabulary(theirs[0], min_count)
+    except EmptyDatasetError as exc:
+        with pytest.raises(EmptyDatasetError) as raised:
+            fit_vocabulary(ours[0], min_count)
+        assert str(raised.value) == str(exc)
+        return
+    got = fit_vocabulary(ours[0], min_count)
+    assert got.terms == want.terms and got.n_docs == want.n_docs
+    assert got.doc_freq.dtype == want.doc_freq.dtype
+    assert got.doc_freq.tobytes() == want.doc_freq.tobytes()
+    for rows_ours, rows_theirs in zip(ours, theirs):
+        assert_same_csr(vectorise(rows_ours, got), vectorise(rows_theirs, want))

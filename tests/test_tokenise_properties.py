@@ -13,10 +13,11 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftbench.datagen import COUNT_BLOCK, count_terms, tokenise
+from shiftbench.datagen import COUNT_BLOCK, count_terms, load_dataset, tokenise
 
 property_settings = settings(max_examples=500, deadline=None)
 
@@ -100,23 +101,41 @@ def test_count_terms_on_block_edges_and_no_documents():
     assert empty.counts.shape == (0, 0) and empty.terms == ()
 
 
-def test_count_terms_memory_stays_near_the_counts(tmp_path):
-    # the benchmark's 8,000-review corpus; tokenising every document into one
-    # flat list first peaked at about 21 times the returned arrays
+@pytest.fixture(scope="module")
+def benchmark_reviews(tmp_path_factory):
+    """The benchmark's 8,000-review corpus, written as a dataset file."""
     sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
     try:
         import gen_inputs
     finally:
         sys.path.pop(0)
-    path = tmp_path / "reviews.jsonl"
+    path = tmp_path_factory.mktemp("reviews") / "reviews.jsonl"
     gen_inputs.write_reviews(path, 8000, 0)
-    with open(path, encoding="utf-8") as fh:
-        docs = [json.loads(line)["text"] for line in fh]
+    return path
+
+
+@pytest.mark.parametrize("source", ["texts", "file"])
+def test_count_terms_memory_stays_near_the_counts(benchmark_reviews, source):
+    # tokenising every document into one flat list first peaked at about 21
+    # times the returned arrays.  Loading the file counts each kept review's
+    # text as it is read, so no text outlives its block: what the load still
+    # holds is the counts and little besides, where holding every text would
+    # add about half as much again
+    if source == "texts":
+        with open(benchmark_reviews, encoding="utf-8") as fh:
+            docs = [json.loads(line)["text"] for line in fh]
     tracemalloc.start()
     try:
-        counts = count_terms(docs).counts
-        peak = tracemalloc.get_traced_memory()[1]
+        if source == "texts":
+            counts = count_terms(docs).counts
+        else:
+            dataset, _ = load_dataset(benchmark_reviews)
+            counts = dataset.x.counts
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     returned = counts.data.nbytes + counts.indices.nbytes + counts.indptr.nbytes
     assert peak < 2.5 * returned, (peak, returned)
+    if source == "file":
+        assert len(dataset) == 7632
+        assert held < 1.25 * returned, (held, returned)
