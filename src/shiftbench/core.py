@@ -86,17 +86,18 @@ class TermCounts:
 
 
 def _as_payload(x: Any) -> Any:
-    """``x`` as a dataset holds it; a numeric payload with a NaN or an inf
-    raises ``ValueError`` naming the first row that holds one."""
+    """``x`` as a dataset holds it; ``ValueError`` names the dtype of a
+    payload of strings or objects, or the first row with a NaN or an inf."""
     if isinstance(x, TermCounts):
         return x
     if hasattr(x, "tocsr"):  # scipy sparse matrix: check its stored values
         x = x.tocsr()
         rows = np.searchsorted(x.indptr, np.flatnonzero(~np.isfinite(x.data)), side="right") - 1
     else:
-        if not isinstance(x, np.ndarray):
-            x = np.asarray(x)
-            x = x.astype(object if x.dtype.kind in ("U", "S", "O") else float)
+        array = np.asarray(x)
+        if array.dtype.kind in ("U", "S", "O"):
+            raise ValueError(f"x: a payload must hold numbers, not dtype {array.dtype}")
+        x = array if isinstance(x, np.ndarray) else array.astype(float)
         if x.dtype.kind not in ("f", "c"):
             return x
         rows = np.flatnonzero(~np.isfinite(x).all(axis=tuple(range(1, x.ndim))))

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .core import BinaryDataset, EmptyDatasetError, StarDataset, TermCounts
+from .core import CATEGORIES, BinaryDataset, EmptyDatasetError, StarDataset, TermCounts
 
 #: Byte table mapping every byte outside [0-9a-z] to a space.
 _TOKEN_BYTES = bytes(
@@ -153,6 +153,8 @@ class RawReview:
             raise ValueError("review text must be non-empty")
         if self.stars not in (1, 2, 3, 4, 5):
             raise ValueError(f"stars must be in 1..5, got {self.stars}")
+        if self.category not in CATEGORIES:
+            raise ValueError(f"category must be in {CATEGORIES}, got {self.category!r}")
         if self.useful_votes < 0:
             raise ValueError("useful_votes must be >= 0")
 
@@ -226,8 +228,10 @@ def load_dataset(path: str | Path) -> tuple[StarDataset | BinaryDataset, str]:
     by ``reviews_to_dataset`` as it is read; otherwise rows hold
     ``features`` and ``stars`` (if the first row has them) or ``label``.
     The file is read once, as UTF-8 with universal newlines, and the digest
-    is of exactly the bytes decoded.  A file with bytes that are not UTF-8
-    is refused naming the line of the first.
+    is of exactly the bytes decoded.  Each row is checked as it is read, and
+    the first that is not a datapoint or a review is refused naming its
+    line.  A file with bytes that are not UTF-8 is refused naming the line
+    of the first.
     """
     try:
         with open(path, "rb", buffering=0) as raw:
@@ -240,7 +244,7 @@ def load_dataset(path: str | Path) -> tuple[StarDataset | BinaryDataset, str]:
                 try:
                     probe = json.loads(first)
                 except json.JSONDecodeError:
-                    raise ValueError(_first_bad_row(path, "label")) from None
+                    probe = {}  # read as a dense row, whose check names the error
                 if not isinstance(probe, dict):
                     raise ValueError(f"{path}: line {first_no}: expected a JSON object")
                 lines = itertools.chain([(first_no, first)], lines)
@@ -286,12 +290,12 @@ def _reviews(path, lines):
 
 
 def _integer(record: dict, key: str) -> int:
-    """``int(record[key])``, refusing a JSON boolean and a number with a
-    fractional part (or NaN or an infinity), which ``int`` would coerce."""
+    """``record[key]``, a JSON number with no fraction, as an int (``4.0``
+    reads as 4); a boolean, a string, null, NaN or an infinity is refused."""
     value = record[key]
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 #: Each dense label field's allowed values and the problem a row outside them has.
@@ -300,70 +304,59 @@ _LABELS = {"label": ((0, 1), "label must be 0 or 1"),
 
 
 def _vectors(path, lines, label: str) -> StarDataset | BinaryDataset:
-    # each line's label and category are kept and its parsed object dropped;
-    # its features wait for a block of LOAD_BLOCK_ROWS rows to become one
-    # float array.  np.array refuses ragged rows within a block and
-    # np.concatenate across blocks, so a file loads if and only if one
-    # np.array of all its rows would.  The labels are checked once, all
-    # together: every one a JSON integer (no boolean, no float) in range.
+    # each row is checked as it is parsed, and the first bad one raises
+    # naming its line; a good row's features wait for a block of
+    # LOAD_BLOCK_ROWS rows to become one float array
     blocks, features, labels, categories = [], [], [], []
-    try:
-        for _, line in lines:
+    width = None
+    for line_no, line in lines:
+        try:
             row = json.loads(line)
-            features.append(row["features"])
-            labels.append(row[label])
-            categories.append(row.get("category", "A"))
-            if len(features) == LOAD_BLOCK_ROWS:
-                blocks.append(np.array(features, dtype=float))
-                features = []
-        if features:
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {line_no}: malformed JSON: {exc.msg} "
+                             f"at column {exc.colno}") from None
+        problem = _row_problem(row, label, width)
+        if problem:
+            raise ValueError(f"{path}: line {line_no}: {problem}")
+        width = len(row["features"])
+        features.append(row["features"])
+        labels.append(row[label])
+        categories.append(row.get("category", "A"))
+        if len(features) == LOAD_BLOCK_ROWS:
             blocks.append(np.array(features, dtype=float))
-        x = np.concatenate(blocks)
-        del features, blocks
-        y = np.array(labels)
-    except (ValueError, KeyError, TypeError):
-        raise ValueError(_first_bad_row(path, label)) from None
-    if (not np.isfinite(x).all() or set(map(type, labels)) != {int}
-            or not np.isin(y, _LABELS[label][0]).all()):
-        raise ValueError(_first_bad_row(path, label))
-    category = np.array(categories)
+            features = []
+    if features:
+        blocks.append(np.array(features, dtype=float))
+    x = np.concatenate(blocks)
+    del features, blocks
+    y, category = np.array(labels), np.array(categories)
     if label == "stars":
         return StarDataset(x, y, category)
     return BinaryDataset(x, y, category)
 
 
-def _first_bad_row(path, label: str) -> str:
-    """'<path>: line N: <problem>' for the first row that is not a datapoint.
-
-    Rescans the file, so line numbers cost nothing on a dataset that loads."""
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {line_no}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                return f"{where}: malformed JSON: {exc.msg} at column {exc.colno}"
-            for key in ("features", label):
-                if not isinstance(row, dict) or key not in row:
-                    return f"{where}: missing field {key!r}"
-            try:
-                features = np.array(row["features"], dtype=float)
-            except (TypeError, ValueError):
-                features = None
-            if features is None or features.ndim != 1:
-                return f"{where}: features must be a list of numbers"
-            if width is not None and len(features) != width:
-                return f"{where}: {len(features)} features, expected {width}"
-            width = len(features)
-            if not np.isfinite(features).all():
-                return f"{where}: non-finite feature value"
-            allowed, problem = _LABELS[label]
-            if type(row[label]) is not int or row[label] not in allowed:
-                return f"{where}: {problem}"
-    return f"{path}: malformed dataset"
+def _row_problem(row, label: str, width: int | None) -> str | None:
+    """The first problem of a parsed dense row, or None; ``width`` is the
+    first row's number of features (None for the first row itself)."""
+    for key in ("features", label):
+        if type(row) is not dict or key not in row:
+            return f"missing field {key!r}"
+    features = row["features"]
+    if type(features) is not list or not {int, float}.issuperset(map(type, features)):
+        return "features must be a list of numbers"
+    if width is not None and len(features) != width:
+        return f"{len(features)} features, expected {width}"
+    try:
+        if not all(map(math.isfinite, features)):
+            return "non-finite feature value"
+    except OverflowError:  # an integer too large for a float
+        return "non-finite feature value"
+    allowed, problem = _LABELS[label]
+    if type(row[label]) is not int or row[label] not in allowed:
+        return problem
+    if row.get("category", "A") not in CATEGORIES:
+        return f"categories must be in {CATEGORIES}"
+    return None
 
 
 def tokenise(text: str) -> list[str]:

@@ -210,12 +210,16 @@ def _data_rows(path: str | Path):
 
 
 def _first_unparsable_row(path: str | Path) -> ValueError | None:
-    """An error naming the first row with a wrong field count or an unparsable number."""
+    """An error naming the first row with a wrong field count or a number np.loadtxt refuses."""
     for line, row in _data_rows(path):
         try:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-            int(row[2])
+            # int() and float() also read digit separators and non-ASCII digits
+            if odd := [v for v in (row[2], *row[4:]) if "_" in v or not v.isascii()]:
+                raise ValueError(f"could not convert string to a number: {odd[0]!r}")
+            if not -2**63 <= int(row[2]) < 2**63:
+                raise ValueError(f"repetition outside int64: {row[2]!r}")
             for value in row[4:]:
                 float(value)
         except ValueError as exc:

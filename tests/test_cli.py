@@ -224,8 +224,15 @@ class TestRun:
              "line 2: malformed JSON: Expecting ',' delimiter at column 25"),
             (4, '{"features": [0.5, 1.0], "category": "A"}', "line 4: missing field 'label'"),
             (3, '{"features": [0.5, 1.0, 2.0], "label": 0}', "line 3: 3 features, expected 2"),
+            (6, '{"features": ["1.5", 2], "label": 1}',
+             "line 6: features must be a list of numbers"),
+            (6, '{"features": [true, 2], "label": 0}', "line 6: features must be a list of numbers"),
+            (5, '{"features": [0.5, 1%s], "label": 1}' % ("0" * 400),
+             "line 5: non-finite feature value"),
+            (7, '{"features": [0.5, 1.0], "label": 1, "category": "C"}',
+             "line 7: categories must be in ('A', 'B')"),
         ],
-        ids=["malformed-json", "missing-label", "ragged-features"],
+        ids=["malformed-json", "missing-label", "ragged-features", "string-feature", "boolean-feature", "401-digit-feature", "category-c"],
     )
     def test_bad_row_exits_2_naming_its_line(
         self, tmp_path, run_config, dataset, capsys, line_no, text, message
@@ -235,8 +242,26 @@ class TestRun:
         dataset.write_text("".join(lines))
         out = tmp_path / "o"
         assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 2
-        assert f"{dataset}: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert_one_error_naming(err, dataset)
+        assert err == f"error: cannot load dataset: {dataset}: {message}\n"
         assert not (out / "records.csv").exists()
+
+    def test_nested_features_exit_2_naming_the_first_line(
+        self, tmp_path, run_config, dataset, capsys
+    ):
+        """Rows of one-number lists all share one shape, so only the row
+        rule stops them becoming a three-dimensional payload."""
+        rows = map(json.loads, dataset.read_text().splitlines())
+        dataset.write_text("".join(
+            json.dumps({**row, "features": [[v] for v in row["features"]]}) + "\n"
+            for row in rows))
+        out = tmp_path / "o"
+        assert main(["run", "prior", "--config", str(run_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_naming(err, dataset)
+        assert err.endswith(f"{dataset}: line 1: features must be a list of numbers\n")
+        assert not out.exists()
 
     def test_config_hash_follows_dataset_bytes_not_path(self, tmp_path, run_config, dataset):
         def config_hash(dataset_path, name):
@@ -344,7 +369,9 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("stars", True), ("stars", 4.5), ("useful_votes", 1.7), ("useful_votes", False),
+        ("stars", True), ("stars", 4.5), ("stars", "4"), ("stars", None),
+        ("useful_votes", 1.7), ("useful_votes", False), ("useful_votes", "2"),
+        ("useful_votes", None),
     ])
     def test_review_integer_field_that_is_not_one_exits_2_naming_its_line(
         self, tmp_path, capsys, field, value
@@ -359,6 +386,25 @@ class TestRun:
         err = capsys.readouterr().err
         assert_one_error_naming(err, f"{reviews}:2: malformed review record: ")
         assert f"{field} must be an integer, got {value!r}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("votes", [2, 0], ids=["kept", "filtered-out"])
+    @pytest.mark.parametrize("category", ["C", "a", None])
+    def test_review_category_outside_a_and_b_exits_2_naming_its_line(
+        self, tmp_path, capsys, category, votes
+    ):
+        """Refused by its line whether or not the filter would keep it."""
+        good = {"text": "a long review " * 20, "stars": 4, "category": "A", "useful_votes": 2}
+        reviews = tmp_path / "reviews.jsonl"
+        reviews.write_text(json.dumps(good) + "\n" + json.dumps(good) + "\n"
+                           + json.dumps({**good, "category": category, "useful_votes": votes}) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": reviews.name}))
+        out = tmp_path / "o"
+        assert main(["run", "concept", "--desk", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_naming(err, f"{reviews}:3: malformed review record: ")
+        assert f"category must be in ('A', 'B'), got {category!r}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [1.5, 1.0, None, True, 2, "1"])

@@ -1,5 +1,7 @@
 """Dataset types, binarisation, stratified splitting and controlled sampling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -75,9 +77,21 @@ class TestNonFiniteFeatures:
     def test_finite_and_text_payloads_pass(self):
         BinaryDataset(np.zeros((3, 2)), [0, 1, 0])
         BinaryDataset(sparse.csr_matrix((3, 2)), [0, 1, 0])
-        BinaryDataset(np.array(["nan", "inf", np.nan], dtype=object), [0, 1, 0])
         counts = TermCounts(sparse.csr_matrix(np.array([[1.0, np.nan], [0.0, 2.0]])), ("a", "b"))
         assert BinaryDataset(counts, [0, 1]).x is counts
+
+    @pytest.mark.parametrize("payload, dtype", [
+        (np.array(["nan", "inf", np.nan], dtype=object), "object"),
+        (np.array(["0.5", "1.0", "2.0"]), "<U3"),
+        (np.array([b"a", b"b", b"c"]), "|S1"),
+        (["a review", "another", "a third"], "<U8"),
+    ])
+    def test_string_and_object_payloads_are_refused(self, payload, dtype):
+        message = f"x: a payload must hold numbers, not dtype {dtype}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BinaryDataset(payload, [0, 1, 0])
+        with pytest.raises(ValueError, match=r"^x: a payload must hold numbers"):
+            StarDataset(payload, [1, 3, 5], ["A", "B", "A"])
 
 
 class TestBinarise:

@@ -3,29 +3,35 @@ the earlier row-by-row code did.
 
 ``oracle_write`` is the earlier ``gen-data`` body, one ``json.dumps`` of a
 dict per row, and ``write_dataset`` must write its bytes for binary and
-star datasets with any finite features.  ``oracle_load`` is the earlier
-loader: it sniffed the first line in one pass, then parsed every dense line
-into a dict before building any array, or read reviews with
-``oracle_load_reviews_jsonl``, filtered them, and counted the terms of the
-list of texts kept, in another.  Beyond the earlier loader, the oracle
-refuses a JSON boolean or a fraction in a review's integer fields, and a
-dense label that is not a JSON integer in range, naming its row.
-``load_dataset`` reads the file once; it must give equal arrays of equal
-dtypes, or raise the same exception type with the same message, and its
-digest must be the sha256 of the file's bytes.  The files are dense, star
-and review corpora with malformed JSON, missing fields, ragged or
-non-numeric features, rows shorter or longer than the first, non-finite
-values, bad labels, bad review fields, blank and indented lines, LF, CRLF
-and CR line endings, and bytes that are not UTF-8, some after a blank line
-long enough to put them in a later decoded chunk.  Where the oracle meets bytes that are
-not UTF-8, ``load_dataset`` must instead raise a ``ValueError`` naming the
-path and the line of the first such byte, counting LF, CRLF and CR breaks.  Some files are loaded with ``LOAD_BLOCK_ROWS``
-set to a few rows, so that their bad rows fall in a later block than the
-first.
+star datasets with any finite features.  ``oracle_load`` sniffs the first
+line in one pass, then, in another, reads reviews with
+``oracle_load_reviews_jsonl``, filters them, and counts the terms of the
+list of texts kept, or parses each dense line into a dict, checks it with
+``oracle_row_problem`` as it is read, and builds the arrays from every row
+at the end.  ``oracle_row_problem`` holds its own copy of the row rules: the
+earlier loader's, then a dense label that is not a JSON integer in range,
+features that are not a flat list of JSON numbers (nested lists, strings,
+booleans, null), an integer feature too large for a float, and a category
+other than A or B.  Reviews are refused for a JSON boolean, a string, null
+or a fraction in an integer field, and for a category other than A or B,
+whether or not the filter would keep them.  ``load_dataset`` reads the file
+once; it must give equal arrays of equal dtypes, or raise the same exception
+type with the same message, and its digest must be the sha256 of the file's
+bytes.  The files are dense, star and review corpora with malformed JSON,
+missing fields, ragged, nested or non-numeric features, rows shorter or
+longer than the first, non-finite values, 401-digit integers, bad labels,
+bad categories, bad review fields, blank and indented lines, LF, CRLF and
+CR line endings, and bytes that are not UTF-8, some after a blank line long
+enough to put them in a later decoded chunk.  Where the oracle meets bytes
+that are not UTF-8, ``load_dataset`` must instead raise a ``ValueError``
+naming the path and the line of the first such byte, counting LF, CRLF and
+CR breaks.  Some files are loaded with ``LOAD_BLOCK_ROWS`` set to a few
+rows, so that their bad rows fall in a later block than the first.
 """
 
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -35,13 +41,7 @@ from hypothesis import strategies as st
 
 from shiftbench import datagen
 from shiftbench.core import BinaryDataset, StarDataset, TermCounts
-from shiftbench.datagen import (
-    RawReview,
-    _first_bad_row,
-    count_terms,
-    load_dataset,
-    write_dataset,
-)
+from shiftbench.datagen import RawReview, count_terms, load_dataset, write_dataset
 
 property_settings = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -66,7 +66,7 @@ def _json_problem(exc: json.JSONDecodeError) -> str:
 
 def oracle_integer(d, key):
     value = d[key]
-    if isinstance(value, bool) or isinstance(value, float) and not value % 1 == 0:
+    if type(value) not in (int, float) or isinstance(value, float) and not value % 1 == 0:
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -88,6 +88,8 @@ def oracle_load_reviews_jsonl(path):
                         useful_votes=oracle_integer(d, "useful_votes"),
                     )
                 )
+                if d["category"] not in ("A", "B"):
+                    raise ValueError(f"category must be in ('A', 'B'), got {d['category']!r}")
             except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{line_no}: malformed review record: {exc}")
     return reviews
@@ -112,21 +114,50 @@ def oracle_load(path: str):
         return StarDataset(count_terms([r.text for r in reviews]),
                            [r.stars for r in reviews], [r.category for r in reviews])
     label = "stars" if "stars" in probe else "label"
-    try:
-        with open(path, encoding="utf-8") as fh:
-            rows = [json.loads(line) for line in fh if line.strip()]
-        x = np.array([r["features"] for r in rows], dtype=float)
-        y = np.array([r[label] for r in rows])
-    except (ValueError, KeyError, TypeError):
-        raise ValueError(_first_bad_row(path, label)) from None
-    allowed = (1, 2, 3, 4, 5) if label == "stars" else (0, 1)
-    if not np.isfinite(x).all() or not all(
-            type(r[label]) is int and r[label] in allowed for r in rows):
-        raise ValueError(_first_bad_row(path, label))
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: {_json_problem(exc)}") from None
+            problem = oracle_row_problem(row, label, len(rows[0]["features"]) if rows else None)
+            if problem:
+                raise ValueError(f"{path}: line {line_no}: {problem}")
+            rows.append(row)
+    x = np.array([r["features"] for r in rows], dtype=float)
+    y = np.array([r[label] for r in rows])
     category = np.array([r.get("category", "A") for r in rows])
     if label == "stars":
         return StarDataset(x, y, category)
     return BinaryDataset(x, y, category)
+
+
+def oracle_row_problem(row, label, width):
+    """The first problem of a dense row, in the loader's order, or None."""
+    for key in ("features", label):
+        if not isinstance(row, dict) or key not in row:
+            return f"missing field {key!r}"
+    features = row["features"]
+    if not isinstance(features, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in features):
+        return "features must be a list of numbers"
+    if width is not None and len(features) != width:
+        return f"{len(features)} features, expected {width}"
+    try:
+        values = [float(v) for v in features]
+    except OverflowError:
+        return "non-finite feature value"
+    if any(math.isnan(v) or math.isinf(v) for v in values):
+        return "non-finite feature value"
+    allowed = (1, 2, 3, 4, 5) if label == "stars" else (0, 1)
+    if type(row[label]) is not int or row[label] not in allowed:
+        return "stars must be an integer in 1..5" if label == "stars" else "label must be 0 or 1"
+    if row.get("category", "A") not in ("A", "B"):
+        return "categories must be in ('A', 'B')"
+    return None
 
 
 SUBNORMALS = (5e-324, 2.2250738585072009e-308, 1e-310)
@@ -157,9 +188,16 @@ def test_written_datapoints_match_one_dumps_per_row(tmp_path, dataset):
     assert ours.read_bytes() == oracle.read_bytes()
 
 
+#: a feature as a dense file may write it: a float, or a JSON integer that a float holds
+feature = st.one_of(finite, st.integers(-10**20, 10**20),
+                    st.sampled_from([10**308, -(2**1023), 2**64 + 1]))
+#: a JSON integer of 401 digits, more than any float holds
+HUGE = "1" + "0" * 400
+
+
 def good_row(width, label):
     return st.fixed_dictionaries(
-        {"features": st.lists(finite, min_size=width, max_size=width),
+        {"features": st.lists(feature, min_size=width, max_size=width),
          label: st.integers(0, 1) if label == "label" else st.integers(1, 5)},
         optional={"category": st.sampled_from("AB")},
     ).map(json.dumps)
@@ -191,12 +229,21 @@ def bad_line(width, label):
             lambda t: json.dumps({"features": t[0], label: t[1]})),
         st.tuples(st.lists(finite, min_size=width, max_size=width),
                   st.integers(0, max(width - 1, 0)),
-                  st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999"])).map(
-            lambda t: _with_non_finite(t[0], t[1], t[2], label)),
+                  st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", HUGE, f"-{HUGE}",
+                                   '"1.5"', '"x"', "true", "false", "null", "[1.0]", "[]",
+                                   "{}"])).map(
+            lambda t: _with_token(t[0], t[1], t[2], label)),
+        # every feature nested in a list of its own, as a whole file of them would be
+        st.lists(finite, min_size=width, max_size=width).map(
+            lambda f: json.dumps({"features": [[v] for v in f], label: 1})),
+        # a category other than A or B
+        st.tuples(st.lists(finite, min_size=width, max_size=width),
+                  st.sampled_from(["C", "a", "", "AB", None, 1, ["A"]])).map(
+            lambda t: json.dumps({"features": t[0], label: 1, "category": t[1]})),
     )
 
 
-def _with_non_finite(features, at, token, label):
+def _with_token(features, at, token, label):
     text = [repr(v) for v in features] or ["0.0"]
     text[min(at, len(text) - 1)] = token
     return f'{{"features": [{", ".join(text)}], "{label}": 1}}'
@@ -224,8 +271,8 @@ def review_lines(draw):
     review = st.fixed_dictionaries({
         "text": review_text(),
         "stars": st.one_of(st.integers(1, 5), st.sampled_from(
-            [0, 6, "4", 2.5, 4.0, True, float("nan"), float("inf"), "x", None])),
-        "category": st.sampled_from(["A", "A", "B", "C"]),
+            [0, 6, "4", 2.5, 4.0, True, float("nan"), float("inf"), "x", None, 10**400])),
+        "category": st.sampled_from(["A", "A", "B", "C", "a", None]),
         "useful_votes": st.one_of(st.integers(0, 3), st.sampled_from(
             [-1, "2", "many", 1.7, 2.0, True, False])),
     }).map(lambda d: json.dumps(d, ensure_ascii=ensure_ascii))
@@ -290,7 +337,12 @@ def undecodable_line(data: bytes) -> int:
     raise AssertionError("data is UTF-8")
 
 
-REVIEW = json.dumps({"text": "ab " * 70, "stars": 4, "category": "B", "useful_votes": 1})
+def review_with(**fields):
+    return json.dumps({"text": "ab " * 70, "stars": 4, "category": "B", "useful_votes": 1,
+                       **fields})
+
+
+REVIEW = review_with()
 DENSE = json.dumps({"features": [1.5, -2.0], "label": 1, "category": "A"})
 
 
@@ -301,7 +353,16 @@ DENSE = json.dumps({"features": [1.5, -2.0], "label": 1, "category": "A"})
 @example(data=f"{DENSE}\r\n{LONG_BLANK}\r\n\xc3{DENSE}\r\n".encode("latin-1"), block_rows=1)
 @example(data=f'{DENSE}\n{{"features": [3.0], "label": 0}}\n{LONG_BLANK}\n\xff\n'.encode(
     "latin-1"), block_rows=datagen.LOAD_BLOCK_ROWS)
-def test_loader_matches_parse_everything_first(tmp_path, monkeypatch, data, block_rows):
+@example(data=f"{REVIEW}\n{review_with(stars='4')}\n".encode(), block_rows=2)
+@example(data=f"{REVIEW}\n{review_with(useful_votes='2')}\n".encode(), block_rows=2)
+@example(data=f"{REVIEW}\n{review_with(category='C', useful_votes=0)}\n".encode(), block_rows=2)
+@example(data=b'{"features": [[0.3], [1.2]], "label": 1}\n' * 3, block_rows=2)
+@example(data=f'{DENSE}\n{{"features": [1.5, {HUGE}], "label": 0}}\n'.encode(), block_rows=1)
+@example(data=f'{DENSE}\n{{"features": [1.5, 2.0], "label": 0, "category": "C"}}\n'.encode(),
+         block_rows=datagen.LOAD_BLOCK_ROWS)
+@example(data=f'{DENSE}\n{{"features": [1.5, 2.0], "label": 7}}\n{LONG_BLANK}\n\xff\n'.encode(
+    "latin-1"), block_rows=datagen.LOAD_BLOCK_ROWS)
+def test_loader_matches_the_row_by_row_oracle(tmp_path, monkeypatch, data, block_rows):
     monkeypatch.setattr(datagen, "LOAD_BLOCK_ROWS", block_rows)
     path = tmp_path / "data.jsonl"
     path.write_bytes(data)

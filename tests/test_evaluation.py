@@ -228,6 +228,27 @@ class TestRecords:
         with pytest.raises(ValueError, match=r": line 6: true prevalence out of \[0, 1\]: 1.5$"):
             read_records_csv(path)
 
+    @pytest.mark.parametrize("field, value, problem", [
+        (2, "1_0", "could not convert string to a number: '1_0'"),
+        (2, "1" * 23, f"repetition outside int64: '{'1' * 23}'"),
+        (6, "0.2_5", "could not convert string to a number: '0.2_5'"),
+        (6, "0.\u0662\u0665", "could not convert string to a number: '0.\u0662\u0665'"),
+    ], ids=["separator-repetition", "long-repetition", "separator-estimate", "arabic-digits"])
+    def test_csv_names_the_file_line_of_a_number_only_python_reads(
+        self, tmp_path, field, value, problem
+    ):
+        """``int`` and ``float`` read these, ``np.loadtxt`` does not."""
+        path = tmp_path / "records.csv"
+        write_records_csv(records(rep=[0, 1, 2], est=0.25), path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[field] = value
+        lines[2] = ",".join(fields)
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError) as got:
+            read_records_csv(path)
+        assert str(got.value) == f"{path}: line 3: {problem}"
+
     def test_table_columns_are_read_only(self):
         table = records(method=["CC", "SLD"], rep=[0, 1], est=[0.1, 0.9])
         assert len(table) == 2
