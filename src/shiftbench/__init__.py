@@ -50,9 +50,9 @@ from .evaluation import (
 from .protocols import (
     PROTOCOLS,
     ProtocolConfig,
+    cell_tables,
     count_records,
     count_records_per_method,
-    repetition_tables,
     run_protocol,
 )
 from .quantifiers import (

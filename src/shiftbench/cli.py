@@ -27,7 +27,7 @@ from .classifier import loss_and_grad
 from .core import PoolExhaustionError, StarDataset
 from .datagen import generate_mixture, load_cluster_specs, load_dataset, write_dataset
 from .evaluation import read_records_csv, write_records_csv
-from .protocols import PROTOCOLS, ProtocolConfig, count_records, repetition_tables
+from .protocols import PROTOCOLS, ProtocolConfig, cell_tables, count_records
 from .quantifiers import (
     PACC,
     SMM,
@@ -82,9 +82,9 @@ def cmd_run(args) -> int:
             dataset, dataset_sha256 = load_dataset(dataset_file)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"cannot load dataset: {exc}") from None
-        # each repetition's table is written as it arrives and then let go;
-        # the dataset goes once the pools are prepared
-        tables = repetition_tables(cfg, dataset, jobs=args.jobs)
+        # each cell's table is written as it arrives and then let go; the
+        # dataset goes once the pools are prepared
+        tables = cell_tables(cfg, dataset, jobs=args.jobs)
         del dataset
         records_path, n = _publish_run(Path(args.out), cfg, tables,
                                        {"path": str(dataset_file), "sha256": dataset_sha256})
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--jobs", type=int, default=1,
-                   help="pool workers, at most one per repetition")
+                   help="pool workers, at most one per cell")
     p.add_argument("--desk", action="store_true",
                    help="desk-scale preset: 2 repetitions, 5 samples per config")
     p.add_argument("--methods", default=None, help="comma-separated method names")

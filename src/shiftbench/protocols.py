@@ -34,12 +34,14 @@ same fit, score and estimate steps), then draws each test and scores it once
 per classifier.  Each classifier's posteriors are stacked into one matrix per
 test size, each method estimates them all in one ``aggregate_many`` call,
 and the cell becomes one :class:`RecordTable`, a row per test and method in
-plan order.  ``_repetition_worker`` runs the cells of one repetition's plan
-in order, and ``repetition_tables`` yields each repetition's table in turn.
-A pool worker gets the config and pools once, when it starts, and then
-one repetition number per task.  Every seed derives from the master seed, so
-``run_protocol(cfg, dataset, jobs)`` returns the same table for any number of
-pool workers.
+plan order.  ``cell_tables`` walks the plans of all repetitions lazily and
+yields each cell's table in plan order, running the cells in-process or, a
+cell per task, in a pool that holds at most ``CELLS_PER_WORKER`` cells per
+worker in flight.  A pool worker gets the config and pools once, when it
+starts, and then one cell and its tests per task.  A cell's draws, fit seed
+and model selection depend only on its seed paths, which derive from the
+master seed, so ``run_protocol(cfg, dataset, jobs)`` returns the same table
+for any number of pool workers.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ import itertools
 import math
 import numbers
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -238,19 +241,26 @@ class ProtocolConfig:
         return cls(**kwargs)
 
 
+def _plan_shape(cfg: ProtocolConfig) -> tuple[int, int]:
+    """(cells per repetition, tests per cell) of the protocol's plan."""
+    rounds = cfg.samples_per_config
+    if cfg.protocol == PRIOR:
+        return len(cfg.prior_train_prevalences), len(cfg.prior_test_prevalences) * rounds
+    if cfg.protocol == GLOBAL_COVARIATE:
+        points = len(cfg.covariate_class_prevalences) * len(cfg.covariate_mixtures)
+        return points, points * rounds
+    if cfg.protocol == LOCAL_COVARIATE:
+        return 1, len(cfg.local_test_prevalences) * (1 + cfg.local_control_draws) * rounds
+    if cfg.protocol == CONCEPT:
+        cuts = len(cfg.concept_cut_points)
+        return cuts, cuts * rounds
+    raise ValueError(f"unknown protocol {cfg.protocol!r}")
+
+
 def count_records_per_method(cfg: ProtocolConfig) -> int:
     """Closed-form record count one method contributes to a full run."""
-    base = cfg.samples_per_config * cfg.repetitions
-    if cfg.protocol == PRIOR:
-        return len(cfg.prior_train_prevalences) * len(cfg.prior_test_prevalences) * base
-    if cfg.protocol == GLOBAL_COVARIATE:
-        cells = len(cfg.covariate_class_prevalences) * len(cfg.covariate_mixtures)
-        return cells * cells * base
-    if cfg.protocol == LOCAL_COVARIATE:
-        return len(cfg.local_test_prevalences) * (1 + cfg.local_control_draws) * base
-    if cfg.protocol == CONCEPT:
-        return len(cfg.concept_cut_points) ** 2 * base
-    raise ValueError(f"unknown protocol {cfg.protocol!r}")
+    cells, tests = _plan_shape(cfg)
+    return cells * tests * cfg.repetitions
 
 
 def count_records(cfg: ProtocolConfig) -> int:
@@ -769,12 +779,13 @@ def _run_cell(cfg: ProtocolConfig, pools, rep: int, cell: _Cell, tests) -> Recor
     )
 
 
-def _repetition_worker(args) -> RecordTable:
-    """The records of one repetition: each cell of its plan run in turn."""
-    cfg, pools, rep = args
-    plan = _PLANS[cfg.protocol](cfg, rep)
-    return RecordTable.concat(_run_cell(cfg, pools, rep, cell, tests)
-                              for cell, tests in itertools.groupby(plan, key=attrgetter("cell")))
+def _cells(cfg: ProtocolConfig) -> Iterator[tuple[int, _Cell, Iterator[_Test]]]:
+    """(repetition, cell, its tests) of each cell of the run, in plan order,
+    walked lazily; a cell's tests must be taken before the next cell."""
+    for rep in range(cfg.repetitions):
+        plan = _PLANS[cfg.protocol](cfg, rep)
+        for cell, tests in itertools.groupby(plan, key=attrgetter("cell")):
+            yield rep, cell, tests
 
 
 _served = None  # in a pool worker, the (cfg, pools) of the run it serves
@@ -786,40 +797,57 @@ def _serve(cfg: ProtocolConfig, pools):
     _served = (cfg, pools)
 
 
-def _served_repetition(rep: int) -> RecordTable:
-    """A pool worker's task: one repetition of the run it serves."""
+def _served_cell(rep: int, cell: _Cell, tests: tuple[_Test, ...]) -> RecordTable:
+    """A pool worker's task: one cell of the run it serves."""
     cfg, pools = _served
-    return _repetition_worker((cfg, pools, rep))
+    return _run_cell(cfg, pools, rep, cell, tests)
 
 
-def repetition_tables(cfg: ProtocolConfig, dataset, jobs: int = 1) -> Iterator[RecordTable]:
-    """Each repetition's records, one table per repetition, in repetition order.
+#: Cells in flight per pool worker: while a worker runs one cell, the next
+#: waits in the pool's queue, and the parent submits no further ahead.
+CELLS_PER_WORKER = 2
 
-    With ``jobs`` > 1 repetitions run in separate processes, at most one per
-    repetition; a table is yielded as soon as it and every earlier one are
-    done, so a caller can write it and let it go while later repetitions run.
-    The config and pools reach each worker once, through the pool
-    initializer (inherited under fork, pickled once per worker otherwise),
-    and each task is a repetition number.  The tables are the same for any
-    worker count.  Closing the generator early cancels the repetitions that
-    have not started.  The generator lets go of ``dataset`` once the pools
-    are prepared, so only the rows they hold outlive that step when the
-    caller holds no other reference.
+
+def cell_tables(cfg: ProtocolConfig, dataset, jobs: int = 1) -> Iterator[RecordTable]:
+    """Each cell's records, one table per cell, in plan order.
+
+    With ``jobs`` > 1 cells run in up to ``jobs`` pool workers, never more
+    workers than the run has cells.  The parent walks the plans lazily and
+    keeps at most ``CELLS_PER_WORKER`` cells per worker submitted; a table
+    is yielded as soon as it and every earlier one are done, so a caller
+    can write it and let it go while later cells run.  The config and pools
+    reach each worker once, through the pool initializer (inherited under
+    fork, pickled once per worker otherwise), and each task is one cell and
+    its tests.  The tables are the same for any worker count.  A cell that raises, or
+    closing the generator early, cancels the cells that have not started.
+    The generator lets go of ``dataset`` once the pools are prepared, so
+    only the rows they hold outlive that step when the caller holds no
+    other reference.
     """
     pools = _prepare_pools(cfg, dataset)
     del dataset
-    repetitions = range(cfg.repetitions)
-    workers = min(jobs, len(repetitions))
+    cells = _cells(cfg)
+    workers = min(jobs, _plan_shape(cfg)[0] * cfg.repetitions)
     if workers <= 1:
-        for rep in repetitions:
-            yield _repetition_worker((cfg, pools, rep))
-    else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_serve,
-                                 initargs=(cfg, pools)) as pool:
-            yield from pool.map(_served_repetition, repetitions)
+        for rep, cell, tests in cells:
+            yield _run_cell(cfg, pools, rep, cell, tests)
+        return
+    # cells are submitted one at a time: Executor.map would submit every
+    # cell of the run before yielding the first table
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_serve, initargs=(cfg, pools))
+    window = deque()
+    try:
+        for rep, cell, tests in cells:
+            if len(window) == CELLS_PER_WORKER * workers:
+                yield window.popleft().result()
+            window.append(pool.submit(_served_cell, rep, cell, tuple(tests)))
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_protocol(cfg: ProtocolConfig, dataset, jobs: int = 1) -> RecordTable:
     """Run one protocol end to end and return its records: the tables of
-    :func:`repetition_tables`, concatenated."""
-    return RecordTable.concat(repetition_tables(cfg, dataset, jobs))
+    :func:`cell_tables`, concatenated."""
+    return RecordTable.concat(cell_tables(cfg, dataset, jobs))

@@ -1,15 +1,20 @@
-"""A repetition runs cell by cell, and writes what the step walk wrote.
+"""A run streams cell by cell, and writes what the earlier walks wrote.
 
-``_repetition_worker`` groups its plan's tests by the cell they name and
-runs each group through ``_run_cell``.  The oracle is the earlier worker,
-which walked a stream of cells and tests and kept the scored tests of the
-current cell pending until the next cell or the end of the plan; it is fed
-that stream, rebuilt from the plan by putting each test's cell before the
-first test that names it.
+``cell_tables`` yields one table per cell, in plan order, run in-process or
+one cell per pool task.  Its tables, joined per repetition, are checked
+against two oracles.  The first is the earlier per-repetition worker, which
+grouped one repetition's plan by cell and ran each group through
+``_run_cell``.  The second is the worker before that, which walked a stream
+of cells and tests and kept the scored tests of the current cell pending
+until the next cell or the end of the plan; it is fed that stream, rebuilt
+from the plan by putting each test's cell before the first test that names
+it.
 """
 
 import functools
+import itertools
 import warnings
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -32,8 +37,9 @@ from shiftbench.protocols import (
     _featurise_train,
     _fitted,
     _prepare_pools,
-    _repetition_worker,
+    _run_cell,
     _select_settings,
+    cell_tables,
     count_records,
 )
 from shiftbench.quantifiers import METHOD_NAMES
@@ -82,8 +88,18 @@ def dataset(kind: str, protocol: str):
     return dense_stars() if protocol == CONCEPT else clusters()
 
 
+def repetition_worker(args) -> RecordTable:
+    """The records of one repetition: each cell of its plan run in turn.
+
+    The deleted ``protocols._repetition_worker``, verbatim."""
+    cfg, pools, rep = args
+    plan = _PLANS[cfg.protocol](cfg, rep)
+    return RecordTable.concat(_run_cell(cfg, pools, rep, cell, tests)
+                              for cell, tests in itertools.groupby(plan, key=attrgetter("cell")))
+
+
 def old_steps(cfg, rep):
-    """The plan as the earlier worker walked it: each cell, then its tests."""
+    """The plan as the step-walking worker walked it: each cell, then its tests."""
     current = None
     for test in _PLANS[cfg.protocol](cfg, rep):
         if test.cell is not current:
@@ -93,8 +109,8 @@ def old_steps(cfg, rep):
 
 
 def oracle_worker(args) -> RecordTable:
-    """The earlier ``_repetition_worker``, verbatim but for the stream it
-    walks (``old_steps`` in place of ``_PLANS[cfg.protocol]``)."""
+    """The ``_repetition_worker`` before ``repetition_worker``, verbatim but
+    for the stream it walks (``old_steps`` in place of ``_PLANS[cfg.protocol]``)."""
     cfg, pools, rep = args
     tables: list[RecordTable] = []
     pending: list[tuple] = []
@@ -138,11 +154,10 @@ def small(values):
 
 
 @st.composite
-def runs(draw):
-    """(payload kind, config) of a small run of any protocol; with
+def runs(draw, protocol):
+    """(payload kind, config) of a small run of ``protocol``; with
     ``grid_search`` on, one method and one repetition."""
     kind = draw(st.sampled_from(("dense", "text")))
-    protocol = draw(st.sampled_from(PROTOCOLS))
     grid_search = draw(st.sampled_from((False, False, True)))
     if protocol == PRIOR:
         grid = dict(prior_train_prevalences=draw(small((0.3, 0.5, 0.7))),
@@ -167,19 +182,25 @@ def runs(draw):
     )
 
 
-@settings(max_examples=25, deadline=None)
-@given(case=runs())
-def test_cell_path_equals_step_walk(case):
-    kind, cfg = case
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_cell_stream_equals_the_earlier_walks(protocol, jobs, data):
+    kind, cfg = data.draw(runs(protocol))
     pools = _prepare_pools(cfg, dataset(kind, cfg.protocol))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # EM caps and unconverged fits on tiny draws
-        for rep in range(cfg.repetitions):
-            table = _repetition_worker((cfg, pools, rep))
-            expected = oracle_worker((cfg, pools, rep))
+        stream = cell_tables(cfg, dataset(kind, cfg.protocol), jobs=jobs)
+        joined = [(rep, RecordTable.concat(tables)) for rep, tables
+                  in itertools.groupby(stream, key=lambda table: int(table.repetition[0]))]
+        assert [rep for rep, _ in joined] == list(range(cfg.repetitions))
+        for rep, table in joined:
             assert len(table) == count_records(cfg) // cfg.repetitions
-            for name in RecordTable.COLUMNS:
-                assert np.array_equal(getattr(table, name), getattr(expected, name)), name
+            for expected in (repetition_worker((cfg, pools, rep)),
+                             oracle_worker((cfg, pools, rep))):
+                for name in RecordTable.COLUMNS:
+                    assert np.array_equal(getattr(table, name), getattr(expected, name)), name
 
 
 @pytest.mark.parametrize("grid", ["prior_train_prevalences", "prior_test_prevalences",

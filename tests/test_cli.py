@@ -20,7 +20,7 @@ from shiftbench.classifier import ClassRates
 from shiftbench.cli import main
 from shiftbench.core import PoolExhaustionError
 from shiftbench.evaluation import read_records_csv
-from shiftbench.protocols import _repetition_worker, repetition_tables
+from shiftbench.protocols import _run_cell, cell_tables
 from shiftbench.quantifiers import PACC
 from shiftbench.reporting import boxplot_stats, render_markdown, render_plotdata
 
@@ -459,7 +459,7 @@ class TestRun:
         self, tmp_path, run_config, capsys, monkeypatch, protocol, field, value, message
     ):
         runs = []
-        monkeypatch.setattr("shiftbench.cli.repetition_tables", lambda *a, **k: runs.append(a))
+        monkeypatch.setattr("shiftbench.cli.cell_tables", lambda *a, **k: runs.append(a))
         raw = json.loads(run_config.read_text())
         raw[field] = value
         cfg = run_config.parent / "range.json"
@@ -510,7 +510,7 @@ class TestRun:
         self, tmp_path, run_config, capsys, monkeypatch, named
     ):
         runs = []
-        monkeypatch.setattr("shiftbench.cli.repetition_tables", lambda *a, **k: runs.append(a))
+        monkeypatch.setattr("shiftbench.cli.cell_tables", lambda *a, **k: runs.append(a))
         raw = json.loads(run_config.read_text())
         raw["protocol"] = named
         cfg = run_config.parent / "other.json"
@@ -608,11 +608,11 @@ class TestRun:
         expected = config_hash(tmp_path / "before")
 
         def rewrite_mid_run(*args, **kwargs):
-            for table in repetition_tables(*args, **kwargs):
+            for table in cell_tables(*args, **kwargs):
                 dataset.write_bytes(original.replace(b'"category": "A"', b'"category": "B"', 1))
                 yield table
 
-        monkeypatch.setattr("shiftbench.cli.repetition_tables", rewrite_mid_run)
+        monkeypatch.setattr("shiftbench.cli.cell_tables", rewrite_mid_run)
         assert config_hash(tmp_path / "during") == expected
         assert dataset.read_bytes() != original
 
@@ -643,13 +643,14 @@ class TestRun:
     def test_failure_in_a_later_repetition_leaves_nothing(
         self, tmp_path, run_config, capsys, monkeypatch, jobs
     ):
-        """Repetition 0 is written before repetition 1 fails; the run exits 3
-        and leaves neither records.csv nor its temporary file."""
+        """Repetition 0's cells are written before the first cell of
+        repetition 1 fails; the run exits 3 and leaves neither records.csv
+        nor its temporary file."""
         raw = json.loads(run_config.read_text())
         raw["repetitions"] = 2
         cfg = run_config.parent / "two.json"
         cfg.write_text(json.dumps(raw))
-        monkeypatch.setattr("shiftbench.protocols._repetition_worker", fail_in_repetition_1)
+        monkeypatch.setattr("shiftbench.protocols._run_cell", fail_in_repetition_1)
         out = tmp_path / "o"
         assert main(["run", "prior", "--config", str(cfg), "--out", str(out),
                      "--jobs", str(jobs)]) == 3
@@ -667,17 +668,17 @@ class TestRun:
         out = tmp_path / "o"
         assert main(["run", "prior", "--config", str(cfg), "--out", str(out)]) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        monkeypatch.setattr("shiftbench.protocols._repetition_worker", fail_in_repetition_1)
+        monkeypatch.setattr("shiftbench.protocols._run_cell", fail_in_repetition_1)
         assert main(["run", "prior", "--config", str(cfg), "--out", str(out),
                      "--jobs", str(jobs)]) == 3
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
-def fail_in_repetition_1(task):
-    """``_repetition_worker``, but repetition 1 runs its pool dry."""
-    if task[2] == 1:
+def fail_in_repetition_1(cfg, pools, rep, cell, tests):
+    """``_run_cell``, but the first cell of repetition 1 runs its pool dry."""
+    if cell.fit_coords == (cfg.protocol, 1, "fit", 0):
         raise PoolExhaustionError("injected", 9, 0)
-    return _repetition_worker(task)
+    return _run_cell(cfg, pools, rep, cell, tests)
 
 
 def drop_first_pcc_row(rows):

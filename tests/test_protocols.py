@@ -111,6 +111,8 @@ class TestCountIdentities:
         for protocol in (PRIOR, GLOBAL_COVARIATE, LOCAL_COVARIATE, CONCEPT):
             cfg = tiny_config(protocol)
             assert len(plan_tests(cfg)) == count_records_per_method(cfg)
+            assert sum(1 for _ in protocols._cells(cfg)) == (
+                protocols._plan_shape(cfg)[0] * cfg.repetitions)
 
     def test_desk_preset_scales_counts(self):
         cfg = ProtocolConfig(protocol=PRIOR, methods=("CC",)).desk()
@@ -240,30 +242,91 @@ class TestDeterminismAndParallelism:
         data = binary_ab_dataset()
         assert same_records(run_protocol(cfg, data, jobs=1), run_protocol(cfg, data, jobs=2))
 
-    @pytest.mark.parametrize("jobs, repetitions, workers", [(8, 2, 2), (2, 3, 2), (1, 3, None)])
-    def test_pool_has_at_most_one_worker_per_repetition(
-        self, monkeypatch, jobs, repetitions, workers
+    @pytest.mark.parametrize("protocol, jobs, repetitions, workers", [
+        (PRIOR, 8, 2, 4),  # two cells per repetition
+        (PRIOR, 3, 1, 2),
+        (PRIOR, 4, 3, 4),  # more workers than repetitions
+        (PRIOR, 1, 3, None),
+        (LOCAL_COVARIATE, 8, 2, 2),  # one cell per repetition
+        (LOCAL_COVARIATE, 8, 1, None),
+    ])
+    def test_pool_has_at_most_one_worker_per_cell(
+        self, monkeypatch, protocol, jobs, repetitions, workers
     ):
         started = []
-        monkeypatch.setattr(protocols, "ProcessPoolExecutor", serial_pool(started, []))
+        monkeypatch.setattr(protocols, "ProcessPoolExecutor", deferred_pool(started, []))
         monkeypatch.setattr(protocols, "_served", None)
-        cfg = tiny_config(PRIOR, repetitions=repetitions, prior_train_prevalences=(0.5,),
-                          prior_test_prevalences=(0.5,), samples_per_config=1)
+        cfg = tiny_config(protocol, repetitions=repetitions, prior_train_prevalences=(0.2, 0.6),
+                          prior_test_prevalences=(0.5,), local_test_prevalences=(0.5,),
+                          local_control_draws=0, samples_per_config=1)
         records = run_protocol(cfg, binary_ab_dataset(), jobs=jobs)
         assert started == ([] if workers is None else [workers])
         assert len(records) == count_records(cfg)
 
-    def test_pool_tasks_are_repetition_numbers(self, monkeypatch):
+    def test_pool_tasks_are_cells_in_plan_order(self, monkeypatch):
         """The config and pools go to the initializer; each task the executor
-        receives is one repetition number, and the tables are the serial ones."""
-        tasks = []
-        monkeypatch.setattr(protocols, "ProcessPoolExecutor", serial_pool([], tasks))
-        monkeypatch.setattr(protocols, "_served", None, raising=False)
+        receives is one cell with its tests, in plan order, and the tables
+        are the serial ones."""
+        log = []
+        monkeypatch.setattr(protocols, "ProcessPoolExecutor", deferred_pool([], log))
+        monkeypatch.setattr(protocols, "_served", None)
         cfg = tiny_config(PRIOR, repetitions=3)
         data = binary_ab_dataset()
-        pooled = run_protocol(cfg, data, jobs=2)
-        assert tasks == [0, 1, 2] and all(type(task) is int for task in tasks)
-        assert same_records(pooled, run_protocol(cfg, data, jobs=1))
+        pooled = list(protocols.cell_tables(cfg, data, jobs=2))
+        tasks = [args for event, args in log if event == "submit"]
+        assert [(rep, cell) for rep, cell, _ in tasks] == [
+            (rep, cell) for rep, cell, _ in protocols._cells(cfg)]
+        assert [tests for _, _, tests in tasks] == [
+            tuple(tests) for _, _, tests in protocols._cells(cfg)]
+        assert len(pooled) == 6 and all(len(t) == 3 * 2 * len(cfg.methods) for t in pooled)
+        assert same_records(RecordTable.concat(pooled), run_protocol(cfg, data, jobs=1))
+        assert log[-1] == ("shutdown", True)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_at_most_cells_per_worker_are_in_flight(self, monkeypatch, jobs):
+        """The parent submits a cell only when fewer than CELLS_PER_WORKER
+        cells per worker are submitted and not yet taken."""
+        log = []
+        monkeypatch.setattr(protocols, "ProcessPoolExecutor", deferred_pool([], log))
+        monkeypatch.setattr(protocols, "_served", None)
+        cfg = tiny_config(GLOBAL_COVARIATE, samples_per_config=1, covariate_mixtures=(0.5,),
+                          covariate_class_prevalences=(0.25, 0.5, 0.75), repetitions=3)
+        assert len(list(protocols.cell_tables(cfg, binary_ab_dataset(), jobs=jobs))) == 9
+        in_flight = np.cumsum([{"submit": 1, "run": -1}.get(event, 0) for event, _ in log])
+        assert in_flight.max() == protocols.CELLS_PER_WORKER * jobs
+        assert in_flight[-1] == 0
+
+    def test_closing_early_runs_no_further_cell(self, monkeypatch):
+        log = []
+        monkeypatch.setattr(protocols, "ProcessPoolExecutor", deferred_pool([], log))
+        monkeypatch.setattr(protocols, "_served", None)
+        cfg = tiny_config(PRIOR, repetitions=3)
+        tables = protocols.cell_tables(cfg, binary_ab_dataset(), jobs=2)
+        next(tables)
+        tables.close()
+        events = [event for event, _ in log]
+        assert events.count("run") == 1 and events[-1] == "shutdown" and log[-1][1] is True
+        assert events.count("submit") == protocols.CELLS_PER_WORKER * 2
+
+    def test_a_failing_cell_runs_no_further_cell(self, monkeypatch):
+        log = []
+        monkeypatch.setattr(protocols, "ProcessPoolExecutor", deferred_pool([], log))
+        monkeypatch.setattr(protocols, "_served", None)
+        run_cell = protocols._run_cell
+
+        def fail_at_rep_1(cfg, pools, rep, cell, tests):
+            if rep == 1:
+                raise PoolExhaustionError("injected", 9, 0)
+            return run_cell(cfg, pools, rep, cell, tests)
+
+        monkeypatch.setattr(protocols, "_run_cell", fail_at_rep_1)
+        cfg = tiny_config(PRIOR, repetitions=3)
+        tables = protocols.cell_tables(cfg, binary_ab_dataset(), jobs=2)
+        assert len(next(tables)) == len(next(tables)) == 3 * 2 * len(cfg.methods)
+        with pytest.raises(PoolExhaustionError, match="injected"):
+            next(tables)
+        events = [event for event, _ in log]
+        assert events.count("run") == 3 and log[-1] == ("shutdown", True)
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="workers inherit the pools only under fork")
@@ -277,28 +340,34 @@ class TestDeterminismAndParallelism:
         assert same_records(run_protocol(cfg, data, jobs=2), run_protocol(cfg, data, jobs=1))
 
 
-def serial_pool(started, tasks):
+def deferred_pool(started, log):
     """A ``ProcessPoolExecutor`` stand-in that records the worker count it is
-    asked for and each task it maps, runs the initializer and maps in-process."""
+    asked for and runs the initializer.  A submitted task runs in-process
+    only when its result is read.  ``log`` gets ("submit", args) per task,
+    ("run", args) when it runs, and ("shutdown", cancel_futures)."""
 
-    class SerialPool:
+    class Deferred:
+        def __init__(self, fn, args):
+            self.fn, self.args = fn, args
+
+        def result(self):
+            log.append(("run", self.args))
+            return self.fn(*self.args)
+
+    class DeferredPool:
         def __init__(self, max_workers, initializer=None, initargs=()):
             started.append(max_workers)
             if initializer is not None:
                 initializer(*initargs)
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            log.append(("submit", args))
+            return Deferred(fn, args)
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            log.append(("shutdown", cancel_futures))
 
-        def map(self, fn, items):
-            for item in items:
-                tasks.append(item)
-                yield fn(item)
-
-    return SerialPool
+    return DeferredPool
 
 
 class TestValidationAndErrors:
