@@ -120,6 +120,10 @@ def _effective_config(args) -> tuple[ProtocolConfig, Path]:
         raise ValueError(f"bad config: protocol: the config names {named!r}, "
                          f"but the command runs {args.protocol!r}")
     raw["protocol"] = protocol
+    if args.desk:
+        for field in ("repetitions", "samples_per_config"):  # what ProtocolConfig.desk sets
+            if field in raw:
+                raise ValueError(f"bad config: {field}: --desk sets it too; drop one of the two")
     if args.methods:
         raw["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
     try:
@@ -312,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="pool workers, at most one per cell")
     p.add_argument("--desk", action="store_true",
-                   help="desk-scale preset: 2 repetitions, 5 samples per config")
+                   help="desk-scale preset: 2 repetitions, 5 samples per config "
+                        "(a config that sets either exits 2)")
     p.add_argument("--methods", default=None, help="comma-separated method names")
     p.set_defaults(func=cmd_run)
 

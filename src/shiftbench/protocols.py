@@ -20,11 +20,11 @@ Pools are index sets over the one dataset of a run (binarised, or
 star-balanced for concept).  A sample is data: a tuple of parts, each naming
 a pool, a prevalence, a size, its seed coordinates and an error context;
 ``_draw`` draws each part's indices and gathers all their rows at once.  A
-protocol's plan yields, per repetition, the tests (parts, config string,
-degree), each naming the cell it is scored against: the training parts and
-the seed coordinates of the fit on them.  A cell's tests are contiguous in
-the plan.  Prior, global-covariate and concept share one crossed-grid plan
-over named axes; local-covariate has its own plan of shift and control arms.
+protocol's plan gives cell ``i`` of repetition ``rep`` -- the training parts
+and the seed coordinates of the fit on them -- and its tests (parts, config
+string, degree), each naming that cell.  Prior, global-covariate and concept
+share one crossed-grid plan over named axes, whose cell i is the i-th
+training point; local-covariate has one cell, of shift and control arms.
 
 ``_run_cell`` runs one cell: it fits every method on the training draw, with
 one classifier per distinct set of classifier hyperparameters (with
@@ -34,14 +34,14 @@ same fit, score and estimate steps), then draws each test and scores it once
 per classifier.  Each classifier's posteriors are stacked into one matrix per
 test size, each method estimates them all in one ``aggregate_many`` call,
 and the cell becomes one :class:`RecordTable`, a row per test and method in
-plan order.  ``cell_tables`` walks the plans of all repetitions lazily and
-yields each cell's table in plan order, running the cells in-process or, a
-cell per task, in a pool that holds at most ``CELLS_PER_WORKER`` cells per
-worker in flight.  A pool worker gets the config and pools once, when it
-starts, and then one cell and its tests per task.  A cell's draws, fit seed
-and model selection depend only on its seed paths, which derive from the
-master seed, so ``run_protocol(cfg, dataset, jobs)`` returns the same table
-for any number of pool workers.
+plan order.  ``cell_tables`` yields each cell's table in plan order, running
+the cells in-process or in a pool that holds at most ``CELLS_PER_WORKER``
+cells per worker in flight.  A pool worker gets the config and pools once,
+when it starts; each task names a cell by ``(rep, i)``, and the worker
+builds the cell's tests.  A cell's draws, fit seed and model selection
+depend only on its seed paths, which derive from the master seed, so
+``run_protocol(cfg, dataset, jobs)`` returns the same table for any number
+of pool workers.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -494,8 +493,8 @@ def _star_indices(half: _StarHalf, prevalence, size: int, cut: float, seed: int)
 
 
 # ---------------------------------------------------------------------------
-# plans: each protocol as a generator of test samples, each naming the cell
-# (training draw and fit) it is scored against; a cell's tests are contiguous
+# plans: each protocol gives cell i of a repetition -- a training draw and
+# fit -- and the tests scored against it
 # ---------------------------------------------------------------------------
 
 
@@ -526,67 +525,41 @@ def _points(axes) -> list[tuple]:
     ]
 
 
-def _crossed_plan(cfg, rep, train_axes, test_axes, draw, degree) -> Iterator[_Test]:
-    """A cell per point of the training axes; against each, per round, a test
-    per point of the test axes.
+def _crossed_cell(cfg, rep, i, train_axes, test_axes, draw,
+                  degree) -> tuple[_Cell, Iterator[_Test]]:
+    """Cell ``i`` at the i-th point of the training axes; against it, per
+    round, a test per point of the test axes.
 
     ``draw(side, values, size, coords, ctx)`` gives the parts of the draw at
     one point of a side ("train" or "test"); ``degree(train values, test
     values)`` gives a test's shift degree.
     """
     proto = cfg.protocol
+    i_l, v_l, ctx_l, cfg_l = _points(train_axes)[i]
+    ctx = f"{proto} rep={rep} {ctx_l}"
+    cell = _Cell(
+        draw("train", v_l, cfg.train_size, (proto, rep, "train", *i_l), ctx),
+        (proto, rep, "fit", *i_l),
+    )
     test_points = _points(test_axes)
-    for i_l, v_l, ctx_l, cfg_l in _points(train_axes):
-        ctx = f"{proto} rep={rep} {ctx_l}"
-        cell = _Cell(
-            draw("train", v_l, cfg.train_size, (proto, rep, "train", *i_l), ctx),
-            (proto, rep, "fit", *i_l),
+    return cell, (
+        _Test(
+            cell,
+            draw("test", v_u, cfg.test_size, (proto, rep, "test", *i_l, r, *i_u),
+                 f"{ctx} {ctx_u} round={r}"),
+            f"{cfg_l};{cfg_u};r={r}",
+            degree(v_l, v_u),
         )
-        degrees = [degree(v_l, v_u) for _, v_u, _, _ in test_points]
-        for r in range(cfg.samples_per_config):
-            for (i_u, v_u, ctx_u, cfg_u), deg in zip(test_points, degrees):
-                yield _Test(
-                    cell,
-                    draw("test", v_u, cfg.test_size, (proto, rep, "test", *i_l, r, *i_u),
-                         f"{ctx} {ctx_u} round={r}"),
-                    f"{cfg_l};{cfg_u};r={r}",
-                    deg,
-                )
-
-
-def _prior_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Test]:
-    return _crossed_plan(
-        cfg, rep, [("pL", cfg.prior_train_prevalences)], [("pU", cfg.prior_test_prevalences)],
-        lambda side, v, size, coords, ctx: (_Part(side, v[0], size, (coords,), ctx),),
-        lambda v_l, v_u: _round_degree(v_u[0] - v_l[0], 1),
+        for r in range(cfg.samples_per_config)
+        for i_u, v_u, ctx_u, cfg_u in test_points
     )
 
 
-def _global_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Test]:
-    prevalences, mixtures = cfg.covariate_class_prevalences, cfg.covariate_mixtures
-    return _crossed_plan(
-        cfg, rep, [("pL", prevalences), ("aL", mixtures)], [("pU", prevalences), ("aU", mixtures)],
-        lambda side, v, size, coords, ctx: _covariate_parts(side, *v, size, coords, ctx),
-        lambda v_l, v_u: _round_degree(v_l[1] - v_u[1], 1),
-    )
-
-
-def _concept_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Test]:
-    forced = dict(zip(("train", "test"), cfg.concept_force_prevalence or (None, None)))
-    return _crossed_plan(
-        cfg, rep, [("cL", cfg.concept_cut_points)], [("cU", cfg.concept_cut_points)],
-        lambda side, v, size, coords, ctx: (
-            _Part(side, forced[side], size, (coords,), ctx, cut=v[0]),
-        ),
-        lambda v_l, v_u: _round_degree(v_l[0] - v_u[0], 0),
-    )
-
-
-def _local_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Test]:
-    """One training draw at prevalence 1/2 (positives 2/3 A, negatives 2/3 B),
-    then per round the shift arm at each p_U, each followed by its control
-    draws.  The shift samples of one round list the same base parts, so they
-    share one base mixture."""
+def _local_covariate_cell(cfg: ProtocolConfig, rep: int) -> tuple[_Cell, Iterator[_Test]]:
+    """A repetition's one cell: a training draw at prevalence 1/2 (positives
+    2/3 A, negatives 2/3 B), then per round the shift arm at each p_U, each
+    followed by its control draws.  The shift samples of one round list the
+    same base parts, so they share one base mixture."""
     proto = LOCAL_COVARIATE
     half = cfg.train_size // 2
     p_train = 0.5
@@ -600,39 +573,76 @@ def _local_covariate_plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Test]:
     )
     neg_a_size = round_half_up(cfg.test_size / 6.0)
     base_b_size = cfg.test_size // 2
-    for r in range(cfg.samples_per_config):
-        ctx = f"{proto} rep={rep} round={r}"
-        base = (
-            _Part("test_a", 0.0, neg_a_size, ((proto, rep, "baseA", r),), f"{ctx} base A"),
-            _Part("test_b", 1.0 / 3.0, base_b_size, ((proto, rep, "baseB", r),), f"{ctx} base B"),
+
+    def tests():
+        for r in range(cfg.samples_per_config):
+            ctx = f"{proto} rep={rep} round={r}"
+            base = (
+                _Part("test_a", 0.0, neg_a_size, ((proto, rep, "baseA", r),), f"{ctx} base A"),
+                _Part("test_b", 1.0 / 3.0, base_b_size, ((proto, rep, "baseB", r),),
+                      f"{ctx} base B"),
+            )
+            for i_pu, p_u in enumerate(cfg.local_test_prevalences):
+                f_pu = format(p_u, "g")
+                pos_a = _local_positive_count(cfg, p_u)
+                degree = _round_degree(p_u - p_train, 2)
+                positives = (_Part("test_a", 1.0, pos_a, ((proto, rep, "posA", r, i_pu),),
+                                   f"{ctx} pU={f_pu}"),)
+                yield _Test(cell, base + positives if pos_a else base,
+                            f"pU={f_pu};arm=shift;r={r}", degree)
+                # control arm: same size and nominal prevalence, but drawn
+                # with the training class-conditionals
+                size = neg_a_size + base_b_size + pos_a
+                for d in range(cfg.local_control_draws):
+                    yield _Test(
+                        cell,
+                        _control_parts(p_u, size, (proto, rep, "control", r, i_pu, d),
+                                       f"{ctx} pU={f_pu} control={d}"),
+                        f"pU={f_pu};arm=control;r={r};d={d}",
+                        degree,
+                    )
+
+    return cell, tests()
+
+
+def _cell(cfg: ProtocolConfig, rep: int, i: int) -> tuple[_Cell, Iterator[_Test]]:
+    """Cell ``i`` of repetition ``rep`` and an iterator over its tests, in
+    plan order; ``i`` runs below ``_plan_shape(cfg)[0]``."""
+    if cfg.protocol == LOCAL_COVARIATE:
+        return _local_covariate_cell(cfg, rep)
+    if cfg.protocol == PRIOR:
+        return _crossed_cell(
+            cfg, rep, i, [("pL", cfg.prior_train_prevalences)],
+            [("pU", cfg.prior_test_prevalences)],
+            lambda side, v, size, coords, ctx: (_Part(side, v[0], size, (coords,), ctx),),
+            lambda v_l, v_u: _round_degree(v_u[0] - v_l[0], 1),
         )
-        for i_pu, p_u in enumerate(cfg.local_test_prevalences):
-            f_pu = format(p_u, "g")
-            pos_a = _local_positive_count(cfg, p_u)
-            degree = _round_degree(p_u - p_train, 2)
-            positives = (_Part("test_a", 1.0, pos_a, ((proto, rep, "posA", r, i_pu),),
-                               f"{ctx} pU={f_pu}"),)
-            yield _Test(cell, base + positives if pos_a else base, f"pU={f_pu};arm=shift;r={r}",
-                        degree)
-            # control arm: same size and nominal prevalence, but drawn with the
-            # training class-conditionals
-            size = neg_a_size + base_b_size + pos_a
-            for d in range(cfg.local_control_draws):
-                yield _Test(
-                    cell,
-                    _control_parts(p_u, size, (proto, rep, "control", r, i_pu, d),
-                                   f"{ctx} pU={f_pu} control={d}"),
-                    f"pU={f_pu};arm=control;r={r};d={d}",
-                    degree,
-                )
+    if cfg.protocol == GLOBAL_COVARIATE:
+        prevalences, mixtures = cfg.covariate_class_prevalences, cfg.covariate_mixtures
+        return _crossed_cell(
+            cfg, rep, i, [("pL", prevalences), ("aL", mixtures)],
+            [("pU", prevalences), ("aU", mixtures)],
+            lambda side, v, size, coords, ctx: _covariate_parts(side, *v, size, coords, ctx),
+            lambda v_l, v_u: _round_degree(v_l[1] - v_u[1], 1),
+        )
+    forced = dict(zip(("train", "test"), cfg.concept_force_prevalence or (None, None)))
+    return _crossed_cell(
+        cfg, rep, i, [("cL", cfg.concept_cut_points)], [("cU", cfg.concept_cut_points)],
+        lambda side, v, size, coords, ctx: (
+            _Part(side, forced[side], size, (coords,), ctx, cut=v[0]),
+        ),
+        lambda v_l, v_u: _round_degree(v_l[0] - v_u[0], 0),
+    )
 
 
-_PLANS = {
-    PRIOR: _prior_plan,
-    GLOBAL_COVARIATE: _global_covariate_plan,
-    LOCAL_COVARIATE: _local_covariate_plan,
-    CONCEPT: _concept_plan,
-}
+def _plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Test]:
+    """The tests of one repetition in plan order: each cell's in turn."""
+    for i in range(_plan_shape(cfg)[0]):
+        yield from _cell(cfg, rep, i)[1]
+
+
+#: the walk of one repetition, by protocol
+_PLANS = dict.fromkeys(PROTOCOLS, _plan)
 
 
 # ---------------------------------------------------------------------------
@@ -779,13 +789,14 @@ def _run_cell(cfg: ProtocolConfig, pools, rep: int, cell: _Cell, tests) -> Recor
     )
 
 
-def _cells(cfg: ProtocolConfig) -> Iterator[tuple[int, _Cell, Iterator[_Test]]]:
-    """(repetition, cell, its tests) of each cell of the run, in plan order,
-    walked lazily; a cell's tests must be taken before the next cell."""
-    for rep in range(cfg.repetitions):
-        plan = _PLANS[cfg.protocol](cfg, rep)
-        for cell, tests in itertools.groupby(plan, key=attrgetter("cell")):
-            yield rep, cell, tests
+def _cells(cfg: ProtocolConfig) -> list[tuple[int, int]]:
+    """(repetition, index) of each cell of the run, in plan order."""
+    return [(rep, i) for rep in range(cfg.repetitions) for i in range(_plan_shape(cfg)[0])]
+
+
+def _cell_table(cfg: ProtocolConfig, pools, rep: int, i: int) -> RecordTable:
+    """The records of cell ``i`` of repetition ``rep``, its tests built here."""
+    return _run_cell(cfg, pools, rep, *_cell(cfg, rep, i))
 
 
 _served = None  # in a pool worker, the (cfg, pools) of the run it serves
@@ -797,10 +808,9 @@ def _serve(cfg: ProtocolConfig, pools):
     _served = (cfg, pools)
 
 
-def _served_cell(rep: int, cell: _Cell, tests: tuple[_Test, ...]) -> RecordTable:
-    """A pool worker's task: one cell of the run it serves."""
-    cfg, pools = _served
-    return _run_cell(cfg, pools, rep, cell, tests)
+def _served_cell(rep: int, i: int) -> RecordTable:
+    """A pool worker's task: cell ``i`` of repetition ``rep`` of its run."""
+    return _cell_table(*_served, rep, i)
 
 
 #: Cells in flight per pool worker: while a worker runs one cell, the next
@@ -812,35 +822,35 @@ def cell_tables(cfg: ProtocolConfig, dataset, jobs: int = 1) -> Iterator[RecordT
     """Each cell's records, one table per cell, in plan order.
 
     With ``jobs`` > 1 cells run in up to ``jobs`` pool workers, never more
-    workers than the run has cells.  The parent walks the plans lazily and
-    keeps at most ``CELLS_PER_WORKER`` cells per worker submitted; a table
-    is yielded as soon as it and every earlier one are done, so a caller
-    can write it and let it go while later cells run.  The config and pools
-    reach each worker once, through the pool initializer (inherited under
-    fork, pickled once per worker otherwise), and each task is one cell and
-    its tests.  The tables are the same for any worker count.  A cell that raises, or
-    closing the generator early, cancels the cells that have not started.
-    The generator lets go of ``dataset`` once the pools are prepared, so
-    only the rows they hold outlive that step when the caller holds no
-    other reference.
+    workers than the run has cells.  The parent keeps at most
+    ``CELLS_PER_WORKER`` cells per worker submitted; a table is yielded as
+    soon as it and every earlier one are done, so a caller can write it and
+    let it go while later cells run.  The config and pools reach each worker
+    once, through the pool initializer (inherited under fork, pickled once
+    per worker otherwise), and each task is a cell's ``(rep, i)``: the
+    worker builds the cell's tests.  The tables are the same for any worker
+    count.  A cell that raises, or closing the generator early, cancels the
+    cells that have not started.  The generator lets go of ``dataset`` once
+    the pools are prepared, so only the rows they hold outlive that step
+    when the caller holds no other reference.
     """
     pools = _prepare_pools(cfg, dataset)
     del dataset
     cells = _cells(cfg)
-    workers = min(jobs, _plan_shape(cfg)[0] * cfg.repetitions)
+    workers = min(jobs, len(cells))
     if workers <= 1:
-        for rep, cell, tests in cells:
-            yield _run_cell(cfg, pools, rep, cell, tests)
+        for rep, i in cells:
+            yield _cell_table(cfg, pools, rep, i)
         return
     # cells are submitted one at a time: Executor.map would submit every
     # cell of the run before yielding the first table
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_serve, initargs=(cfg, pools))
     window = deque()
     try:
-        for rep, cell, tests in cells:
+        for rep, i in cells:
             if len(window) == CELLS_PER_WORKER * workers:
                 yield window.popleft().result()
-            window.append(pool.submit(_served_cell, rep, cell, tuple(tests)))
+            window.append(pool.submit(_served_cell, rep, i))
         while window:
             yield window.popleft().result()
     finally:

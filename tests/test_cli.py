@@ -495,6 +495,25 @@ class TestRun:
         assert f"error: bad config: {field}: {message}" in capsys.readouterr().err
         assert splits == [] and not out.exists()
 
+    @pytest.mark.parametrize("field", ["repetitions", "samples_per_config"])
+    def test_desk_with_a_config_setting_what_it_sets_exits_2(
+        self, tmp_path, run_config, capsys, monkeypatch, field
+    ):
+        """--desk would replace the config's own value; the run is refused
+        instead, naming the field."""
+        runs = []
+        monkeypatch.setattr("shiftbench.cli.cell_tables", lambda *a, **k: runs.append(a))
+        raw = json.loads(run_config.read_text())
+        del raw["repetitions"], raw["samples_per_config"]
+        raw[field] = 1
+        cfg = run_config.parent / "desk.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "k"
+        assert main(["run", "prior", "--desk", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad config: {field}: --desk sets it too; drop one of the two\n"
+        assert runs == [] and not out.exists()
+
     def test_non_string_dataset_exits_2_naming_it(self, tmp_path, run_config, capsys):
         raw = json.loads(run_config.read_text())
         raw["dataset"] = 5

@@ -3,7 +3,8 @@
 Nothing is drawn: each protocol's plan is walked over small random grids
 and sizes, and the parts of its tests and of the cells they name are
 checked for their sizes, their prevalences and the pools they name; the
-cells are checked to be contiguous and one per training point.
+cells are checked to be contiguous and one per training point, and each
+cell built from its address holds the tests ``_plan_shape`` counts.
 """
 
 import itertools
@@ -23,7 +24,9 @@ from shiftbench.protocols import (
     PRIOR,
     PROTOCOLS,
     ProtocolConfig,
+    _cell,
     _local_positive_count,
+    _plan_shape,
     _prepare_pools,
 )
 
@@ -203,9 +206,18 @@ def test_each_cells_tests_are_contiguous(case):
 @given(case=configs())
 def test_one_distinct_cell_per_training_point_per_repetition(case):
     """Each repetition's tests name one cell per training point, each with
-    its own fit coordinates, which carry the repetition."""
+    its own fit coordinates, which carry the repetition.  The executor takes
+    the cell count from ``_plan_shape``: cell ``i`` of each repetition, for
+    every ``i`` below it, holds that shape's number of tests, each naming
+    that one cell object."""
     cfg, points = case
+    cells, tests_per_cell = _plan_shape(cfg)
+    assert cells == points
     for rep in range(cfg.repetitions):
         fits = {test.cell.fit_coords for test in _PLANS[cfg.protocol](cfg, rep)}
         assert len(fits) == points
         assert all(fit[:3] == (cfg.protocol, rep, "fit") for fit in fits)
+        for i in range(cells):
+            cell, tests = _cell(cfg, rep, i)
+            assert cell.fit_coords[:3] == (cfg.protocol, rep, "fit")
+            assert [test.cell is cell for test in tests] == [True] * tests_per_cell

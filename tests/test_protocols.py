@@ -265,8 +265,8 @@ class TestDeterminismAndParallelism:
 
     def test_pool_tasks_are_cells_in_plan_order(self, monkeypatch):
         """The config and pools go to the initializer; each task the executor
-        receives is one cell with its tests, in plan order, and the tables
-        are the serial ones."""
+        receives names one cell by (repetition, index), in plan order, and
+        the tables are the serial ones."""
         log = []
         monkeypatch.setattr(protocols, "ProcessPoolExecutor", deferred_pool([], log))
         monkeypatch.setattr(protocols, "_served", None)
@@ -274,10 +274,7 @@ class TestDeterminismAndParallelism:
         data = binary_ab_dataset()
         pooled = list(protocols.cell_tables(cfg, data, jobs=2))
         tasks = [args for event, args in log if event == "submit"]
-        assert [(rep, cell) for rep, cell, _ in tasks] == [
-            (rep, cell) for rep, cell, _ in protocols._cells(cfg)]
-        assert [tests for _, _, tests in tasks] == [
-            tuple(tests) for _, _, tests in protocols._cells(cfg)]
+        assert tasks == [(rep, i) for rep in range(3) for i in range(2)]
         assert len(pooled) == 6 and all(len(t) == 3 * 2 * len(cfg.methods) for t in pooled)
         assert same_records(RecordTable.concat(pooled), run_protocol(cfg, data, jobs=1))
         assert log[-1] == ("shutdown", True)
@@ -409,23 +406,47 @@ class TestValidationAndErrors:
         with pytest.raises(PoolExhaustionError, match=r"prior rep=0 pL=0.98"):
             run_protocol(cfg, small)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("protocol, overrides, message", [
         # test contexts name the training point, then the test point and round
         (GLOBAL_COVARIATE,
          dict(test_size=400, covariate_class_prevalences=(0.75,), covariate_mixtures=(1.0,)),
          r"^pool exhausted: need 300 positive \[global_covariate rep=0 pL=0\.75 aL=1 "
-         r"pU=0\.75 aU=1 round=0\] items"),
+         r"pU=0\.75 aU=1 round=0\] items, only 254 available$"),
         # 800 added positives of category A reach p_U = 0.75
         (LOCAL_COVARIATE, dict(test_size=600, local_test_prevalences=(0.75,)),
-         r"^pool exhausted: need 800 positive \[local_covariate rep=0 round=0 pU=0\.75\] items"),
+         r"^pool exhausted: need 800 positive \[local_covariate rep=0 round=0 pU=0\.75\] "
+         r"items, only 254 available$"),
         (CONCEPT, dict(test_size=600, concept_cut_points=(2.5,)),
-         r"^pool exhausted: need 120 1-star \[concept rep=0 cL=2\.5 cU=2\.5 round=0\] items"),
+         r"^pool exhausted: need 120 1-star \[concept rep=0 cL=2\.5 cU=2\.5 round=0\] "
+         r"items, only 90 available$"),
+        # a later cell: the first training point is served, the second is not
+        (PRIOR, dict(train_size=800, prior_train_prevalences=(0.5, 0.9)),
+         r"^pool exhausted: need 720 positive \[prior rep=0 pL=0\.9\] items, only 495 available$"),
     ])
-    def test_exhaustion_error_names_each_protocols_draw(self, protocol, overrides, message):
-        cfg = tiny_config(protocol, train_size=100, methods=("MLPE",), **overrides)
+    def test_exhaustion_error_names_each_protocols_draw(self, protocol, overrides, message,
+                                                        jobs):
+        """Two repetitions, so that at ``jobs`` 2 every case runs in a pool
+        whose workers build the cells' tests."""
+        cfg = tiny_config(protocol, **{"train_size": 100, "methods": ("MLPE",), "repetitions": 2,
+                                       **overrides})
         data = star_dataset(n=1000) if protocol == CONCEPT else binary_ab_dataset(n=2000)
         with pytest.raises(PoolExhaustionError, match=message):
-            run_protocol(cfg, data)
+            run_protocol(cfg, data, jobs=jobs)
+
+    def test_a_worker_task_builds_a_later_cell_of_a_later_repetition(self, monkeypatch):
+        """A pool task names cell (1, 1) by its address alone: the worker
+        builds it, and its draw that runs dry names repetition 1 and the
+        second training point."""
+        monkeypatch.setattr(protocols, "_served", None)
+        cfg = tiny_config(PRIOR, repetitions=2, train_size=800, methods=("MLPE",),
+                          prior_train_prevalences=(0.5, 0.9))
+        data = binary_ab_dataset(n=2000)
+        protocols._serve(cfg, protocols._prepare_pools(cfg, data))
+        assert len(protocols._served_cell(1, 0)) == cfg.samples_per_config * 3
+        with pytest.raises(PoolExhaustionError, match=r"^pool exhausted: need 720 positive "
+                           r"\[prior rep=1 pL=0\.9\] items, only 495 available$"):
+            protocols._served_cell(1, 1)
 
     def test_covariate_requires_categories(self):
         data = binary_ab_dataset(n=2000)
