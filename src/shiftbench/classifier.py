@@ -20,6 +20,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import optimize
 
+from .core import StratificationError
+
 GRAD_TOL = 1e-6
 MAX_ITER = 10_000
 
@@ -167,7 +169,7 @@ def stratified_fold_ids(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
     for value in np.unique(labels):
         members = np.flatnonzero(labels == value)
         if len(members) < k:
-            raise ValueError(
+            raise StratificationError(
                 f"class {value} has {len(members)} member(s); need >= k={k}"
             )
         shuffled = rng.permutation(members)

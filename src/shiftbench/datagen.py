@@ -33,7 +33,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -49,10 +49,6 @@ _TOKEN_BYTES = bytes(
 COUNT_BLOCK = 100
 
 MIN_REVIEW_CHARS = 200
-
-#: Rows of a dense dataset file parsed before they become one float array,
-#: so a load holds at most this many per-row feature lists.
-LOAD_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -204,22 +200,6 @@ def write_dataset(dataset: StarDataset | BinaryDataset, path: str | Path):
                      f'"{key}": {label}, "category": {quoted[category]}}}\n')
 
 
-class _Sha256Reader(io.RawIOBase):
-    """Reads a binary file, adding every byte read to ``sha256``."""
-
-    def __init__(self, raw):
-        self._raw = raw
-        self.sha256 = hashlib.sha256()
-
-    def readable(self):
-        return True
-
-    def readinto(self, buffer):
-        n = self._raw.readinto(buffer)
-        self.sha256.update(memoryview(buffer)[:n])
-        return n
-
-
 def load_dataset(path: str | Path) -> tuple[StarDataset | BinaryDataset, str]:
     """Load a JSONL dataset file and the sha256 of its bytes.
 
@@ -227,54 +207,56 @@ def load_dataset(path: str | Path) -> tuple[StarDataset | BinaryDataset, str]:
     starts a review corpus, filtered as ``filter_reviews`` does and counted
     by ``reviews_to_dataset`` as it is read; otherwise rows hold
     ``features`` and ``stars`` (if the first row has them) or ``label``.
-    The file is read once, as UTF-8 with universal newlines, and the digest
-    is of exactly the bytes decoded.  Each row is checked as it is read, and
-    the first that is not a datapoint or a review is refused naming its
-    line.  A file with bytes that are not UTF-8 is refused naming the line
-    of the first.
+    The file is read once, as UTF-8 with universal newlines, and each row is
+    checked as it is read: the first line in file order that is not a
+    datapoint or a review, or is not UTF-8, is refused by its number.
     """
-    try:
-        with open(path, "rb", buffering=0) as raw:
-            reader = _Sha256Reader(raw)
-            with io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8") as fh:
-                lines = ((i, line) for i, line in enumerate(fh, 1) if line.strip())
-                first_no, first = next(lines, (0, ""))
-                if not first:
-                    raise ValueError(f"{path}: empty dataset")
-                try:
-                    probe = json.loads(first)
-                except json.JSONDecodeError:
-                    probe = {}  # read as a dense row, whose check names the error
-                if not isinstance(probe, dict):
-                    raise ValueError(f"{path}: line {first_no}: expected a JSON object")
-                lines = itertools.chain([(first_no, first)], lines)
-                if "text" in probe:
-                    try:
-                        dataset = reviews_to_dataset(filter(_kept, _reviews(path, lines)))
-                    except EmptyDatasetError:
-                        raise ValueError(f"{path}: every review was filtered out") from None
-                else:
-                    dataset = _vectors(path, lines, "stars" if "stars" in probe else "label")
-    except UnicodeDecodeError:
-        raise ValueError(_first_undecodable_line(path)) from None
-    return dataset, reader.sha256.hexdigest()
-
-
-def _first_undecodable_line(path) -> str:
-    """'<path>: line N: not UTF-8: <reason>' for the first byte of the file
-    that is not UTF-8, N counting LF, CRLF and CR line breaks alike.
-
-    Rescans the file, so line numbers cost nothing on a dataset that loads."""
-    line_no = 1
+    sha256 = hashlib.sha256()
     with open(path, "rb") as fh:
-        for piece in fh:  # a piece ends at LF, which no multi-byte sequence holds
+        lines = ((i, line) for i, line in enumerate(_text_lines(path, fh, sha256), 1)
+                 if line.strip())
+        first_no, first = next(lines, (0, ""))
+        if not first:
+            raise ValueError(f"{path}: empty dataset")
+        try:
+            probe = json.loads(first)
+        except json.JSONDecodeError:
+            probe = {}  # read as a dense row, whose check names the error
+        if not isinstance(probe, dict):
+            raise ValueError(f"{path}: line {first_no}: expected a JSON object")
+        lines = itertools.chain([(first_no, first)], lines)
+        if "text" in probe:
             try:
-                piece.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                line_no += piece.count(b"\r", 0, exc.start)
-                return f"{path}: line {line_no}: not UTF-8: {exc.reason}"
-            line_no += piece.count(b"\n") + piece.count(b"\r") - piece.count(b"\r\n")
-    return f"{path}: not UTF-8"
+                dataset = reviews_to_dataset(filter(_kept, _reviews(path, lines)))
+            except EmptyDatasetError:
+                raise ValueError(f"{path}: every review was filtered out") from None
+        else:
+            dataset = _vectors(path, lines, "stars" if "stars" in probe else "label")
+    return dataset, sha256.hexdigest()
+
+
+def _text_lines(path, fh, sha256) -> Iterator[str]:
+    """Each line of the binary file ``fh``, decoded, ending in ``\\n`` as LF,
+    CR LF and CR breaks all read in text mode; every byte read is added to
+    ``sha256``.
+
+    Whole LF-ended lines are read about 64 KB at a time, which never splits
+    a UTF-8 sequence or a CR LF pair.  A batch that is not UTF-8 yields the
+    lines before its first bad byte, then raises naming that byte's line."""
+    line_no = 0
+    while batch := b"".join(fh.readlines(1 << 16)):
+        sha256.update(batch)
+        try:
+            text, bad = batch.decode("utf-8"), None
+        except UnicodeDecodeError as exc:
+            text, bad = batch[:exc.start].decode("utf-8"), exc
+        lines = io.StringIO(text, newline=None).readlines()
+        if bad and lines and not lines[-1].endswith("\n"):
+            lines.pop()  # the start of the bad byte's line
+        yield from lines
+        line_no += len(lines)
+        if bad:
+            raise ValueError(f"{path}: line {line_no + 1}: not UTF-8: {bad.reason}")
 
 
 def _reviews(path, lines):
@@ -305,9 +287,8 @@ _LABELS = {"label": ((0, 1), "label must be 0 or 1"),
 
 def _vectors(path, lines, label: str) -> StarDataset | BinaryDataset:
     # each row is checked as it is parsed, and the first bad one raises
-    # naming its line; a good row's features wait for a block of
-    # LOAD_BLOCK_ROWS rows to become one float array
-    blocks, features, labels, categories = [], [], [], []
+    # naming its line; a good row's features go straight into one array
+    values, labels, categories = array("d"), [], []
     width = None
     for line_no, line in lines:
         try:
@@ -319,16 +300,10 @@ def _vectors(path, lines, label: str) -> StarDataset | BinaryDataset:
         if problem:
             raise ValueError(f"{path}: line {line_no}: {problem}")
         width = len(row["features"])
-        features.append(row["features"])
+        values.extend(row["features"])
         labels.append(row[label])
         categories.append(row.get("category", "A"))
-        if len(features) == LOAD_BLOCK_ROWS:
-            blocks.append(np.array(features, dtype=float))
-            features = []
-    if features:
-        blocks.append(np.array(features, dtype=float))
-    x = np.concatenate(blocks)
-    del features, blocks
+    x = np.frombuffer(values).reshape(len(labels), width)
     y, category = np.array(labels), np.array(categories)
     if label == "stars":
         return StarDataset(x, y, category)

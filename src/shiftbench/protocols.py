@@ -51,6 +51,7 @@ import functools
 import itertools
 import math
 import numbers
+import os
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -72,6 +73,7 @@ from .core import (
     draw_indices,
     draw_stratified,
     round_half_up,
+    StratificationError,
     split_stratified,
     stratified_split_indices,
 )
@@ -387,7 +389,7 @@ class _Part(NamedTuple):
     turn.  A star-half part (``cut`` set) draws by star -- evenly over the
     five stars when ``prevalence`` is None, else at that forced positive
     prevalence -- and binarises at ``cut``.  ``ctx`` names the draw in
-    pool-exhaustion errors.
+    pool-exhaustion and stratification errors.
     """
 
     pool: str
@@ -767,8 +769,13 @@ def _run_cell(cfg: ProtocolConfig, pools, rep: int, cell: _Cell, tests) -> Recor
     train = _draw(cell.parts, cfg.master_seed, pools)
     x, featurise = _featurise_train(train.x)
     fit_seed = derive_seed(cfg.master_seed, *cell.fit_coords)
-    settings = _select_settings(cfg, x, train.labels, fit_seed)
-    score, aggregate = _fitted(cfg, x, train.labels, settings, fit_seed)
+    try:
+        settings = _select_settings(cfg, x, train.labels, fit_seed)
+        score, aggregate = _fitted(cfg, x, train.labels, settings, fit_seed)
+    except StratificationError as exc:
+        # named as the training draw's parts are, less a part's own suffix
+        ctx = os.path.commonprefix([part.ctx for part in cell.parts]).rstrip()
+        raise StratificationError(f"{exc} [{ctx}]") from None
     del train, x  # hold no training data while the cell's tests run
     scored = []  # (config, degree, true prevalence, scores) per test
     for test in tests:

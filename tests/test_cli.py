@@ -659,6 +659,26 @@ class TestRun:
         self.test_pool_exhaustion_exits_3(tmp_path, run_config, capsys, jobs=2)
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("grid_search, members", [(False, 4), (True, 2)],
+                             ids=["fit", "grid-search"])
+    def test_class_smaller_than_folds_exits_2_naming_the_draw(
+        self, tmp_path, run_config, capsys, jobs, grid_search, members
+    ):
+        """A training draw with fewer members of a class than ``folds``
+        names the draw, as pool exhaustion does, and leaves nothing."""
+        raw = json.loads(run_config.read_text())
+        # 4 positives at pL=0.2, and ACC's rates come from out-of-fold posteriors
+        raw.update(train_size=20, folds=5, methods=["CC", "ACC"], grid_search=grid_search)
+        cfg = run_config.parent / "few.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["run", "prior", "--config", str(cfg), "--out", str(out),
+                     "--jobs", str(jobs)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: class 1 has {members} member(s); need >= k=5 [prior rep=0 pL=0.2]\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_failure_in_a_later_repetition_leaves_nothing(
         self, tmp_path, run_config, capsys, monkeypatch, jobs
     ):

@@ -3,18 +3,20 @@ the earlier row-by-row code did.
 
 ``oracle_write`` is the earlier ``gen-data`` body, one ``json.dumps`` of a
 dict per row, and ``write_dataset`` must write its bytes for binary and
-star datasets with any finite features.  ``oracle_load`` sniffs the first
-line in one pass, then, in another, reads reviews with
-``oracle_load_reviews_jsonl``, filters them, and counts the terms of the
-list of texts kept, or parses each dense line into a dict, checks it with
-``oracle_row_problem`` as it is read, and builds the arrays from every row
-at the end.  ``oracle_row_problem`` holds its own copy of the row rules: the
-earlier loader's, then a dense label that is not a JSON integer in range,
-features that are not a flat list of JSON numbers (nested lists, strings,
-booleans, null), an integer feature too large for a float, and a category
-other than A or B.  Reviews are refused for a JSON boolean, a string, null
-or a fraction in an integer field, and for a category other than A or B,
-whether or not the filter would keep them.  ``load_dataset`` reads the file
+star datasets with any finite features.  ``oracle_load`` reads the file's
+lines with ``oracle_lines``, which refuses the first line holding bytes that
+are not UTF-8 when it reaches it.  It sniffs the first line in one pass,
+then, in another, reads reviews with ``oracle_load_reviews_jsonl``, filters
+them, and counts the terms of the list of texts kept, or parses each dense
+line into a dict, checks it with ``oracle_row_problem`` as it is read, and
+builds the arrays from every row at the end.  ``oracle_row_problem`` holds
+its own copy of the row rules: the earlier loader's, then a dense label
+that is not a JSON integer in range, features that are not a flat list of
+JSON numbers (nested lists, strings, booleans, null), an integer feature
+too large for a float, and a category other than A or B.  Reviews are
+refused for a JSON boolean, a string, null or a fraction in an integer
+field, and for a category other than A or B, whether or not the filter
+would keep them.  ``load_dataset`` reads the file
 once; it must give equal arrays of equal dtypes, or raise the same exception
 type with the same message, and its digest must be the sha256 of the file's
 bytes.  The files are dense, star and review corpora with malformed JSON,
@@ -22,24 +24,23 @@ missing fields, ragged, nested or non-numeric features, rows shorter or
 longer than the first, non-finite values, 401-digit integers, bad labels,
 bad categories, bad review fields, blank and indented lines, LF, CRLF and
 CR line endings, and bytes that are not UTF-8, some after a blank line long
-enough to put them in a later decoded chunk.  Where the oracle meets bytes
-that are not UTF-8, ``load_dataset`` must instead raise a ``ValueError``
-naming the path and the line of the first such byte, counting LF, CRLF and
-CR breaks.  Some files are loaded with ``LOAD_BLOCK_ROWS`` set to a few
-rows, so that their bad rows fall in a later block than the first.
+enough to put them in a later batch of lines than the first.  So the first
+bad line in file order is named, whether it is a bad row or a line that is
+not UTF-8, with its number counting LF, CRLF and CR breaks alike.
 """
 
+import builtins
 import hashlib
+import io
 import json
 import math
-import re
+import os
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from shiftbench import datagen
 from shiftbench.core import BinaryDataset, StarDataset, TermCounts
 from shiftbench.datagen import RawReview, count_terms, load_dataset, write_dataset
 
@@ -71,33 +72,41 @@ def oracle_integer(d, key):
     return int(value)
 
 
+def oracle_lines(path):
+    """(number, line) of each non-blank line of ``path``, read in text mode;
+    the first line holding bytes that are not UTF-8 raises as it is read."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: not UTF-8: {exc.reason}") from None
+            if line.strip():
+                yield line_no, line
+
+
 def oracle_load_reviews_jsonl(path):
     reviews = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-                reviews.append(
-                    RawReview(
-                        text=d["text"],
-                        stars=oracle_integer(d, "stars"),
-                        category=d["category"],
-                        useful_votes=oracle_integer(d, "useful_votes"),
-                    )
+    for line_no, line in oracle_lines(path):
+        try:
+            d = json.loads(line.strip())
+            reviews.append(
+                RawReview(
+                    text=d["text"],
+                    stars=oracle_integer(d, "stars"),
+                    category=d["category"],
+                    useful_votes=oracle_integer(d, "useful_votes"),
                 )
-                if d["category"] not in ("A", "B"):
-                    raise ValueError(f"category must be in ('A', 'B'), got {d['category']!r}")
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{line_no}: malformed review record: {exc}")
+            )
+            if d["category"] not in ("A", "B"):
+                raise ValueError(f"category must be in ('A', 'B'), got {d['category']!r}")
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ValueError(f"{path}:{line_no}: malformed review record: {exc}")
     return reviews
 
 
 def oracle_load(path: str):
-    with open(path, encoding="utf-8") as fh:
-        first_no, first = next(((i, line) for i, line in enumerate(fh, 1) if line.strip()), (0, ""))
+    first_no, first = next(oracle_lines(path), (0, ""))
     if not first:
         raise ValueError(f"{path}: empty dataset")
     try:
@@ -115,18 +124,15 @@ def oracle_load(path: str):
                            [r.stars for r in reviews], [r.category for r in reviews])
     label = "stars" if "stars" in probe else "label"
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {line_no}: {_json_problem(exc)}") from None
-            problem = oracle_row_problem(row, label, len(rows[0]["features"]) if rows else None)
-            if problem:
-                raise ValueError(f"{path}: line {line_no}: {problem}")
-            rows.append(row)
+    for line_no, line in oracle_lines(path):
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {line_no}: {_json_problem(exc)}") from None
+        problem = oracle_row_problem(row, label, len(rows[0]["features"]) if rows else None)
+        if problem:
+            raise ValueError(f"{path}: line {line_no}: {problem}")
+        rows.append(row)
     x = np.array([r["features"] for r in rows], dtype=float)
     y = np.array([r[label] for r in rows])
     category = np.array([r.get("category", "A") for r in rows])
@@ -203,8 +209,8 @@ def good_row(width, label):
     ).map(json.dumps)
 
 
-#: a blank line that ends past the first chunk the UTF-8 decoder is given
-LONG_BLANK = " " * 8200
+#: a blank line that ends past the first batch of lines the loader reads
+LONG_BLANK = " " * 70_000
 BLANK = ["", "   ", "\t", "\x85"]
 
 
@@ -327,16 +333,6 @@ def assert_same_dataset(got, want):
         assert ours.tobytes() == theirs.tobytes(), name  # -0.0 keeps its sign
 
 
-def undecodable_line(data: bytes) -> int:
-    """The line, counted as universal newlines do, of the first byte of
-    ``data`` that is not UTF-8."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return 1 + len(re.findall(r"\r\n|\r|\n", data[:exc.start].decode("utf-8")))
-    raise AssertionError("data is UTF-8")
-
-
 def review_with(**fields):
     return json.dumps({"text": "ab " * 70, "stars": 4, "category": "B", "useful_votes": 1,
                        **fields})
@@ -347,33 +343,36 @@ DENSE = json.dumps({"features": [1.5, -2.0], "label": 1, "category": "A"})
 
 
 @property_settings
-@given(data=dataset_files(), block_rows=st.sampled_from([1, 2, 3, datagen.LOAD_BLOCK_ROWS]))
-@example(data=f"{REVIEW}\n{LONG_BLANK}\n{REVIEW}\xff\n".encode("latin-1"), block_rows=2)
-@example(data=f"{REVIEW}\r\n  {{\r\n".encode(), block_rows=2)
-@example(data=f"{DENSE}\r\n{LONG_BLANK}\r\n\xc3{DENSE}\r\n".encode("latin-1"), block_rows=1)
+@given(data=dataset_files())
+@example(data=f"{REVIEW}\n{LONG_BLANK}\n{REVIEW}\xff\n".encode("latin-1"))
+@example(data=f"{REVIEW}\r\n  {{\r\n".encode())
+@example(data=f"{DENSE}\r\n{LONG_BLANK}\r\n\xc3{DENSE}\r\n".encode("latin-1"))
 @example(data=f'{DENSE}\n{{"features": [3.0], "label": 0}}\n{LONG_BLANK}\n\xff\n'.encode(
-    "latin-1"), block_rows=datagen.LOAD_BLOCK_ROWS)
-@example(data=f"{REVIEW}\n{review_with(stars='4')}\n".encode(), block_rows=2)
-@example(data=f"{REVIEW}\n{review_with(useful_votes='2')}\n".encode(), block_rows=2)
-@example(data=f"{REVIEW}\n{review_with(category='C', useful_votes=0)}\n".encode(), block_rows=2)
-@example(data=b'{"features": [[0.3], [1.2]], "label": 1}\n' * 3, block_rows=2)
-@example(data=f'{DENSE}\n{{"features": [1.5, {HUGE}], "label": 0}}\n'.encode(), block_rows=1)
-@example(data=f'{DENSE}\n{{"features": [1.5, 2.0], "label": 0, "category": "C"}}\n'.encode(),
-         block_rows=datagen.LOAD_BLOCK_ROWS)
+    "latin-1"))
+@example(data=f"{REVIEW}\n{review_with(stars='4')}\n".encode())
+@example(data=f"{REVIEW}\n{review_with(useful_votes='2')}\n".encode())
+@example(data=f"{REVIEW}\n{review_with(category='C', useful_votes=0)}\n".encode())
+@example(data=b'{"features": [[0.3], [1.2]], "label": 1}\n' * 3)
+@example(data=f'{DENSE}\n{{"features": [1.5, {HUGE}], "label": 0}}\n'.encode())
+@example(data=f'{DENSE}\n{{"features": [1.5, 2.0], "label": 0, "category": "C"}}\n'.encode())
 @example(data=f'{DENSE}\n{{"features": [1.5, 2.0], "label": 7}}\n{LONG_BLANK}\n\xff\n'.encode(
-    "latin-1"), block_rows=datagen.LOAD_BLOCK_ROWS)
-def test_loader_matches_the_row_by_row_oracle(tmp_path, monkeypatch, data, block_rows):
-    monkeypatch.setattr(datagen, "LOAD_BLOCK_ROWS", block_rows)
+    "latin-1"))
+# a malformed line is named before a byte that is not UTF-8 on the next line,
+# or in a later batch, and after one on an earlier line
+@example(data=f"{{\n\xff{DENSE}\n".encode("latin-1"))
+@example(data=f"{DENSE}\n{{\n{LONG_BLANK}\n\xff\n".encode("latin-1"))
+@example(data=f"{DENSE}\n\xe2\x82\n{{\n".encode("latin-1"))
+# one line longer than a batch, then a bad line
+@example(data=f"{DENSE}\r\n{LONG_BLANK}{DENSE}\r\n{DENSE}\xff\r\n".encode("latin-1"))
+@example(data=f"{DENSE}\n{LONG_BLANK}{DENSE}\n[1, 2]\n".encode())
+# CR-only line endings, which put the whole file in one LF-ended line
+@example(data=f"{DENSE}\r{DENSE}\r{{\r\xff\r".encode("latin-1"))
+@example(data=f"{REVIEW}\r\r{REVIEW}\r\xc3{REVIEW}\r".encode("latin-1"))
+def test_loader_matches_the_row_by_row_oracle(tmp_path, data):
     path = tmp_path / "data.jsonl"
     path.write_bytes(data)
     try:
         want = oracle_load(path)
-    except UnicodeDecodeError:
-        with pytest.raises(ValueError) as got:
-            load_dataset(path)
-        assert type(got.value) is ValueError
-        assert str(got.value).startswith(f"{path}: line {undecodable_line(data)}: not UTF-8: ")
-        return
     except Exception as exc:
         with pytest.raises(type(exc)) as got:
             load_dataset(path)
@@ -383,3 +382,25 @@ def test_loader_matches_the_row_by_row_oracle(tmp_path, monkeypatch, data, block
     got, digest = load_dataset(path)
     assert_same_dataset(got, want)
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("bad", [False, True], ids=["loads", "not-utf8"])
+def test_loader_opens_its_file_once(tmp_path, monkeypatch, bad):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(f"{DENSE}\n{DENSE}\n".encode() + b"\xff\n" * bad)
+    opened = []
+    real_open = builtins.open
+
+    def spy(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    monkeypatch.setattr(io, "open", spy)
+    if bad:
+        with pytest.raises(ValueError, match=r": line 3: not UTF-8: invalid start byte$"):
+            load_dataset(path)
+    else:
+        load_dataset(path)
+    assert len(opened) == 1
