@@ -27,7 +27,7 @@ from .classifier import loss_and_grad
 from .core import PoolExhaustionError, StarDataset
 from .datagen import generate_mixture, load_cluster_specs, load_dataset, write_dataset
 from .evaluation import read_records_csv, write_records_csv
-from .protocols import PROTOCOLS, ProtocolConfig, cell_tables, count_records
+from .protocols import DESK, PROTOCOLS, ProtocolConfig, cell_tables, count_records
 from .quantifiers import (
     PACC,
     SMM,
@@ -121,7 +121,7 @@ def _effective_config(args) -> tuple[ProtocolConfig, Path]:
                          f"but the command runs {args.protocol!r}")
     raw["protocol"] = protocol
     if args.desk:
-        for field in ("repetitions", "samples_per_config"):  # what ProtocolConfig.desk sets
+        for field in DESK:
             if field in raw:
                 raise ValueError(f"bad config: {field}: --desk sets it too; drop one of the two")
     if args.methods:
@@ -316,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1,
                    help="pool workers, at most one per cell")
     p.add_argument("--desk", action="store_true",
-                   help="desk-scale preset: 2 repetitions, 5 samples per config "
-                        "(a config that sets either exits 2)")
+                   help="desk-scale preset: {repetitions} repetitions, {samples_per_config} "
+                        "samples per config (a config that sets either exits 2)".format(**DESK))
     p.add_argument("--methods", default=None, help="comma-separated method names")
     p.set_defaults(func=cmd_run)
 

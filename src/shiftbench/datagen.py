@@ -238,14 +238,19 @@ def load_dataset(path: str | Path) -> tuple[StarDataset | BinaryDataset, str]:
 def _text_lines(path, fh, sha256) -> Iterator[str]:
     """Each line of the binary file ``fh``, decoded, ending in ``\\n`` as LF,
     CR LF and CR breaks all read in text mode; every byte read is added to
-    ``sha256``.
-
-    Whole LF-ended lines are read about 64 KB at a time, which never splits
-    a UTF-8 sequence or a CR LF pair.  A batch that is not UTF-8 yields the
-    lines before its first bad byte, then raises naming that byte's line."""
-    line_no = 0
-    while batch := b"".join(fh.readlines(1 << 16)):
-        sha256.update(batch)
+    ``sha256``.  Each 64 KB read is cut after its last CR or LF, bytes no
+    UTF-8 sequence holds, and a CR that ends a read waits for the next, so
+    no CR LF pair is split.  A batch that is not UTF-8 yields the lines
+    before its first bad byte, then raises naming that byte's line."""
+    line_no, held = 0, bytearray()
+    while True:
+        chunk = fh.read(1 << 16)
+        sha256.update(chunk)
+        start = max(len(held) - 1, 0)  # a held CR may end a line
+        held += chunk
+        end = len(held) - held.endswith(b"\r")
+        cut = max(held.rfind(b"\n", start, end), held.rfind(b"\r", start, end)) + 1
+        batch, held = (held[:cut], held[cut:]) if chunk else (held, None)
         try:
             text, bad = batch.decode("utf-8"), None
         except UnicodeDecodeError as exc:
@@ -257,6 +262,8 @@ def _text_lines(path, fh, sha256) -> Iterator[str]:
         line_no += len(lines)
         if bad:
             raise ValueError(f"{path}: line {line_no + 1}: not UTF-8: {bad.reason}")
+        if not chunk:
+            return
 
 
 def _reviews(path, lines):

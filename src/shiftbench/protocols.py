@@ -28,20 +28,19 @@ training point; local-covariate has one cell, of shift and control arms.
 
 ``_run_cell`` runs one cell: it fits every method on the training draw, with
 one classifier per distinct set of classifier hyperparameters (with
-``grid_search`` on, each method first picks its own hyperparameters on
-validation draws from a held-out part of that training draw, through the
-same fit, score and estimate steps), then draws each test and scores it once
-per classifier.  Each classifier's posteriors are stacked into one matrix per
-test size, each method estimates them all in one ``aggregate_many`` call,
-and the cell becomes one :class:`RecordTable`, a row per test and method in
-plan order.  ``cell_tables`` yields each cell's table in plan order, running
-the cells in-process or in a pool that holds at most ``CELLS_PER_WORKER``
-cells per worker in flight.  A pool worker gets the config and pools once,
-when it starts; each task names a cell by ``(rep, i)``, and the worker
-builds the cell's tests.  A cell's draws, fit seed and model selection
-depend only on its seed paths, which derive from the master seed, so
-``run_protocol(cfg, dataset, jobs)`` returns the same table for any number
-of pool workers.
+``grid_search`` on, the methods first pick theirs together, on validation
+draws from a held-out part of that training draw), then draws each test and
+scores it once per classifier.  Each classifier's posteriors are stacked
+into one matrix per test size, each method estimates them all in one
+``aggregate_many`` call, and the cell becomes one :class:`RecordTable`, a
+row per test and method in plan order.  ``cell_tables`` yields each cell's
+table in plan order, in-process or in a pool that holds at most
+``CELLS_PER_WORKER`` cells per worker in flight.  A pool worker gets the
+config and pools once, when it starts; each task names a cell by
+``(rep, i)``, and the worker builds the cell's tests.  A cell's draws, fit
+seed and model selection depend only on its seed paths, which derive from
+the master seed, so ``run_protocol(cfg, dataset, jobs)`` returns the same
+table for any number of pool workers.
 """
 
 from __future__ import annotations
@@ -122,6 +121,9 @@ _SCALARS = ("split_fraction", "cut_point", "C")  # the fields of _RANGES that ho
 _INTEGERS = (("train_size", 2), ("test_size", 2), ("repetitions", 1),
              ("samples_per_config", 1), ("master_seed", None), ("folds", 2), ("bins", 2),
              ("local_control_draws", 0))
+
+#: The fields ``ProtocolConfig.desk`` sets, and their values.
+DESK = {"repetitions": 2, "samples_per_config": 5}
 
 
 @dataclass
@@ -223,8 +225,8 @@ class ProtocolConfig:
             raise ValueError(f"duplicate methods: {', '.join(self.methods)}")
 
     def desk(self) -> "ProtocolConfig":
-        """A scaled-down copy: 2 repetitions, 5 samples per configuration."""
-        return dataclasses.replace(self, repetitions=2, samples_per_config=5)
+        """A scaled-down copy, with the fields and values of ``DESK``."""
+        return dataclasses.replace(self, **DESK)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -643,10 +645,6 @@ def _plan(cfg: ProtocolConfig, rep: int) -> Iterator[_Test]:
         yield from _cell(cfg, rep, i)[1]
 
 
-#: the walk of one repetition, by protocol
-_PLANS = dict.fromkeys(PROTOCOLS, _plan)
-
-
 # ---------------------------------------------------------------------------
 # the executor
 # ---------------------------------------------------------------------------
@@ -654,16 +652,14 @@ _PLANS = dict.fromkeys(PROTOCOLS, _plan)
 
 def _fitted(cfg: ProtocolConfig, x, labels, settings: dict, fit_seed: int):
     """Fit each method of ``settings`` (method name -> the classifier's
-    (C, class_weight)) on one featurised training set.
+    (C, class_weight)) on one featurised training set; methods with the same
+    settings share one classifier and one set of out-of-fold posteriors.
 
-    Methods with the same settings share one trained classifier and one set
-    of out-of-fold posteriors.  Returns (score, aggregate): ``score`` maps a
-    sample's features to its posteriors under each distinct classifier (None
-    where a group needs no classifier), and ``aggregate`` maps the scores of a
-    list of samples to each method's estimates for them, by method name,
-    through one ``aggregate_many`` call per method.  Each classifier's
-    posteriors are stacked once, one matrix per sample length, and shared by
-    the methods of its group.
+    Returns (score, aggregate): ``score`` maps a sample's features to its
+    posteriors under each distinct classifier (None where a group needs no
+    classifier), and ``aggregate`` maps the scores of a list of samples to
+    each method's estimates, by method name: one ``aggregate_many`` call per
+    method, on posteriors stacked once per classifier and sample length.
     """
     groups: dict[tuple, list[str]] = {}
     for name, setting in settings.items():
@@ -734,32 +730,27 @@ def _validation_parts(pool: Pool, size: int, ctx: str) -> list[_Part]:
 
 def _select_settings(cfg: ProtocolConfig, x, labels, fit_seed: int) -> dict[str, tuple]:
     """Each method's classifier (C, class_weight): the configured pair, or with
-    ``grid_search`` the ``DEFAULT_GRID`` point of lowest validation MAE.
-
-    Each method selects on its own split, seeded by its name: a stratified
-    0.6 of the training draw is fitted at every grid point, and the held-out
-    rest serves the validation draws.  Each draw is scored once per grid
-    point and all are estimated in one ``aggregate_many`` call.  Ties keep
-    the earliest grid point.
-    """
+    ``grid_search`` the earliest ``DEFAULT_GRID`` point of its lowest
+    validation MAE.  All methods select together on one split, seeded by the
+    fit seed alone: a stratified 0.6 of the training draw is fitted once per
+    grid point for every method, and the rest serves one set of validation
+    draws.  So no method's choice depends on which others run."""
     if not cfg.grid_search:
-        return {name: (cfg.C, cfg.class_weight) for name in cfg.methods}
-    settings = {}
-    for name in cfg.methods:
-        seed = derive_seed(fit_seed, "grid", name)
-        fit, val = split_stratified(BinaryDataset(x, labels), 0.6, derive_seed(seed, "split"))
-        samples = [_draw((part,), seed, {"val": val})
-                   for part in _validation_parts(val, cfg.test_size, f"grid {name} val")]
-        truth = np.array([s.true_prevalence for s in samples])
-        fit_x, fit_labels = x[fit.index], labels[fit.index]
-        best_mae = np.inf
-        for point in DEFAULT_GRID:
-            setting = (point["C"], point["class_weight"])
-            score, aggregate = _fitted(cfg, fit_x, fit_labels, {name: setting}, fit_seed)
-            mae = np.mean(np.abs(truth - aggregate([score(s.x) for s in samples])[name]))
-            if mae < best_mae:
-                settings[name], best_mae = setting, mae
-    return settings
+        return dict.fromkeys(cfg.methods, (cfg.C, cfg.class_weight))
+    seed = derive_seed(fit_seed, "grid")
+    fit, val = split_stratified(BinaryDataset(x, labels), 0.6, derive_seed(seed, "split"))
+    samples = [_draw((part,), seed, {"val": val})
+               for part in _validation_parts(val, cfg.test_size, "grid val")]
+    truth = np.array([s.true_prevalence for s in samples])
+    fit_x, fit_labels = x[fit.index], labels[fit.index]
+    grid = [(point["C"], point["class_weight"]) for point in DEFAULT_GRID]
+    maes = []
+    for setting in grid:
+        score, aggregate = _fitted(cfg, fit_x, fit_labels, dict.fromkeys(cfg.methods, setting),
+                                   fit_seed)
+        estimates = aggregate([score(s.x) for s in samples])
+        maes.append([np.mean(np.abs(truth - estimates[name])) for name in cfg.methods])
+    return {name: grid[i] for name, i in zip(cfg.methods, np.argmin(maes, axis=0))}
 
 
 def _run_cell(cfg: ProtocolConfig, pools, rep: int, cell: _Cell, tests) -> RecordTable:

@@ -583,6 +583,7 @@ class Quantifier:
         """The estimate for each sample, in order, from a list of the samples'
         posteriors or from their :class:`PosteriorRows`.  The samples of each
         length are estimated together, as the rows of one matrix."""
+        self._require_fitted()
         if not isinstance(posteriors, PosteriorRows):
             posteriors = PosteriorRows.stack(posteriors)
         estimates = np.empty(len(posteriors))
@@ -616,6 +617,7 @@ class MLPE(Quantifier):
     def aggregate_many(self, posteriors) -> list[float]:
         """The training prevalence once per sample; the posteriors (None
         where no classifier was fitted) are not read."""
+        self._require_fitted()
         return [self.prevalence_] * len(posteriors)
 
 

@@ -20,12 +20,12 @@ from shiftbench.core import sample_at_prevalence, split_stratified
 from shiftbench.datagen import ClusterSpec, generate_mixture
 from shiftbench.evaluation import _exact_p, _normal_p, wilcoxon_signed_rank
 from shiftbench.protocols import (
-    _PLANS,
     CONCEPT,
     GLOBAL_COVARIATE,
     LOCAL_COVARIATE,
     PRIOR,
     ProtocolConfig,
+    _plan,
     _Test,
     run_protocol,
 )
@@ -300,7 +300,7 @@ def test_criterion_08_record_count_identities_by_plan_walk():
         tests = sum(
             isinstance(step, _Test)
             for rep in range(cfg.repetitions)
-            for step in _PLANS[protocol](cfg, rep)
+            for step in _plan(cfg, rep)
         )
         counts[protocol] = tests * len(cfg.methods)
     elapsed = time.process_time() - start

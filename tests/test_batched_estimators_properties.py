@@ -25,7 +25,6 @@ from shiftbench.quantifiers import (
     EM_MAX_ITER,
     EM_TOL,
     METHODS,
-    SLD,
     expectation_maximisation_prevalences,
     histogram_masses,
 )
@@ -103,6 +102,13 @@ def oracle_estimate(q, posteriors):
     if q.method == "SLD":
         return oracle_em(posteriors, q.train_prevalence_)[0]
     raise AssertionError(f"no oracle for {q.method}")
+
+
+def hand_fitted(name, **state):
+    """A quantifier of ``name`` whose fitted state is set by hand."""
+    q = METHODS[name]()
+    vars(q).update(state, _fitted=True)
+    return q
 
 
 def same(batched, oracle):
@@ -216,8 +222,7 @@ def test_em_absorbing_endpoints_and_running_rows_together():
 
 
 def test_em_cap_hit_warns_and_matches_the_loop():
-    sld = SLD()
-    sld.train_prevalence_ = 0.4
+    sld = hand_fitted("SLD", train_prevalence_=0.4)
     # posteriors just above the training prevalence move the prior by about
     # 2e-6 per step, above the 1e-6 tolerance, until the iteration cap
     samples = [np.full(50, 0.4 + 2e-6), np.full(30, 0.7), np.full(50, 0.2)]
@@ -229,8 +234,7 @@ def test_em_cap_hit_warns_and_matches_the_loop():
 
 def test_em_single_row_ragged_rows_and_no_rows():
     rng = np.random.default_rng(8)
-    sld = SLD()
-    sld.train_prevalence_ = 0.35
+    sld = hand_fitted("SLD", train_prevalence_=0.35)
     samples = [rng.beta(2, 3, n) for n in (7, 300, 7, 1, 300, 64)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # none of these hits the cap
@@ -279,15 +283,13 @@ def test_counting_methods_equal_their_per_sample_formulas(samples, tpr, fpr, pos
     """Including degenerate gaps (tpr = fpr, or within 1e-9) and inverted
     rates, where an adjusted count can come out as -0.0."""
     for name in ("CC", "ACC", "PCC", "PACC", "SMM"):
-        q = METHODS[name]()
-        q.rates_ = ClassRates(tpr, fpr)
-        q.positive_mean_, q.negative_mean_ = positive_mean, negative_mean
+        q = hand_fitted(name, rates_=ClassRates(tpr, fpr), positive_mean_=positive_mean,
+                        negative_mean_=negative_mean)
         same(q.aggregate_many(samples), [oracle_estimate(q, p) for p in samples])
 
 
 def test_inverted_rates_keep_negative_zero():
-    acc = METHODS["ACC"]()
-    acc.rates_ = ClassRates(0.25, 0.5)  # (0.5 - 0.5) / -0.25 is -0.0
+    acc = hand_fitted("ACC", rates_=ClassRates(0.25, 0.5))  # (0.5 - 0.5) / -0.25 is -0.0
     sample = np.array([0.9, 0.1, 0.7, 0.3])
     assert repr(oracle_estimate(acc, sample)) == "-0.0"
     same(acc.aggregate_many([sample, sample[:2]]), [-0.0, -0.0])

@@ -25,7 +25,6 @@ from shiftbench.core import StarDataset
 from shiftbench.datagen import ClusterSpec, count_terms, generate_mixture
 from shiftbench.evaluation import RecordTable
 from shiftbench.protocols import (
-    _PLANS,
     CONCEPT,
     GLOBAL_COVARIATE,
     LOCAL_COVARIATE,
@@ -36,6 +35,7 @@ from shiftbench.protocols import (
     _draw,
     _featurise_train,
     _fitted,
+    _plan,
     _prepare_pools,
     _run_cell,
     _select_settings,
@@ -91,9 +91,10 @@ def dataset(kind: str, protocol: str):
 def repetition_worker(args) -> RecordTable:
     """The records of one repetition: each cell of its plan run in turn.
 
-    The deleted ``protocols._repetition_worker``, verbatim."""
+    The deleted ``protocols._repetition_worker``, verbatim but for calling
+    ``_plan`` directly."""
     cfg, pools, rep = args
-    plan = _PLANS[cfg.protocol](cfg, rep)
+    plan = _plan(cfg, rep)
     return RecordTable.concat(_run_cell(cfg, pools, rep, cell, tests)
                               for cell, tests in itertools.groupby(plan, key=attrgetter("cell")))
 
@@ -101,7 +102,7 @@ def repetition_worker(args) -> RecordTable:
 def old_steps(cfg, rep):
     """The plan as the step-walking worker walked it: each cell, then its tests."""
     current = None
-    for test in _PLANS[cfg.protocol](cfg, rep):
+    for test in _plan(cfg, rep):
         if test.cell is not current:
             current = test.cell
             yield current
@@ -110,7 +111,7 @@ def old_steps(cfg, rep):
 
 def oracle_worker(args) -> RecordTable:
     """The ``_repetition_worker`` before ``repetition_worker``, verbatim but
-    for the stream it walks (``old_steps`` in place of ``_PLANS[cfg.protocol]``)."""
+    for the stream it walks (``old_steps`` in place of ``_plan``)."""
     cfg, pools, rep = args
     tables: list[RecordTable] = []
     pending: list[tuple] = []

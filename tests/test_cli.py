@@ -20,7 +20,7 @@ from shiftbench.classifier import ClassRates
 from shiftbench.cli import main
 from shiftbench.core import PoolExhaustionError
 from shiftbench.evaluation import read_records_csv
-from shiftbench.protocols import _run_cell, cell_tables
+from shiftbench.protocols import DESK, _run_cell, cell_tables
 from shiftbench.quantifiers import PACC
 from shiftbench.reporting import boxplot_stats, render_markdown, render_plotdata
 
@@ -495,7 +495,7 @@ class TestRun:
         assert f"error: bad config: {field}: {message}" in capsys.readouterr().err
         assert splits == [] and not out.exists()
 
-    @pytest.mark.parametrize("field", ["repetitions", "samples_per_config"])
+    @pytest.mark.parametrize("field", DESK)
     def test_desk_with_a_config_setting_what_it_sets_exits_2(
         self, tmp_path, run_config, capsys, monkeypatch, field
     ):
@@ -504,7 +504,8 @@ class TestRun:
         runs = []
         monkeypatch.setattr("shiftbench.cli.cell_tables", lambda *a, **k: runs.append(a))
         raw = json.loads(run_config.read_text())
-        del raw["repetitions"], raw["samples_per_config"]
+        for name in DESK:
+            del raw[name]
         raw[field] = 1
         cfg = run_config.parent / "desk.json"
         cfg.write_text(json.dumps(raw))

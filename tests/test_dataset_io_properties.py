@@ -42,7 +42,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from shiftbench.core import BinaryDataset, StarDataset, TermCounts
-from shiftbench.datagen import RawReview, count_terms, load_dataset, write_dataset
+from shiftbench.datagen import RawReview, _text_lines, count_terms, load_dataset, write_dataset
 
 property_settings = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -339,6 +339,7 @@ def review_with(**fields):
 
 
 REVIEW = review_with()
+READ = 1 << 16  # the loader's read size
 DENSE = json.dumps({"features": [1.5, -2.0], "label": 1, "category": "A"})
 
 
@@ -365,9 +366,13 @@ DENSE = json.dumps({"features": [1.5, -2.0], "label": 1, "category": "A"})
 # one line longer than a batch, then a bad line
 @example(data=f"{DENSE}\r\n{LONG_BLANK}{DENSE}\r\n{DENSE}\xff\r\n".encode("latin-1"))
 @example(data=f"{DENSE}\n{LONG_BLANK}{DENSE}\n[1, 2]\n".encode())
-# CR-only line endings, which put the whole file in one LF-ended line
+# CR-only line endings
 @example(data=f"{DENSE}\r{DENSE}\r{{\r\xff\r".encode("latin-1"))
 @example(data=f"{REVIEW}\r\r{REVIEW}\r\xc3{REVIEW}\r".encode("latin-1"))
+# a CR LF pair whose CR ends the first read, then a bad line
+@example(data=f"{DENSE}{' ' * (READ - 1 - len(DENSE))}\r\n{{\r\n".encode())
+# two-byte characters across the ends of reads of a CR-only file
+@example(data=f"{review_with(text='é ' * 70)}\r".encode() * 500 + b"{\r")
 def test_loader_matches_the_row_by_row_oracle(tmp_path, data):
     path = tmp_path / "data.jsonl"
     path.write_bytes(data)
@@ -404,3 +409,31 @@ def test_loader_opens_its_file_once(tmp_path, monkeypatch, bad):
     else:
         load_dataset(path)
     assert len(opened) == 1
+
+
+def test_cr_only_file_yields_lines_before_it_is_read_whole(tmp_path):
+    """A file with no LF is still read a batch at a time: its first line
+    comes back while most of the file is unread."""
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(f"{DENSE}\r".encode() * (4 * READ // len(DENSE)))
+    with open(path, "rb") as fh:
+        lines = _text_lines(path, fh, hashlib.sha256())
+        assert next(lines) == f"{DENSE}\n"
+        assert fh.tell() <= READ < path.stat().st_size // 2
+
+
+@pytest.mark.parametrize("ending", ["\r", "\r\n"], ids=["CR", "CRLF"])
+def test_line_endings_load_bit_identically(tmp_path, ending):
+    """Several reads' worth of rows load to the same arrays whatever their
+    line endings."""
+    lf = tmp_path / "lf.jsonl"
+    rng = np.random.default_rng(0)
+    n = 3000
+    write_dataset(BinaryDataset(rng.standard_normal((n, 3)), rng.integers(0, 2, n),
+                                rng.choice(np.array(["A", "B"]), n)), lf)
+    other = tmp_path / "other.jsonl"
+    other.write_bytes(lf.read_bytes().replace(b"\n", ending.encode()))
+    assert other.stat().st_size > 3 * READ
+    (want, _), (got, digest) = load_dataset(lf), load_dataset(other)
+    assert_same_dataset(got, want)
+    assert digest == hashlib.sha256(other.read_bytes()).hexdigest()

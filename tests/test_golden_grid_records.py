@@ -1,10 +1,12 @@
 """Golden records with model selection on: every method on a small prior run
 with ``grid_search`` true, pinned to a stored CSV.
 
-Each method picks its own C and class weight on its own validation split, so
-the choice made for one method does not depend on which others run beside
-it.  The stored file was produced by ``python tests/test_golden_grid_records.py``;
-estimates must match it exactly.
+Each method picks its own C and class weight on a validation split, draws
+and grid-point fits that every method of the cell shares, all seeded by the
+cell's fit seed alone, so the choice made for one method does not depend on
+which others run beside it.  The stored file was produced by
+``python tests/test_golden_grid_records.py``; estimates must match it
+exactly.
 """
 
 from pathlib import Path

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from shiftbench.core import round_half_up
 from shiftbench.datagen import ClusterSpec, generate_mixture
 from shiftbench.protocols import (
-    _PLANS,
     CONCEPT,
     GLOBAL_COVARIATE,
     LOCAL_COVARIATE,
@@ -26,6 +25,7 @@ from shiftbench.protocols import (
     ProtocolConfig,
     _cell,
     _local_positive_count,
+    _plan,
     _plan_shape,
     _prepare_pools,
 )
@@ -68,7 +68,7 @@ def pool_names():
 
 
 def walk(cfg):
-    return [test for rep in range(cfg.repetitions) for test in _PLANS[cfg.protocol](cfg, rep)]
+    return [test for rep in range(cfg.repetitions) for test in _plan(cfg, rep)]
 
 
 def cells(tests):
@@ -214,7 +214,7 @@ def test_one_distinct_cell_per_training_point_per_repetition(case):
     cells, tests_per_cell = _plan_shape(cfg)
     assert cells == points
     for rep in range(cfg.repetitions):
-        fits = {test.cell.fit_coords for test in _PLANS[cfg.protocol](cfg, rep)}
+        fits = {test.cell.fit_coords for test in _plan(cfg, rep)}
         assert len(fits) == points
         assert all(fit[:3] == (cfg.protocol, rep, "fit") for fit in fits)
         for i in range(cells):

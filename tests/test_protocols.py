@@ -10,13 +10,13 @@ from shiftbench.core import Pool, PoolExhaustionError
 from shiftbench.datagen import ClusterSpec, generate_mixture
 from shiftbench.evaluation import RecordTable
 from shiftbench.protocols import (
-    _PLANS,
     CONCEPT,
     GLOBAL_COVARIATE,
     LOCAL_COVARIATE,
     PRIOR,
     ProtocolConfig,
     _local_positive_count,
+    _plan,
     _Test,
     count_records,
     count_records_per_method,
@@ -90,7 +90,7 @@ def plan_tests(cfg):
     return [
         step
         for rep in range(cfg.repetitions)
-        for step in _PLANS[cfg.protocol](cfg, rep)
+        for step in _plan(cfg, rep)
         if isinstance(step, _Test)
     ]
 

@@ -7,6 +7,7 @@ from shiftbench.classifier import ClassRates, predict_proba
 from shiftbench.core import EmptyDatasetError
 from shiftbench.quantifiers import (
     METHOD_NAMES,
+    METHODS,
     PosteriorHistogram,
     adjust_prevalence,
     classify_and_count,
@@ -337,3 +338,13 @@ class TestFactory:
     def test_unfitted_quantify_rejected(self):
         with pytest.raises(RuntimeError):
             quantifier_factory("CC").quantify(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("cls", METHODS.values(), ids=METHOD_NAMES)
+    def test_unfitted_aggregate_rejected(self, cls):
+        """Estimating from posteriors needs the fitted state as much as
+        quantifying features does, and says so in the same words."""
+        message = f"^{cls.method} quantifier is not fitted$"
+        with pytest.raises(RuntimeError, match=message):
+            cls().aggregate(np.array([0.2, 0.7]))
+        with pytest.raises(RuntimeError, match=message):
+            cls().aggregate_many([np.array([0.2, 0.7]), np.array([0.4])])
